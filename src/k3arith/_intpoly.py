@@ -100,25 +100,6 @@ def mod_monic(p, q):
     return trim(rem)
 
 
-def eval_at(p, x):
-    """Horner evaluation; x may be int, Fraction, float or complex."""
-    acc = 0 * x if p else 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def pow_poly(p, n):
-    out = [1]
-    base = list(p)
-    while n:
-        if n & 1:
-            out = mul(out, base)
-        base = mul(base, base)
-        n >>= 1
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(m):
     """The m-th cyclotomic polynomial over Z, computed by exact division:

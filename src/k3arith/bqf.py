@@ -16,7 +16,7 @@ diagnostics and is strictly coarser (first seen at d = -23).
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, InconsistencyError, UsageError
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,9 @@ def compose(f, g) -> BinaryQuadraticForm:
     # complete the coprime column (x, y) to an SL(2,Z) matrix
     _, s, t = _egcd(x, y)
     g2 = g.transform(x, -t, y, s)
-    assert g2.a == a2
+    if g2.a != a2:
+        raise InconsistencyError(f"{g2} does not lead with the represented "
+                                 f"value {a2}")
     b2 = g2.b
     # B = b1 mod 2a1, B = b2 mod 2a2 (consistent: b1, b2 share d's parity)
     k = ((b2 - b1) // 2 * pow(a1, -1, a2)) % a2

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 mathematical verification failure, 2 usage error.
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -23,6 +24,10 @@ from .ff import CyclotomicInt
 
 SCHEMA = "k3arith-report/1"
 _BIG = 2 ** 53
+
+# options taking comma-separated integers, any of which may be negative
+_CSV_OPTIONS = ("--coeffs", "--p2", "--known-factor", "--form", "--f", "--g")
+_NEGATIVE_CSV = re.compile(r"-\d[-\d, ]*")
 
 
 def _enc(x):
@@ -50,6 +55,19 @@ def _csv_ints(text: str):
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
+
+
+def _attach_negative_csv(argv):
+    """Rewrite `--coeffs -1,2` as `--coeffs=-1,2`.  argparse reads a value
+    that starts with a minus and is not a plain number as an option, so a
+    comma list opening with a negative entry only parses in the `=` form."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _CSV_OPTIONS and _NEGATIVE_CSV.fullmatch(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _form_arg(text: str):
@@ -378,8 +396,10 @@ def _config_echo(args) -> dict:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_csv(argv))
     except SystemExit as exc:  # argparse already printed usage/help
         code = exc.code
         return code if isinstance(code, int) else 2

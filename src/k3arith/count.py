@@ -4,8 +4,12 @@ quartics, which admit a Jacobi-sum fast path.
 
 Models carry integer coefficients in a fixed sorted monomial order, so the
 canonical serialization (and the cache hash derived from it) is stable.
-Counting reduces the coefficients mod p and works in packed field elements
-(integers 0..q-1 indexing the addition and multiplication tables of ff).
+The stratum scans reduce the coefficients mod p and work in packed field
+elements (integers 0..q-1 indexing the addition and multiplication tables
+of ff).  The Jacobi fast path needs no tables: each of its 21 three-
+character sums factors into two-character sums, O(q) each over the
+discrete logs of ff (Weil, "Numbers of solutions of equations in finite
+fields", 1949).
 
 Projective points are enumerated without quotienting, by strata on the
 first nonzero coordinate (x_0 = 1; then x_0 = 0, x_1 = 1; and so on).
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, InconsistencyError, UnsupportedError, UsageError
-from .ff import CyclotomicInt, FieldCtx, MultChar
+from .ff import CyclotomicInt, FieldCtx, MultChar, jacobi_sum
 
 FEASIBILITY_CAP = 300_000_000  # rough elementary field operations
 
@@ -393,39 +397,23 @@ def count_diagonal_quartic_jacobi(surface: DiagonalQuartic, ctx: FieldCtx):
         raise UnsupportedError("Jacobi fast path needs q = 1 mod 4; "
                                "use direct counting instead")
     chi = MultChar(ctx, 4, 1)
-    log = [None] * q
-    for x in range(1, q):
-        log[x] = chi.log(ctx.from_packed(x))
-    add, mul = ctx.packed_tables()
-    neg = [add[x].index(0) for x in range(q)]
-    one = ctx.one.packed
-    l_minus1 = log[neg[one]]
-    l_a = [log[ctx.element(a).packed] for a in surface.a]
+    l_minus1 = chi.log(-ctx.one)
+    l_a = [chi.log(ctx.element(a)) for a in surface.a]
+
+    @lru_cache(maxsize=None)
+    def pair_sum(a, b):  # J(chi^a, chi^b) in O(q); 6 distinct pairs occur
+        return jacobi_sum(chi.pow(a), chi.pow(b))
 
     eigs = []
     total = CyclotomicInt.integer(4, 0)
     for (j0, j1, j2, j3) in _jacobi_tuples():
-        # J3 = sum over x + y + z = 1 of chi^j0(x) chi^j1(y) chi^j2(z)
-        acc = [0, 0, 0, 0]
-        for x in range(q):
-            lx = log[x]
-            if lx is None:
-                continue
-            base = (j0 * lx) % 4
-            ox = add[one][neg[x]]  # 1 - x
-            for y in range(q):
-                ly = log[y]
-                if ly is None:
-                    continue
-                z = add[ox][neg[y]]
-                lz = log[z]
-                if lz is None:
-                    continue
-                acc[(base + j1 * ly + j2 * lz) % 4] += 1
-        j3sum = (CyclotomicInt.root_power(4, 0) * acc[0]
-                 + CyclotomicInt.root_power(4, 1) * acc[1]
-                 + CyclotomicInt.root_power(4, 2) * acc[2]
-                 + CyclotomicInt.root_power(4, 3) * acc[3])
+        # J(chi^j0, chi^j1, chi^j2), the sum over x + y + z = 1 of
+        # chi^j0(x) chi^j1(y) chi^j2(z), is J(chi^j0, chi^j1) J(chi^(j0+j1),
+        # chi^j2) when chi^(j0+j1) is nontrivial and chi^j0(-1) q otherwise
+        if (j0 + j1) % 4:
+            j3sum = pair_sum(j0, j1) * pair_sum((j0 + j1) % 4, j2)
+        else:
+            j3sum = CyclotomicInt.root_power(4, j0 * l_minus1, q)
         twist = (j3 * l_minus1 - j0 * l_a[0] - j1 * l_a[1]
                  - j2 * l_a[2] - j3 * l_a[3]) % 4
         alpha = CyclotomicInt.root_power(4, twist) * j3sum

@@ -10,7 +10,10 @@ machines:
 - Elements are coefficient vectors of length r, low degree first.  The
   packed integer sum c_i p^i doubles as a stable element index in [0, q).
 - The fixed primitive root of F_q^* is the least element in packed order
-  with full multiplicative order.
+  with full multiplicative order.  It and the discrete-log table are found
+  by element arithmetic on coefficient vectors, in O(q) steps and memory.
+- The q x q packed addition and multiplication tables serve only the
+  stratum-scan kernels of `count`; they are built on first request.
 - chi(0) = 0 for every multiplicative character.
 - Character values and Jacobi sums live exactly in Z[zeta_m]; no floats
   anywhere in this module.
@@ -254,22 +257,11 @@ class FieldCtx:
     def primitive_root(self) -> int:
         """Packed index of the least primitive root of F_q^*."""
         if self._g is None:
-            q = self.q
-            _, mul = self.packed_tables()
-            fac = _prime_factors(q - 1)
-
-            def packed_pow(a, n):
-                out = 1 if q > 1 else 0  # packed index of the unit 1
-                base = a
-                while n:
-                    if n & 1:
-                        out = mul[out][base]
-                    base = mul[base][base]
-                    n >>= 1
-                return out
-
-            for g in range(1, q):
-                if all(packed_pow(g, (q - 1) // ell) != 1 for ell in fac):
+            exps = [(self.q - 1) // ell for ell in _prime_factors(self.q - 1)]
+            one = self.one
+            for g in range(1, self.q):
+                a = self.from_packed(g)
+                if all(a ** e != one for e in exps):
                     self._g = g
                     break
             else:  # pragma: no cover - F_q^* is always cyclic
@@ -277,15 +269,15 @@ class FieldCtx:
         return self._g
 
     def dlog_table(self):
-        """dlog[a] = k with g^k = a for packed a != 0; dlog[0] = None."""
+        """dlog[a] = k with g^k = a for packed a != 0; dlog[0] = None.
+        One walk over the powers of g: O(q) multiplications and memory."""
         if self._dlog is None:
-            _, mul = self.packed_tables()
-            g = self.primitive_root()
+            g = self.from_packed(self.primitive_root())
             table = [None] * self.q
-            acc = 1
+            acc = self.one
             for k in range(self.q - 1):
-                table[acc] = k
-                acc = mul[acc][g]
+                table[acc.packed] = k
+                acc = acc * g
             self._dlog = table
         return self._dlog
 
@@ -459,11 +451,6 @@ class CyclotomicInt:
     def abs_squared(self) -> int:
         """|z|^2 = z * conj(z); exact, must land in Z."""
         return (self * self.conjugate()).rational_value()
-
-    def to_complex(self) -> complex:
-        import cmath
-        return sum((c * cmath.exp(2j * cmath.pi * i / self.m)
-                    for i, c in enumerate(self.coeffs)), complex(0))
 
     def __repr__(self):
         return f"CyclotomicInt(m={self.m}, {self.coeffs})"
