@@ -14,7 +14,6 @@ those and rationally reconstructs a small-height parameter.
 """
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,9 +21,9 @@ from math import gcd, isqrt
 
 import sympy
 
-from .count import Quartic, count_quartic, fermat_quartic
+from .count import Quartic, count_quartic, fermat_quartic, pool_map
 from .errors import DomainError, UsageError
-from .ff import FieldCtx
+from .ff import FieldCtx, quadratic_character
 
 H_BOUND = 20  # |trace of Frob on NS| <= rank NS = 20 for a singular K3
 
@@ -66,13 +65,6 @@ def eta4_pow6_expansion(n_max: int) -> QSeries:
     return QSeries(tuple(b), weight=3, level=16)
 
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def _check_odd_prime(p: int) -> None:
     if p == 2:
         raise DomainError("bad reduction at 2")
@@ -83,8 +75,9 @@ def _check_odd_prime(p: int) -> None:
 def hecke_h(p: int) -> int:
     """h = 5 + 3 chi_{-1}(p) + 6 (chi_2(p) + chi_{-2}(p))."""
     _check_odd_prime(p)
-    chi_m1 = _legendre(-1, p)
-    chi_2 = _legendre(2, p)
+    ctx = FieldCtx(p)
+    chi_m1 = quadratic_character(ctx.element(-1))
+    chi_2 = quadratic_character(ctx.element(2))
     return 5 + 3 * chi_m1 + 6 * (chi_2 + chi_m1 * chi_2)
 
 
@@ -185,20 +178,12 @@ def cm_sieve(family, target: QSeries, primes, cache=None, jobs: int = 1):
                 counts[lam] = cached
             else:
                 todo.append((lam, member))
-        if todo and jobs > 1:
-            payloads = [(p, member.coeffs) for _, member in todo]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_count_member_worker, payloads))
-            for (lam, member), n in zip(todo, results):
-                counts[lam] = n
-                if cache is not None:
-                    cache.record(member.surface_hash(), p, 1, n)
-        else:
-            for lam, member in todo:
-                n = count_quartic(member, FieldCtx(p))
-                counts[lam] = n
-                if cache is not None:
-                    cache.record(member.surface_hash(), p, 1, n)
+        results = pool_map(_count_member_worker,
+                           [(p, member.coeffs) for _, member in todo], jobs)
+        for (lam, member), n in zip(todo, results):
+            counts[lam] = n
+            if cache is not None:
+                cache.record(member.surface_hash(), p, 1, n)
         for lam in lams:
             t = counts[lam] - 1 - p * p - b_p
             if t % p == 0 and abs(t // p) <= H_BOUND:

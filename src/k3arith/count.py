@@ -5,19 +5,23 @@ quartics, which admit a Jacobi-sum fast path.
 Models carry integer coefficients in a fixed sorted monomial order, so the
 canonical serialization (and the cache hash derived from it) is stable.
 The stratum scans reduce the coefficients mod p and work in packed field
-elements (integers 0..q-1 indexing the addition and multiplication tables
-of ff).  The Jacobi fast path needs no tables: each of its 21 three-
+elements (integers 0..q-1 indexing the numpy addition and multiplication
+tables of ff).  The Jacobi fast path needs no tables: each of its 21 three-
 character sums factors into two-character sums, O(q) each over the
 discrete logs of ff (Weil, "Numbers of solutions of equations in finite
 fields", 1949).
 
 Projective points are enumerated without quotienting, by strata on the
 first nonzero coordinate (x_0 = 1; then x_0 = 0, x_1 = 1; and so on).
-Each affine stratum specializes one variable at a time and finishes with a
-Horner evaluation in the last one.  The dominant stratum can be chunked
-over its leading coordinate across worker processes; chunk subtotals are
-exact integers added in chunk order, so the worker count never changes the
-result.
+One kernel, `_affine_scan`, serves every stratum of every model: the
+coefficients of the leading variable are evaluated as numpy grids over the
+other (at most two) variables, and Horner's rule in the leading variable
+runs over blocks of its values.  Quartic counts tally zeros, double
+sextics sum the quadratic character of the values, and the smoothness scan
+tallies common zeros of f and its four partials.  The dominant stratum can
+be chunked over its leading coordinate across worker processes
+(`pool_map`, shared with the CM sieve); chunk subtotals are exact integers
+added in chunk order, so the worker count never changes the result.
 """
 
 import json
@@ -26,8 +30,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InconsistencyError, UnsupportedError, UsageError
-from .ff import CyclotomicInt, FieldCtx, MultChar, jacobi_sum
+from .errors import InconsistencyError, UnsupportedError, UsageError
+from .ff import CyclotomicInt, FieldCtx, MultChar, jacobi_sum, quadratic_character
 
 FEASIBILITY_CAP = 300_000_000  # rough elementary field operations
 
@@ -166,139 +170,123 @@ class DworkPencil:
 dwork_pencil = DworkPencil()
 
 
-# --- affine stratum scans ----------------------------------------------------
+# --- the scan kernel ---------------------------------------------------------
 
-def _pow_table(ctx: FieldCtx, maxdeg: int):
-    mul = ctx.packed_tables()[1]
-    pw = []
-    for x in range(ctx.q):
-        row = [1]
-        for _ in range(maxdeg):
-            row.append(mul[row[-1]][x])
-        pw.append(row)
-    return pw
+_SCAN_BLOCK = 2 ** 14  # grid points per numpy pass; bounds the temporaries
 
 
-def _chi_table(ctx: FieldCtx):
-    if ctx.q % 2 == 0:
-        raise UnsupportedError("quadratic character needs odd characteristic")
-    mul = ctx.packed_tables()[1]
-    squares = {mul[x][x] for x in range(1, ctx.q)}
-    return [0] + [1 if x in squares else -1 for x in range(1, ctx.q)]
+def pool_map(fn, payloads, jobs):
+    """[fn(x) for x in payloads] on up to `jobs` worker processes.  Results
+    come back in payload order, so a reduction over them is deterministic."""
+    if jobs <= 1 or len(payloads) <= 1:
+        return [fn(x) for x in payloads]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+        return list(pool.map(fn, payloads))
 
 
-def _affine_scan(items, k, ctx, mode, lo=0, hi=None):
-    """Scan the k-variable affine stratum of the polynomial given by items
-    (list of (exponent tuple, packed coefficient)).  mode "zeros" counts
-    zeros; mode "chi" sums the quadratic character of the values."""
-    q = ctx.q
-    add, mul = ctx.packed_tables()
-    table = _chi_table(ctx) if mode == "chi" else None
-    if hi is None:
-        hi = q
+def _by_leading_degree(items):
+    """[items of the coefficient of x^e, leading exponent dropped] for
+    e = 0..deg in the leading variable; [[]] for the zero polynomial."""
+    parts = [[] for _ in range(1 + max((e[0] for e, _ in items), default=0))]
+    for e, c in items:
+        parts[e[0]].append((e[1:], c))
+    return parts
 
-    if k == 0:
+
+def _horner(coeffs, x, add, mul):
+    """sum_e coeffs[e] * x^e in packed arithmetic, on broadcast arrays."""
+    v = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        v = add[mul[x, v], c]
+    return v
+
+
+def _values(items, n, add, mul):
+    """The polynomial given by items (exponent tuples of length n, packed
+    coefficients) at every point of F_q^n, as an array that broadcasts to
+    shape (q,) * n."""
+    if n == 0:
         v = 0
         for _, c in items:
-            v = add[v][c]
-        return (1 if v == 0 else 0) if mode == "zeros" else table[v]
-
-    maxdeg = max((e[-1] for e, _ in items), default=0)
-    pw = _pow_table(ctx, max(max((max(e) for e, _ in items), default=0), 1))
-
-    def scan1(items1, rng):
-        cv = [0] * (maxdeg + 1)
-        for (e,), c in items1:
-            cv[e] = add[cv[e]][c]
-        acc = 0
-        for x in rng:
-            v = cv[maxdeg]
-            for e in range(maxdeg - 1, -1, -1):
-                v = add[mul[v][x]][cv[e]]
-            acc += (v == 0) if mode == "zeros" else table[v]
-        return acc
-
-    if k == 1:
-        return scan1(items, range(lo, hi))
-
-    def scan2(items2, rng):
-        acc = 0
-        for b in rng:
-            pb = pw[b]
-            cv = [0] * (maxdeg + 1)
-            for (e1, e2), c in items2:
-                cb = mul[c][pb[e1]]
-                if cb:
-                    cv[e2] = add[cv[e2]][cb]
-            for x in range(q):
-                v = cv[maxdeg]
-                for e in range(maxdeg - 1, -1, -1):
-                    v = add[mul[v][x]][cv[e]]
-                acc += (v == 0) if mode == "zeros" else table[v]
-        return acc
-
-    if k == 2:
-        return scan2(items, range(lo, hi))
-
-    acc = 0
-    for a in range(lo, hi):
-        pa = pw[a]
-        spec = {}
-        for (e1, e2, e3), c in items:
-            ca = mul[c][pa[e1]]
-            if ca:
-                key = (e2, e3)
-                spec[key] = add[spec.get(key, 0)][ca]
-        acc += scan2(list(spec.items()), range(q))
-    return acc
+            v = add[v, c]
+        return v
+    import numpy as np
+    x = np.arange(len(add)).reshape((-1,) + (1,) * (n - 1))
+    return _horner([_values(part, n - 1, add, mul)
+                    for part in _by_leading_degree(items)], x, add, mul)
 
 
-def _scan_worker(payload):
-    p, r, modulus, items, k, mode, lo, hi = payload
-    ctx = FieldCtx(p, r, modulus)
-    return _affine_scan(items, k, ctx, mode, lo, hi)
+def _tally(vals, shape, chi):
+    """Common zeros of the value arrays, or with chi the sum of chi over
+    vals[0]; each array broadcast to the given grid shape."""
+    import numpy as np
+    if chi is not None:
+        return int(np.broadcast_to(chi[vals[0]], shape).sum())
+    hit = np.ones(shape, dtype=bool)
+    for v in vals:
+        hit &= v == 0
+    return int(np.count_nonzero(hit))
 
 
-def _scan_stratum(items, k, ctx, mode, jobs):
-    """Scan with optional process parallelism over the outermost variable."""
-    if jobs <= 1 or k < 2 or ctx.q < 8:
-        return _affine_scan(items, k, ctx, mode)
+def _affine_scan(polys, k, ctx, chi=None, lo=0, hi=None):
+    """Scan the affine stratum F_q^k, leading coordinate in [lo, hi), for
+    the polynomials in polys (lists of (exponent tuple, coefficient mod p)).
+    Without chi: the number of common zeros.  With chi, an array over the
+    packed field: the sum of chi over the values of polys[0].
+
+    The coefficients of the leading variable are evaluated once as grids
+    over the other k - 1 <= 2 variables; Horner's rule in the leading
+    variable then runs over blocks of its values, one numpy grid each."""
+    import numpy as np
+    add, mul = ctx.packed_tables()
+    if k == 0:  # the single point of F_q^0
+        return _tally([_values(f, 0, add, mul) for f in polys], (), chi)
     q = ctx.q
-    nchunks = min(q, 4 * jobs)
-    bounds = [q * i // nchunks for i in range(nchunks + 1)]
-    payloads = [(ctx.p, ctx.r, ctx.modulus, items, k, mode, bounds[i], bounds[i + 1])
-                for i in range(nchunks)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        subtotals = list(pool.map(_scan_worker, payloads))
-    # ordered reduction: exact integers, chunk order fixed above
+    hi = q if hi is None else hi
+    coeffs = [[_values(part, k - 1, add, mul) for part in _by_leading_degree(f)]
+              for f in polys]
+    step = max(1, _SCAN_BLOCK // q ** (k - 1))
     total = 0
-    for s in subtotals:
-        total += s
+    for a in range(lo, hi, step):
+        x = np.arange(a, min(a + step, hi)).reshape((-1,) + (1,) * (k - 1))
+        total += _tally([_horner(c, x, add, mul) for c in coeffs],
+                        (len(x),) + (q,) * (k - 1), chi)
     return total
 
 
-def _strata_items(items, nvars, s):
-    """Restrict to the stratum x_0 = ... = x_{s-1} = 0, x_s = 1."""
+def _scan_worker(payload):
+    p, r, modulus, polys, k, chi, lo, hi = payload
+    return _affine_scan(polys, k, FieldCtx(p, r, modulus), chi, lo, hi)
+
+
+def _scan_stratum(polys, k, ctx, chi, jobs):
+    """_affine_scan, chunked over the leading coordinate across worker
+    processes when jobs > 1; chunk subtotals are exact and added in order."""
+    if jobs <= 1 or k < 2 or ctx.q < 8:
+        return _affine_scan(polys, k, ctx, chi)
+    q = ctx.q
+    nchunks = min(q, 4 * jobs)
+    bounds = [q * i // nchunks for i in range(nchunks + 1)]
+    payloads = [(ctx.p, ctx.r, ctx.modulus, polys, k, chi, bounds[i], bounds[i + 1])
+                for i in range(nchunks)]
+    return sum(pool_map(_scan_worker, payloads, jobs))
+
+
+def _stratum_items(items, s, p):
+    """Restrict to the stratum x_0 = ... = x_{s-1} = 0, x_s = 1, mod p."""
     out = {}
     for exps, c in items:
-        if any(exps[i] for i in range(s)):
-            continue
-        key = exps[s + 1:]
-        out[key] = out.get(key, 0) + c
-    return [(e, c) for e, c in out.items()]
+        if not any(exps[:s]):
+            out[exps[s + 1:]] = out.get(exps[s + 1:], 0) + c
+    return [(e, c % p) for e, c in out.items() if c % p]
 
 
 def count_quartic(surface, ctx: FieldCtx, jobs: int = 1) -> int:
     """#X(F_q) for a quartic surface in P^3 by stratified enumeration.
     Works for any quartic; smoothness is never assumed."""
-    quartic = surface.to_quartic()
-    items = quartic.items(ctx.p)
-    total = 0
-    for s in range(4):
-        sub = _strata_items(items, 4, s)
-        sub = [(e, c % ctx.p) for e, c in sub if c % ctx.p]
-        total += _scan_stratum(sub, 3 - s, ctx, "zeros", jobs if s == 0 else 1)
-    return total
+    items = surface.to_quartic().items(ctx.p)
+    return sum(_scan_stratum([_stratum_items(items, s, ctx.p)], 3 - s, ctx,
+                             None, jobs if s == 0 else 1) for s in range(4))
 
 
 def _partial_items(items, i, p):
@@ -318,41 +306,13 @@ def is_smooth_quartic(surface, ctx: FieldCtx) -> bool:
     when some rational point of the quartic also kills all four partials.
     A True answer certifies only the rational points; a singular point seen
     first over an extension needs a re-run at larger r."""
-    quartic = surface.to_quartic()
     p, q = ctx.p, ctx.q
     if 200 * q ** 3 > FEASIBILITY_CAP:
         raise UsageError(f"rational-point smoothness scan infeasible at q = {q}")
-    f_items = quartic.items(p)
-    partials = [_partial_items(f_items, i, p) for i in range(4)]
-    add, mul = ctx.packed_tables()
-    pw = _pow_table(ctx, 4)
-
-    def ev(items, coords):
-        v = 0
-        for exps, c in items:
-            t = c
-            for i, e in enumerate(exps):
-                if e:
-                    t = mul[t][pw[coords[i]][e]]
-                    if not t:
-                        break
-            v = add[v][t]
-        return v
-
-    one = ctx.one.packed
-    for s in range(4):
-        free = 3 - s
-        for rest in range(q ** free):
-            coords = [0] * s + [one]
-            x = rest
-            for _ in range(free):
-                coords.append(x % q)
-                x //= q
-            if ev(f_items, coords):
-                continue
-            if all(ev(pi, coords) == 0 for pi in partials):
-                return False
-    return True
+    f_items = surface.to_quartic().items(p)
+    polys = [f_items] + [_partial_items(f_items, i, p) for i in range(4)]
+    return not any(_affine_scan([_stratum_items(f, s, p) for f in polys],
+                                3 - s, ctx) for s in range(4))
 
 
 def count_double_sextic(surface: DoubleSextic, ctx: FieldCtx, jobs: int = 1) -> int:
@@ -360,14 +320,13 @@ def count_double_sextic(surface: DoubleSextic, ctx: FieldCtx, jobs: int = 1) -> 
     1 + chi(F(P)) fibers, chi the quadratic character with chi(0) = 0."""
     if ctx.p == 2:
         raise UnsupportedError("double covers need odd characteristic")
+    import numpy as np
+    chi = np.array([quadratic_character(a) for a in ctx.elements()], dtype=np.int8)
     items = surface.items(ctx.p)
     q = ctx.q
-    total = q * q + q + 1
-    for s in range(3):
-        sub = _strata_items(items, 3, s)
-        sub = [(e, c % ctx.p) for e, c in sub if c % ctx.p]
-        total += _scan_stratum(sub, 2 - s, ctx, "chi", jobs if s == 0 else 1)
-    return total
+    return q * q + q + 1 + sum(
+        _scan_stratum([_stratum_items(items, s, ctx.p)], 2 - s, ctx, chi,
+                      jobs if s == 0 else 1) for s in range(3))
 
 
 # --- Jacobi-sum fast path for diagonal quartics ------------------------------

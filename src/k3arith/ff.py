@@ -12,8 +12,11 @@ machines:
 - The fixed primitive root of F_q^* is the least element in packed order
   with full multiplicative order.  It and the discrete-log table are found
   by element arithmetic on coefficient vectors, in O(q) steps and memory.
-- The q x q packed addition and multiplication tables serve only the
-  stratum-scan kernels of `count`; they are built on first request.
+- The q x q packed addition and multiplication tables are int32 numpy
+  arrays derived from these: multiplication from the discrete logs,
+  addition digit by digit in base p.  They serve only the scan kernel of
+  `count`, are built on first request, and are refused with UsageError
+  beyond TABLE_BYTES.
 - chi(0) = 0 for every multiplicative character.
 - Character values and Jacobi sums live exactly in Z[zeta_m]; no floats
   anywhere in this module.
@@ -27,6 +30,8 @@ from sympy import isprime
 
 from . import _intpoly
 from .errors import DomainError, UnsupportedError, UsageError
+
+TABLE_BYTES = 256 * 2 ** 20  # cap on the two int32 operation tables
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +239,30 @@ class FieldCtx:
         red = _pp_mod(_pp_mul(_pp_trim(u), _pp_trim(v), self.p), self.modulus, self.p)
         return tuple(red) + (0,) * (self.r - len(red))
 
-    # -- packed operation tables for the counting kernels
+    # -- packed operation tables for the counting kernel
 
     def packed_tables(self):
-        """(add, mul) as q x q lists over packed indices; built once, cached."""
+        """(add, mul) as q x q int32 numpy arrays over packed indices; built
+        once, cached.  mul is read off the discrete logs (zero row and
+        column), add digit by digit in base p.  Raises UsageError, before
+        allocating, when the two tables would exceed TABLE_BYTES."""
         if self._tables is None:
+            import numpy as np
             p, q = self.p, self.q
-            if self.r == 1:
-                add = [[(a + b) % p for b in range(p)] for a in range(p)]
-                mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-            else:
-                vecs = [tuple(self.from_packed(n).vec) for n in range(q)]
-                add = [[self._pack(tuple((x + y) % p for x, y in zip(vecs[a], vecs[b])))
-                        for b in range(q)] for a in range(q)]
-                mul = [[self._pack(self._vmulmod(vecs[a], vecs[b]))
-                        for b in range(q)] for a in range(q)]
+            if 8 * q * q > TABLE_BYTES:
+                raise UsageError(f"operation tables for F_{q} need "
+                                 f"{8 * q * q / 2 ** 20:.0f} MiB "
+                                 f"(cap {TABLE_BYTES // 2 ** 20} MiB)")
+            logs = np.array(self.dlog_table()[1:], dtype=np.int32)
+            antilog = np.empty(2 * (q - 1), dtype=np.int32)
+            antilog[logs] = antilog[logs + (q - 1)] = np.arange(1, q)
+            mul = np.zeros((q, q), dtype=np.int32)
+            mul[1:, 1:] = antilog[np.add.outer(logs, logs)]
+            add = np.zeros((q, q), dtype=np.int32)
+            idx = np.arange(q, dtype=np.int32)
+            for place in (p ** i for i in range(self.r)):
+                digit = idx // place % p
+                add += np.add.outer(digit, digit) % p * place
             self._tables = (add, mul)
         return self._tables
 
@@ -531,9 +545,12 @@ def jacobi_sum(chi1: MultChar, chi2: MultChar) -> CyclotomicInt:
     f1, f2 = big // chi1.m, big // chi2.m
     l1 = [chi1.log(x) for x in range(ctx.q)]
     l2 = [chi2.log(x) for x in range(ctx.q)]
-    one = ctx.one
-    # packed index of 1 - x, built through element arithmetic
-    minus = [(one - ctx.from_packed(x)).packed for x in range(ctx.q)]
+    # packed index of 1 - x: negate every base-p digit, then add 1 to digit 0
+    p = ctx.p
+    neg = [0] * ctx.q
+    for x in range(1, ctx.q):
+        neg[x] = -x % p + p * neg[x // p]
+    minus = [(1 - x) % p + p * neg[x // p] for x in range(ctx.q)]
     acc = [0] * big  # counts per exponent in Z[x]/(x^big - 1)
     for x in range(ctx.q):
         e1 = l1[x]
