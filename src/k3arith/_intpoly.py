@@ -21,16 +21,6 @@ def degree(p):
     return len(p) - 1 if p else -1
 
 
-def add(p, q):
-    n = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                 for i in range(n)])
-
-
-def neg(p):
-    return [-c for c in p]
-
-
 def mul(p, q):
     if not p or not q:
         return []
@@ -40,10 +30,6 @@ def mul(p, q):
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return trim(out)
-
-
-def scalar_mul(c, p):
-    return trim([c * a for a in p])
 
 
 def divmod_poly(p, q):

@@ -239,9 +239,6 @@ class ClassGroup:
     def h(self) -> int:
         return len(self.forms)
 
-    def index_of(self, f) -> int:
-        return self.forms.index(reduce(f))
-
     def order_of(self, i: int) -> int:
         e, n = self.identity_index, 1
         cur = i

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__, bqf, cmmod, count, ellsurf, singk3, zeta
 from .cache import CountCache
-from .errors import K3ArithError, UsageError
+from .errors import DomainError, K3ArithError, UsageError
 from .ff import CyclotomicInt
 
 SCHEMA = "k3arith-report/1"
@@ -74,7 +74,10 @@ def _form_arg(text: str):
     vals = _csv_ints(text)
     if len(vals) != 3:
         raise UsageError("a form needs exactly three integers a,b,c")
-    return bqf.BinaryQuadraticForm(*vals)
+    try:
+        return bqf.BinaryQuadraticForm(*vals)
+    except DomainError as exc:  # the input is at fault, not the mathematics
+        raise UsageError(str(exc)) from exc
 
 
 def _primes_arg(text: str):
@@ -92,16 +95,15 @@ def _primes_arg(text: str):
 
 # --- subcommand handlers: each returns (results dict, verified flag) ---------
 
+_MODELS = {"quartic": count.Quartic, "sextic": count.DoubleSextic,
+           "diagonal": count.DiagonalQuartic}
+
+
 def _cmd_count(args, cache):
     coeffs = tuple(_csv_ints(args.coeffs))
-    if args.model == "quartic":
-        surface = count.Quartic(coeffs)
-    elif args.model == "diagonal":
-        surface = count.DiagonalQuartic(coeffs)
-    elif args.model == "sextic":
-        surface = count.DoubleSextic(coeffs)
-    else:
+    if args.model not in _MODELS:
         raise UsageError(f"unknown model {args.model!r}")
+    surface = _MODELS[args.model](coeffs)
     records = count.count_tower(surface, args.p, args.r, cache=cache,
                                 jobs=args.jobs, force=args.force)
     return {
@@ -113,9 +115,7 @@ def _cmd_count(args, cache):
 
 
 def _cmd_zeta(args, cache):
-    store = CountCache(args.counts)
-    records = store.as_records()
-    tr = zeta.traces_from_counts(records)
+    tr = zeta.traces_from_counts(CountCache(args.counts).as_records())
     known = _csv_ints(args.known_factor) if args.known_factor else None
     poly = zeta.p2_from_traces(tr, known)
     return {
@@ -181,24 +181,19 @@ def _cmd_bqf(args, cache):
 def _cmd_inose(args, cache):
     f = _form_arg(args.form)
     periods = singk3.shioda_mitani_periods(f)
-    tau = complex(periods.tau)
-    tau_p = complex(periods.tau_prime)
-    j1 = singk3.j_invariant(tau, args.tol)
-    j2 = singk3.j_invariant(tau_p, args.tol)
-    pencil = singk3.inose_coefficients(j1, j2)
-    d1, d2 = pencil.relation_defects()
+    pencil = singk3.inose_pencil_from_form(f, args.tol)
     return {
         "form": list(f.astuple()),
         "disc": f.disc,
-        "tau": _enc(tau),
-        "tau_prime": _enc(tau_p),
-        "j1": _enc(j1),
-        "j2": _enc(j2),
+        "tau": _enc(complex(periods.tau)),
+        "tau_prime": _enc(complex(periods.tau_prime)),
+        "j1": _enc(pencil.j1),
+        "j2": _enc(pencil.j2),
         "A": _enc(pencil.A),
         "B": _enc(pencil.B),
         "a4": _enc(pencil.a4),
         "a6": _enc(pencil.a6),
-        "relation_defects": [d1, d2],
+        "relation_defects": list(pencil.relation_defects()),
     }, True
 
 
@@ -228,23 +223,6 @@ def _cmd_modularity(args, cache):
     }, report.all_agree
 
 
-def _orbit_classes(lams, p):
-    """Group residues into orbits under lam -> i*lam when F_p contains i."""
-    roots = [x for x in range(2, p) if (x * x + 1) % p == 0]
-    if not roots:
-        return [[lam] for lam in sorted(lams)]
-    i = min(roots)
-    seen = set()
-    orbits = []
-    for lam in sorted(lams):
-        if lam in seen:
-            continue
-        orbit = sorted({lam, (lam * i) % p, (-lam) % p, (-lam * i) % p} & set(lams))
-        seen.update(orbit)
-        orbits.append(orbit)
-    return orbits
-
-
 def _cmd_sieve(args, cache):
     if args.family != "dwork":
         raise UsageError(f"unknown family {args.family!r}")
@@ -256,41 +234,21 @@ def _cmd_sieve(args, cache):
     target = cmmod.eta4_pow6_expansion(max(primes))
     candidates = cmmod.cm_sieve(count.dwork_pencil, target, primes,
                                 cache=cache, jobs=args.jobs)
-    per_prime = {}
-    for cand in candidates:
-        per_prime.setdefault(cand.p, []).append(cand.lam)
-    # small integers congruent to a candidate residue at EVERY prime
-    common = [c for c in range(-cmmod.H_BOUND, cmmod.H_BOUND + 1)
-              if all(c % p in per_prime.get(p, []) for p in primes)]
+    found = cmmod.sieve_survivors(candidates, primes,
+                                  args.height if args.lift else None)
     results = {
         "family": args.family,
         "target": args.target,
         "primes": primes,
         "candidates": [{"p": c.p, "lam": c.lam, "h": c.h,
                         "count": _enc(c.count)} for c in candidates],
-        "per_prime_residues": {str(p): per_prime.get(p, []) for p in primes},
-        "symmetry_orbits": {str(p): _orbit_classes(per_prime.get(p, []), p)
-                            for p in primes},
-        "common_small_integers": common,
+        "per_prime_residues": _enc(found.per_prime),
+        "symmetry_orbits": _enc(found.orbits),
+        "common_small_integers": found.common,
     }
     if args.lift:
-        sets = [per_prime.get(p, []) for p in primes]
-        total = 1
-        for s in sets:
-            total *= max(len(s), 1)
-        if total > 4096:
-            raise UsageError(f"{total} residue combinations exceed the lift "
-                             f"budget; narrow the sieve first")
-        lifts = []
-        stack = [[]]
-        for p, s in zip(primes, sets):
-            stack = [prefix + [(p, lam)] for prefix in stack for lam in s]
-        for combo in stack:
-            lifted = cmmod.lift_parameter(combo, args.height)
-            if lifted is not None:
-                lifts.append({"residues": [[p, lam] for p, lam in combo],
-                              "parameter": _enc(lifted)})
-        results["lifts"] = lifts
+        results["lifts"] = [{"residues": _enc(combo), "parameter": _enc(lifted)}
+                            for combo, lifted in found.lifts]
     return results, True
 
 
@@ -311,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the JSON report here instead of stdout")
 
     sp = sub.add_parser("count", help="count points over a field tower")
-    sp.add_argument("--model", required=True,
-                    choices=["quartic", "sextic", "diagonal"])
+    sp.add_argument("--model", required=True, choices=list(_MODELS))
     sp.add_argument("--coeffs", required=True,
                     help="comma-separated integer coefficients")
     sp.add_argument("--p", type=int, required=True, help="prime")

@@ -10,14 +10,16 @@ cm_sieve turns the prediction around: scanning a one-parameter family mod
 several primes for members whose counts fit a target q-series with SOME
 bounded h.  A single prime admits spurious matches (h is free per prime),
 so only residues surviving every prime matter; lift_parameter CRT-combines
-those and rationally reconstructs a small-height parameter.
+those and rationally reconstructs a small-height parameter, and
+sieve_survivors runs that analysis over a whole sieve.
 """
 
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import product
+from math import gcd, isqrt, prod
 
 import sympy
 
@@ -26,6 +28,8 @@ from .errors import DomainError, UsageError
 from .ff import FieldCtx, quadratic_character
 
 H_BOUND = 20  # |trace of Frob on NS| <= rank NS = 20 for a singular K3
+SMALL_INT_BOUND = 20  # window |c| <= 20 of the common small integers
+LIFT_BUDGET = 4096  # residue combinations sieve_survivors may lift
 
 
 @dataclass(frozen=True)
@@ -141,9 +145,11 @@ class SieveCandidate:
     count: int
 
 
-def _count_member_worker(payload):
-    p, coeffs = payload
-    return count_quartic(Quartic(coeffs), FieldCtx(p))
+def _count_members_worker(payload):
+    """Counts over F_p of the given quartics, in order, in one FieldCtx."""
+    p, chunk = payload
+    ctx = FieldCtx(p)
+    return [count_quartic(Quartic(coeffs), ctx) for coeffs in chunk]
 
 
 def cm_sieve(family, target: QSeries, primes, cache=None, jobs: int = 1):
@@ -178,8 +184,12 @@ def cm_sieve(family, target: QSeries, primes, cache=None, jobs: int = 1):
                 counts[lam] = cached
             else:
                 todo.append((lam, member))
-        results = pool_map(_count_member_worker,
-                           [(p, member.coeffs) for _, member in todo], jobs)
+        # at most max(jobs, 1) contiguous chunks, one FieldCtx(p) each
+        coeffs = [member.coeffs for _, member in todo]
+        cut = [len(coeffs) * i // max(jobs, 1) for i in range(max(jobs, 1) + 1)]
+        chunks = [(p, coeffs[a:b]) for a, b in zip(cut, cut[1:]) if a < b]
+        results = [n for part in pool_map(_count_members_worker, chunks, jobs)
+                   for n in part]
         for (lam, member), n in zip(todo, results):
             counts[lam] = n
             if cache is not None:
@@ -232,3 +242,50 @@ def lift_parameter(residues, height_bound: int):
     if abs(u) > height_bound or v > height_bound:
         return None
     return Fraction(u, v)
+
+
+def _i_orbits(lams, p):
+    """Residues grouped into orbits under lam -> i*lam, i the least square
+    root of -1 in F_p; singletons when F_p has none (p = 3 mod 4)."""
+    i = next((x for x in range(2, p) if (x * x + 1) % p == 0), None)
+    units = (1, i, -1, -i) if i else (1,)
+    orbits, seen = [], set()
+    for lam in sorted(set(lams)):
+        if lam not in seen:
+            orbits.append(sorted({lam * k % p for k in units} & set(lams)))
+            seen.update(orbits[-1])
+    return orbits
+
+
+@dataclass(frozen=True)
+class SieveSurvivors:
+    """per_prime and orbits map each prime to its surviving residues and to
+    their i-orbits; common lists the integers |c| <= SMALL_INT_BOUND that
+    survive at every prime; lifts holds (residue combination, parameter)
+    pairs, or None when no height was given."""
+    per_prime: dict
+    orbits: dict
+    common: list
+    lifts: list = None
+
+
+def sieve_survivors(candidates, primes, height=None) -> SieveSurvivors:
+    """Read cm_sieve's candidates prime by prime, over primes exactly as
+    given (order and repeats kept).  With a height, every combination of
+    one survivor per prime, in itertools.product order, goes through
+    lift_parameter; the combinations are checked against LIFT_BUDGET
+    first, and a repeated prime makes the lift raise UsageError."""
+    per_prime = {p: [c.lam for c in candidates if c.p == p] for p in primes}
+    orbits = {p: _i_orbits(lams, p) for p, lams in per_prime.items()}
+    common = [c for c in range(-SMALL_INT_BOUND, SMALL_INT_BOUND + 1)
+              if all(c % p in per_prime[p] for p in primes)]
+    if height is None:
+        return SieveSurvivors(per_prime, orbits, common)
+    sets = [[(p, lam) for lam in per_prime[p]] for p in primes]
+    total = prod(max(len(s), 1) for s in sets)
+    if total > LIFT_BUDGET:
+        raise UsageError(f"{total} residue combinations exceed the lift "
+                         f"budget; narrow the sieve first")
+    lifted = ((combo, lift_parameter(combo, height)) for combo in product(*sets))
+    return SieveSurvivors(per_prime, orbits, common,
+                          [(combo, x) for combo, x in lifted if x is not None])

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InconsistencyError, UnsupportedError, UsageError
-from .ff import CyclotomicInt, FieldCtx, MultChar, jacobi_sum, quadratic_character
+from .ff import CyclotomicInt, FieldCtx, MultChar, jacobi_sum
 
 FEASIBILITY_CAP = 300_000_000  # rough elementary field operations
 
@@ -317,11 +317,13 @@ def is_smooth_quartic(surface, ctx: FieldCtx) -> bool:
 
 def count_double_sextic(surface: DoubleSextic, ctx: FieldCtx, jobs: int = 1) -> int:
     """#X(F_q) for the double plane w^2 = F: each P^2 point contributes
-    1 + chi(F(P)) fibers, chi the quadratic character with chi(0) = 0."""
+    1 + chi(F(P)) fibers, chi the quadratic character with chi(0) = 0,
+    read off the parity of the discrete logs."""
     if ctx.p == 2:
         raise UnsupportedError("double covers need odd characteristic")
     import numpy as np
-    chi = np.array([quadratic_character(a) for a in ctx.elements()], dtype=np.int8)
+    chi = np.array([0] + [1 - 2 * (k & 1) for k in ctx.dlog_table()[1:]],
+                   dtype=np.int8)
     items = surface.items(ctx.p)
     q = ctx.q
     return q * q + q + 1 + sum(

@@ -26,10 +26,10 @@ CASES = [
     (("count", "--model", "diagonal", "--p", "13"),
      "--coeffs", "-2,-3,5,1", 0),
     (("picard", "--q", "5"), "--p2", "-1,-6,-25", 2),
-    (("bqf", "reduce"), "--form", "-3,4,2", 1),
-    (("bqf", "compose", "--g=2,1,3"), "--f", "-2,1,-3", 1),
-    (("bqf", "compose", "--f=2,1,3"), "--g", "-2,1,-3", 1),
-    (("inose",), "--form", "-1,0,-1", 1),
+    (("bqf", "reduce"), "--form", "-3,4,2", 2),
+    (("bqf", "compose", "--g=2,1,3"), "--f", "-2,1,-3", 2),
+    (("bqf", "compose", "--f=2,1,3"), "--g", "-2,1,-3", 2),
+    (("inose",), "--form", "-1,0,-1", 2),
 ]
 
 
