@@ -19,8 +19,9 @@ from fractions import Fraction
 
 from . import __version__, bqf, cmmod, count, ellsurf, singk3, zeta
 from .cache import CountCache
-from .errors import DomainError, K3ArithError, UsageError
-from .ff import CyclotomicInt
+from .errors import (DataError, DomainError, IntegrityError, K3ArithError,
+                     UsageError)
+from .ff import CyclotomicInt, isprime
 
 SCHEMA = "k3arith-report/1"
 _BIG = 2 ** 53
@@ -88,9 +89,18 @@ def _primes_arg(text: str):
             lo, hi = int(lo), int(hi)
         except ValueError:
             raise UsageError(f"bad prime range {text!r}")
-        import sympy
-        return list(sympy.primerange(lo, hi + 1))
+        return [n for n in range(lo, hi + 1) if isprime(n)]
     return _csv_ints(text)
+
+
+def _open_cache(path=None):
+    """CountCache over path.  A file that does not load (bad JSON, a cut
+    last line, conflicting records) is an input fault, so it becomes a
+    UsageError that keeps the path:line of the bad record."""
+    try:
+        return CountCache(path)
+    except (DataError, IntegrityError) as exc:
+        raise UsageError(f"cannot load count cache: {exc}") from exc
 
 
 # --- subcommand handlers: each returns (results dict, verified flag) ---------
@@ -115,7 +125,7 @@ def _cmd_count(args, cache):
 
 
 def _cmd_zeta(args, cache):
-    tr = zeta.traces_from_counts(CountCache(args.counts).as_records())
+    tr = zeta.traces_from_counts(_open_cache(args.counts).as_records())
     known = _csv_ints(args.known_factor) if args.known_factor else None
     poly = zeta.p2_from_traces(tr, known)
     return {
@@ -365,7 +375,7 @@ def main(argv=None) -> int:
         os.environ.get("K3_CACHE") or None
     started = time.perf_counter()
     try:
-        cache = CountCache(cache_path) if cache_path else CountCache()
+        cache = _open_cache(cache_path)
         results, ok = args.func(args, cache)
     except UsageError as exc:
         print(f"k3: usage error: {exc}", file=sys.stderr)

@@ -21,11 +21,9 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, prod
 
-import sympy
-
 from .count import Quartic, count_quartic, fermat_quartic, pool_map
 from .errors import DomainError, UsageError
-from .ff import FieldCtx, quadratic_character
+from .ff import FieldCtx, isprime, quadratic_character
 
 H_BOUND = 20  # |trace of Frob on NS| <= rank NS = 20 for a singular K3
 SMALL_INT_BOUND = 20  # window |c| <= 20 of the common small integers
@@ -72,7 +70,7 @@ def eta4_pow6_expansion(n_max: int) -> QSeries:
 def _check_odd_prime(p: int) -> None:
     if p == 2:
         raise DomainError("bad reduction at 2")
-    if p < 3 or not sympy.isprime(p):
+    if p < 3 or not isprime(p):
         raise UsageError(f"{p} is not an odd prime")
 
 
@@ -219,7 +217,7 @@ def lift_parameter(residues, height_bound: int):
     if len(set(primes)) != len(primes):
         raise UsageError("residue primes must be distinct")
     for p in primes:
-        if not sympy.isprime(p):
+        if not isprime(p):
             raise UsageError(f"{p} is not prime")
     x, m = 0, 1
     for p, lam in pairs:

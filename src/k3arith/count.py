@@ -26,7 +26,6 @@ added in chunk order, so the worker count never changes the result.
 
 import json
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -180,6 +179,7 @@ def pool_map(fn, payloads, jobs):
     come back in payload order, so a reduction over them is deterministic."""
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(x) for x in payloads]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
         return list(pool.map(fn, payloads))
 

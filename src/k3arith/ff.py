@@ -25,13 +25,46 @@ machines:
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
-
-from sympy import isprime
+from operator import index
 
 from . import _intpoly
 from .errors import DomainError, UnsupportedError, UsageError
 
 TABLE_BYTES = 256 * 2 ** 20  # cap on the two int32 operation tables
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981  # Sorenson-Webster, 13 bases
+
+
+def isprime(n) -> bool:
+    """Primality by Miller-Rabin over the prime bases 2..41, which is
+    deterministic below 3317044064679887385961981 (Sorenson and Webster,
+    "Strong pseudoprimes to twelve prime bases", 2017).  Larger n go to
+    sympy.isprime, imported only then.  Non-integers raise TypeError."""
+    n = index(n)
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < _MR_BASES[-1] ** 2:
+        return True
+    if n >= _MR_EXACT_BELOW:
+        from sympy import isprime as sympy_isprime
+        return sympy_isprime(n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,24 +9,20 @@ c_m mirrors them onto the tail.  The sign eps is pinned by the root
 magnitude test, and the completion refuses to guess when both signs
 survive.
 
-Everything arithmetic is exact (int / Fraction); floats appear only in the
-|alpha| = q test.  Partial data is a first-class state: a FrobeniusPoly of
-degree below 22 still yields a Picard bound, with the missing degrees
-counted as slack.
+Everything is exact (int / Fraction), the |alpha| = q test included: a
+Sturm count on the trace polynomial decides it.  Partial data is a
+first-class state: a FrobeniusPoly of degree below 22 still yields a
+Picard bound, with the missing degrees counted as slack.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-import sympy
 
 from . import _intpoly
 from .errors import (DataError, IncompletenessError, InconsistencyError,
                      MultiplicityError, UsageError)
 
 H2_DIM = 22  # dim H^2 of a K3 surface
-ROOT_TOL = 1e-6  # relative tolerance for the |alpha| = q test
 
 
 @dataclass(frozen=True)
@@ -133,26 +129,62 @@ def _elementary_from_power_sums(ps):
 
 
 def _root_magnitude_ok(coeffs, q) -> bool:
-    """All roots of sum c_k T^k within ROOT_TOL (relative) of |T| = 1/q.
+    """True iff every root of sum c_k T^k has |T| = 1/q, decided exactly.
 
-    Multiple roots are numerically hostile (a multiplicity-m root moves
-    like eps^(1/m) under coefficient noise, and products like (1-qT)^12
-    overflow float precision), so the exact squarefree part is extracted
-    first and rescaled by T -> x/q; that bounds the float coefficients by
-    binomials and puts the target on the unit circle."""
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([int(c) for c in reversed(list(coeffs))], x)
-    for factor, _ in poly.sqf_list()[1]:
-        fc = [int(c) for c in factor.all_coeffs()]  # highest degree first
-        deg = len(fc) - 1
-        if deg == 0:
-            continue
-        arr = np.array([c / float(q) ** (deg - i) for i, c in enumerate(fc)],
-                       dtype=float)
-        roots = np.roots(arr)
-        if not bool(np.all(np.abs(np.abs(roots) - 1.0) <= ROOT_TOL)):
-            return False
-    return True
+    Once the factors (1 -+ qT) are divided out, the reciprocal roots of
+    the rest g lie on |alpha| = q only if they pair off as alpha and
+    q^2/alpha = conj(alpha): g has even degree 2m and
+    c_{2m-k} = q^{2m-2k} c_k.  Then g(T)/T^m = H(qT + 1/(qT)) with
+    H = c_m + sum_j c_{m-j} q^j D_j, where the Dickson polynomials
+    D_j(z + 1/z) = z^j + z^-j, and the roots of g lie on the circle
+    exactly when all roots of H are real and lie in (-2, 2) (Kedlaya,
+    "Search techniques for root-unitary polynomials", 2008).  A Sturm
+    chain decides that: its sign changes from -2 to 2 count the distinct
+    roots there, and its last member is gcd(H, H'), so deg H - deg gcd
+    counts the distinct roots of H.  Neither -2 nor 2 is a root of H,
+    because z = +-1 would put a factor (1 -+ qT) back into g."""
+    g = _intpoly.trim(int(c) for c in coeffs)
+    for a in (q, -q):
+        while len(g) > 1:
+            h = [g[0]]  # g = (1 - aT) h  <=>  h_k = g_k + a h_{k-1}
+            for c in g[1:-1]:
+                h.append(c + a * h[-1])
+            if g[-1] + a * h[-1]:
+                break
+            g = h
+    d = len(g) - 1
+    if d % 2 or any(g[d - k] != q ** (d - 2 * k) * g[k]
+                    for k in range(d // 2)):
+        return False
+    m = d // 2
+    h = [g[m]] + [0] * m
+    prev, cur = [2], [0, 1]  # D_{j-1}, D_j
+    for j in range(1, m + 1):
+        for i, a in enumerate(cur):
+            h[i] += g[m - j] * q ** j * a
+        nxt = [0] + cur  # D_{j+1} = u D_j - D_{j-1}
+        for i, a in enumerate(prev):
+            nxt[i] -= a
+        prev, cur = cur, nxt
+    chain = [h]
+    nxt = [i * c for i, c in enumerate(h)][1:]
+    while nxt:
+        chain.append(nxt)
+        nxt = [-c for c in _intpoly.divmod_poly(chain[-2], chain[-1])[1]]
+    distinct = m - (len(chain[-1]) - 1)
+    return _sign_changes(chain, -2) - _sign_changes(chain, 2) == distinct
+
+
+def _sign_changes(chain, x) -> int:
+    """Sign changes along the values of the polynomials in chain at x."""
+    signs = []
+    for poly in chain:
+        value = 0
+        for c in reversed(poly):
+            value = value * x + c
+        if value:
+            signs.append(value > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def p2_from_traces(tr: TraceVector, known_factor=None) -> FrobeniusPoly:
@@ -315,7 +347,8 @@ def square_class(x) -> int:
         raise UsageError("square class of 0 is undefined")
     n = frac.numerator * frac.denominator
     out = -1 if n < 0 else 1
-    for prime, mult in sympy.factorint(abs(n)).items():
+    from sympy import factorint  # here, so that importing zeta stays light
+    for prime, mult in factorint(abs(n)).items():
         if mult % 2:
             out *= prime
     return out

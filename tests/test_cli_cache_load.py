@@ -1,0 +1,46 @@
+"""A count cache that does not load is a usage error, not a failed proof.
+
+`k3 ... --cache f` and `k3 zeta --counts f` read the file through one
+helper: bad JSON, a cut last line or two conflicting counts for one key
+exit 2 with the path:line of the bad record.  A cache that loads but
+holds a wrong count still exits 1, because the verification against it
+fails; `test_cache_cli.py` pins that case.
+"""
+
+import pytest
+
+from k3arith.cli import main
+
+GOOD = '{"count": 0, "p": 5, "r": 1, "surface": "abc"}\n'
+BROKEN = {
+    "cut_last_line": GOOD + '{"count": 1112, "p": 5, "r": 2, "surf',
+    "not_json": GOOD + "not json at all\n",
+    "conflict": GOOD + GOOD.replace('"count": 0', '"count": 4'),
+}
+JOBS = {
+    "count": ["count", "--model", "diagonal", "--coeffs", "1,1,1,1",
+              "--p", "5", "--cache"],
+    "modularity": ["modularity", "--primes", "3..7", "--cache"],
+    "zeta": ["zeta", "--counts"],
+}
+
+
+@pytest.mark.parametrize("job", sorted(JOBS))
+@pytest.mark.parametrize("kind", sorted(BROKEN))
+def test_unloadable_cache_exits_2(tmp_path, capsys, job, kind):
+    path = tmp_path / "counts.jsonl"
+    path.write_text(BROKEN[kind])
+    code = main(JOBS[job] + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "usage error" in captured.err
+    assert f"{path}:2" in captured.err
+
+
+def test_cache_from_environment_is_checked_too(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "counts.jsonl"
+    path.write_text(BROKEN["cut_last_line"])
+    monkeypatch.setenv("K3_CACHE", str(path))
+    assert main(["modularity", "--primes", "3"]) == 2
+    assert f"{path}:2" in capsys.readouterr().err
