@@ -1,9 +1,10 @@
-"""Dense integer polynomial helpers.
+"""Exact integer arithmetic: dense polynomials over Z, their reduction
+mod p, factoring of integers and truncated Euler products.
 
 Polynomials are lists/tuples of Python ints, lowest degree first, with no
-trailing zeros (the zero polynomial is []). Everything here is exact; the
-division routines refuse to return anything with a nonzero remainder unless
-asked for the remainder explicitly.
+trailing zeros (the zero polynomial is []).  Everything here is exact; an
+exact division returns None rather than a quotient with a remainder.  F_p[x]
+arithmetic is the Z[x] arithmetic here followed by one `mod_p`.
 """
 
 from fractions import Fraction
@@ -32,6 +33,11 @@ def mul(p, q):
     return trim(out)
 
 
+def mod_p(p, prime):
+    """The image of p in F_p[x], coefficients in 0..prime-1."""
+    return trim([c % prime for c in p])
+
+
 def divmod_poly(p, q):
     """Polynomial division over Q; (quotient, remainder) as Fraction lists."""
     if not q:
@@ -51,25 +57,18 @@ def divmod_poly(p, q):
 
 
 def exact_div(p, q):
-    """Quotient p / q over Z; raises ValueError if not exact over Z."""
-    quo, rem = divmod_poly(p, q)
-    if rem:
-        raise ValueError("division leaves a remainder")
-    out = []
-    for c in quo:
-        if c.denominator != 1:
-            raise ValueError("quotient is not integral")
-        out.append(int(c))
-    return out
-
-
-def divides(q, p):
-    """True iff q divides p exactly over Z."""
-    try:
-        exact_div(p, q)
-        return True
-    except ValueError:
-        return False
+    """The quotient p / q when q divides p over Z, else None."""
+    rem = list(p)
+    dq = len(q) - 1
+    quo = [0] * max(0, len(rem) - dq)
+    for k in range(len(rem) - 1, dq - 1, -1):
+        c, frac = divmod(rem[k], q[-1])
+        if frac:
+            return None
+        quo[k - dq] = c
+        for j, b in enumerate(q, k - dq):
+            rem[j] -= c * b
+    return None if any(rem) else trim(quo)
 
 
 def mod_monic(p, q):
@@ -81,9 +80,9 @@ def mod_monic(p, q):
     for k in range(len(rem) - 1, dq - 1, -1):
         c = rem[k]
         if c:
-            for j in range(dq + 1):
-                rem[k - dq + j] -= c * q[j]
-    return trim(rem)
+            for j, b in enumerate(q, k - dq):
+                rem[j] -= c * b
+    return trim(rem[:dq])
 
 
 @lru_cache(maxsize=None)
@@ -99,14 +98,36 @@ def cyclotomic(m):
     return tuple(num)
 
 
-def euler_phi(m):
-    n, out, f = m, m, 2
-    while f * f <= n:
-        if n % f == 0:
-            out -= out // f
-            while n % f == 0:
-                n //= f
+def euler_product(e, n):
+    """prod_{k >= 1} (1 - x^k)^e through x^n, as its n + 1 coefficients."""
+    out = [1] + [0] * n
+    for k in range(1, n + 1):
+        for _ in range(e):  # multiply by (1 - x^k), truncated
+            for i in range(n, k - 1, -1):
+                out[i] -= out[i - k]
+    return out
+
+
+def factor(n, bound=None):
+    """{prime: exponent} of n >= 1 by trial division.  With a bound, the
+    trial divisors stop there, and what is left above 1 becomes one key
+    with exponent 1: a prime when it is below bound^2, else possibly not."""
+    if n < 1:
+        raise ValueError("factor needs a positive integer")
+    out = {}
+    f = 2
+    while f * f <= n and (bound is None or f <= bound):
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
         f += 1
     if n > 1:
-        out -= out // n
+        out[n] = 1
+    return out
+
+
+def euler_phi(m):
+    out = m
+    for f in factor(m):
+        out -= out // f
     return out

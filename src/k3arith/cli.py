@@ -262,6 +262,9 @@ def _cmd_sieve(args, cache):
     return results, True
 
 
+_COUNTING = (_cmd_count, _cmd_modularity, _cmd_sieve)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="k3", description="Arithmetic of K3 surfaces: point counts, "
@@ -274,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--jobs", type=int, default=1,
                         help="worker process cap (default 1)")
         sp.add_argument("--cache", default=None,
-                        help="count cache path (default: $K3_CACHE)")
+                        help="count cache path (default: $K3_CACHE); "
+                        "read by count, modularity and sieve")
         sp.add_argument("--out", default=None,
                         help="write the JSON report here instead of stdout")
 
@@ -375,7 +379,8 @@ def main(argv=None) -> int:
         os.environ.get("K3_CACHE") or None
     started = time.perf_counter()
     try:
-        cache = _open_cache(cache_path)
+        # only the handlers that count read or fill the count cache
+        cache = _open_cache(cache_path if args.func in _COUNTING else None)
         results, ok = args.func(args, cache)
     except UsageError as exc:
         print(f"k3: usage error: {exc}", file=sys.stderr)

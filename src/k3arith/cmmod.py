@@ -21,6 +21,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, prod
 
+from ._intpoly import euler_product
 from .count import Quartic, count_quartic, fermat_quartic, pool_map
 from .errors import DomainError, UsageError
 from .ff import FieldCtx, isprime, quadratic_character
@@ -54,16 +55,9 @@ def eta4_pow6_expansion(n_max: int) -> QSeries:
     all other coefficients zero."""
     if n_max < 1:
         raise UsageError("need at least one coefficient")
-    mmax = (n_max - 1) // 4
-    euler = [0] * (mmax + 1)
-    euler[0] = 1
-    for k in range(1, mmax + 1):
-        for _ in range(6):  # multiply by (1 - x^k), truncated
-            for i in range(mmax, k - 1, -1):
-                euler[i] -= euler[i - k]
     b = [0] * n_max
-    for m in range(mmax + 1):
-        b[4 * m] = euler[m]  # index 4m holds b_{4m+1}
+    for m, c in enumerate(euler_product(6, (n_max - 1) // 4)):
+        b[4 * m] = c  # index 4m holds b_{4m+1}
     return QSeries(tuple(b), weight=3, level=16)
 
 

@@ -65,34 +65,45 @@ def _hash_canonical(obj) -> str:
 
 
 @dataclass(frozen=True)
-class Quartic:
-    """Quartic surface in P^3: coefficients in the order QUARTIC_EXPONENTS."""
+class _DenseModel:
+    """Integer coefficients in the order of the subclass's EXPONENTS; the
+    subclass's MODEL names it in the surface hash."""
     coeffs: tuple
+    EXPONENTS = ()
+    MODEL = ""
 
     def __post_init__(self):
-        _check_coeffs(self.coeffs, len(QUARTIC_EXPONENTS), "Quartic")
+        _check_coeffs(self.coeffs, len(self.EXPONENTS), type(self).__name__)
 
     @classmethod
-    def from_dict(cls, d) -> "Quartic":
-        coeffs = [0] * len(QUARTIC_EXPONENTS)
-        index = {e: i for i, e in enumerate(QUARTIC_EXPONENTS)}
+    def from_dict(cls, d):
+        coeffs = [0] * len(cls.EXPONENTS)
+        index = {e: i for i, e in enumerate(cls.EXPONENTS)}
         for exps, c in d.items():
             key = tuple(exps)
             if key not in index:
-                raise UsageError(f"not a degree-4 monomial in 4 variables: {key}")
+                e = cls.EXPONENTS[0]
+                raise UsageError(f"not a degree-{sum(e)} monomial in "
+                                 f"{len(e)} variables: {key}")
             coeffs[index[key]] += c
         return cls(tuple(coeffs))
 
-    def to_quartic(self) -> "Quartic":
-        return self
-
     def items(self, p: int):
         """Nonzero (exponents, coefficient mod p) pairs."""
-        return [(e, c % p) for e, c in zip(QUARTIC_EXPONENTS, self.coeffs)
+        return [(e, c % p) for e, c in zip(self.EXPONENTS, self.coeffs)
                 if c % p]
 
     def surface_hash(self) -> str:
-        return _hash_canonical({"model": "quartic", "coeffs": list(self.coeffs)})
+        return _hash_canonical({"model": self.MODEL, "coeffs": list(self.coeffs)})
+
+
+class Quartic(_DenseModel):
+    """Quartic surface in P^3: coefficients in the order QUARTIC_EXPONENTS."""
+    EXPONENTS = QUARTIC_EXPONENTS
+    MODEL = "quartic"
+
+    def to_quartic(self) -> "Quartic":
+        return self
 
 
 @dataclass(frozen=True)
@@ -117,33 +128,11 @@ def fermat_quartic() -> DiagonalQuartic:
     return DiagonalQuartic((1, 1, 1, 1))
 
 
-@dataclass(frozen=True)
-class DoubleSextic:
+class DoubleSextic(_DenseModel):
     """Double plane w^2 = F(x0, x1, x2), F a sextic with coefficients in
     the order SEXTIC_EXPONENTS."""
-    coeffs: tuple
-
-    def __post_init__(self):
-        _check_coeffs(self.coeffs, len(SEXTIC_EXPONENTS), "DoubleSextic")
-
-    @classmethod
-    def from_dict(cls, d) -> "DoubleSextic":
-        coeffs = [0] * len(SEXTIC_EXPONENTS)
-        index = {e: i for i, e in enumerate(SEXTIC_EXPONENTS)}
-        for exps, c in d.items():
-            key = tuple(exps)
-            if key not in index:
-                raise UsageError(f"not a degree-6 monomial in 3 variables: {key}")
-            coeffs[index[key]] += c
-        return cls(tuple(coeffs))
-
-    def items(self, p: int):
-        return [(e, c % p) for e, c in zip(SEXTIC_EXPONENTS, self.coeffs)
-                if c % p]
-
-    def surface_hash(self) -> str:
-        return _hash_canonical({"model": "double_sextic",
-                                "coeffs": list(self.coeffs)})
+    EXPONENTS = SEXTIC_EXPONENTS
+    MODEL = "double_sextic"
 
 
 class DworkPencil:
@@ -255,8 +244,8 @@ def _affine_scan(polys, k, ctx, chi=None, lo=0, hi=None):
 
 
 def _scan_worker(payload):
-    p, r, modulus, polys, k, chi, lo, hi = payload
-    return _affine_scan(polys, k, FieldCtx(p, r, modulus), chi, lo, hi)
+    p, r, polys, k, chi, lo, hi = payload
+    return _affine_scan(polys, k, FieldCtx(p, r), chi, lo, hi)
 
 
 def _scan_stratum(polys, k, ctx, chi, jobs):
@@ -267,7 +256,7 @@ def _scan_stratum(polys, k, ctx, chi, jobs):
     q = ctx.q
     nchunks = min(q, 4 * jobs)
     bounds = [q * i // nchunks for i in range(nchunks + 1)]
-    payloads = [(ctx.p, ctx.r, ctx.modulus, polys, k, chi, bounds[i], bounds[i + 1])
+    payloads = [(ctx.p, ctx.r, polys, k, chi, bounds[i], bounds[i + 1])
                 for i in range(nchunks)]
     return sum(pool_map(_scan_worker, payloads, jobs))
 

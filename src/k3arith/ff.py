@@ -68,104 +68,45 @@ def isprime(n) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over F_p (internal; vectors are tuples, low first)
+# polynomial arithmetic over F_p: Z[x] arithmetic of _intpoly, then mod p
 
-def _pp_trim(v):
-    v = list(v)
-    while v and v[-1] == 0:
-        v.pop()
-    return tuple(v)
+def _poly_mulmod(u, v, f, p):
+    return _intpoly.mod_p(_intpoly.mod_monic(_intpoly.mul(u, v), f), p)
 
 
-def _pp_mul(u, v, p):
-    if not u or not v:
-        return ()
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _pp_trim(out)
-
-
-def _pp_mod(u, f, p):
-    # f monic; reduce u mod f
-    d = len(f) - 1
-    u = list(u)
-    for k in range(len(u) - 1, d - 1, -1):
-        c = u[k]
-        if c:
-            u[k] = 0
-            for j in range(d):
-                u[k - d + j] = (u[k - d + j] - c * f[j]) % p
-    return _pp_trim(u[:d] if len(u) >= d else u)
-
-
-def _pp_mulmod(u, v, f, p):
-    return _pp_mod(_pp_mul(u, v, p), f, p)
-
-
-def _pp_powmod(u, n, f, p):
-    out = (1,)
-    base = _pp_mod(u, f, p)
+def _poly_powmod(u, n, f, p):
+    out = [1]
     while n:
         if n & 1:
-            out = _pp_mulmod(out, base, f, p)
-        base = _pp_mulmod(base, base, f, p)
+            out = _poly_mulmod(out, u, f, p)
+        u = _poly_mulmod(u, u, f, p)
         n >>= 1
     return out
 
 
-def _pp_monic(v, p):
+def _poly_monic(v, p):
     inv = pow(v[-1], p - 2, p)
-    return tuple(c * inv % p for c in v)
+    return [c * inv % p for c in v]
 
 
-def _pp_gcd(u, v, p):
+def _poly_gcd(u, v, p):
     while v:
-        u, v = v, _pp_mod(u, _pp_monic(v, p), p)
-    return _pp_monic(u, p) if u else ()
-
-
-def _prime_factors(n):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _pp_sub_x(t, p):
-    """t - x as a trimmed vector."""
-    s = list(t) + [0] * max(0, 2 - len(t))
-    s[1] = (s[1] - 1) % p
-    return _pp_trim(s)
+        u, v = v, _intpoly.mod_p(_intpoly.mod_monic(u, _poly_monic(v, p)), p)
+    return _poly_monic(u, p) if u else []
 
 
 def _is_irreducible(f, p):
     """f monic of degree r over F_p, low-first tuple of length r+1.
 
-    Tests x^(p^r) = x mod f together with gcd(x^(p^(r/l)) - x, f) = 1 for
-    every prime l dividing r."""
-    r = len(f) - 1
-    if r == 1:
-        return True
-    powers = {}
-    t = (0, 1)
-    for k in range(1, r + 1):
-        t = _pp_powmod(t, p, f, p)
-        powers[k] = t
-    if _pp_sub_x(powers[r], p):
-        return False
-    for ell in _prime_factors(r):
-        g = _pp_gcd(f, _pp_sub_x(powers[r // ell], p), p)
-        if len(g) != 1:
+    Ben-Or's test: gcd(f, x^(p^k) - x) = 1 for k = 1..r/2, since a
+    reducible f has an irreducible factor of degree k <= r/2, and that
+    factor divides x^(p^k) - x."""
+    t = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        t = _poly_powmod(t, p, f, p)
+        t_minus_x = t + [0] * (2 - len(t))
+        t_minus_x[1] -= 1
+        if len(_poly_gcd(f, _intpoly.mod_p(t_minus_x, p), p)) != 1:
             return False
     return True
 
@@ -190,22 +131,14 @@ def _least_irreducible(p, r):
 class FieldCtx:
     """Immutable carrier for F_q = F_{p^r}; shareable across threads."""
 
-    def __init__(self, p: int, r: int = 1, modulus=None):
+    def __init__(self, p: int, r: int = 1):
         if not isprime(p):
             raise DomainError(f"{p} is not prime")
         if r < 1:
             raise UsageError("extension degree must be >= 1")
-        if modulus is None:
-            modulus = _least_irreducible(p, r)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != r + 1 or modulus[-1] != 1:
-                raise UsageError("modulus must be monic of degree r")
-            if not _is_irreducible(modulus, p):
-                raise DomainError("modulus is reducible over F_p")
         self.p = p
         self.r = r
-        self.modulus = modulus
+        self.modulus = _least_irreducible(p, r)
         self.q = p ** r
         self._tables = None
         self._dlog = None
@@ -269,7 +202,8 @@ class FieldCtx:
         return n
 
     def _vmulmod(self, u, v):
-        red = _pp_mod(_pp_mul(_pp_trim(u), _pp_trim(v), self.p), self.modulus, self.p)
+        red = _poly_mulmod(_intpoly.trim(u), _intpoly.trim(v), self.modulus,
+                           self.p)
         return tuple(red) + (0,) * (self.r - len(red))
 
     # -- packed operation tables for the counting kernel
@@ -304,7 +238,7 @@ class FieldCtx:
     def primitive_root(self) -> int:
         """Packed index of the least primitive root of F_q^*."""
         if self._g is None:
-            exps = [(self.q - 1) // ell for ell in _prime_factors(self.q - 1)]
+            exps = [(self.q - 1) // ell for ell in _intpoly.factor(self.q - 1)]
             one = self.one
             for g in range(1, self.q):
                 a = self.from_packed(g)
@@ -319,12 +253,12 @@ class FieldCtx:
         """dlog[a] = k with g^k = a for packed a != 0; dlog[0] = None.
         One walk over the powers of g: O(q) multiplications and memory."""
         if self._dlog is None:
-            g = self.from_packed(self.primitive_root())
+            g = self.from_packed(self.primitive_root()).vec
             table = [None] * self.q
-            acc = self.one
+            acc = self.one.vec
             for k in range(self.q - 1):
-                table[acc.packed] = k
-                acc = acc * g
+                table[self._pack(acc)] = k
+                acc = self._vmulmod(acc, g)
             self._dlog = table
         return self._dlog
 

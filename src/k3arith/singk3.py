@@ -18,14 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bqf import BinaryQuadraticForm, class_group, reduce, scale
+from ._intpoly import euler_product
+from .bqf import BinaryQuadraticForm, _coerce, class_group, reduce, scale
 from .errors import DomainError, PrecisionError, UsageError
-
-
-def _coerce_form(f) -> BinaryQuadraticForm:
-    if isinstance(f, BinaryQuadraticForm):
-        return f
-    return BinaryQuadraticForm(*f)
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,7 @@ class PeriodPair:
 def shioda_mitani_periods(f) -> PeriodPair:
     """Periods of the singular K3 surface with transcendental form f:
     the surface is the fiber product construction over E_tau x E_tau'."""
-    f = _coerce_form(f)
+    f = _coerce(f)
     d = f.disc
     tau = QuadIrr(d, Fraction(-f.b, 2 * f.a), Fraction(1, 2 * f.a))
     tau_p = QuadIrr(d, Fraction(f.b, 2), Fraction(1, 2))
@@ -131,7 +126,7 @@ class TranscendentalLattice:
 def _coerce_lattice(t) -> TranscendentalLattice:
     if isinstance(t, TranscendentalLattice):
         return t
-    return TranscendentalLattice(_coerce_form(t))
+    return TranscendentalLattice(_coerce(t))
 
 
 def kummer_double(t) -> TranscendentalLattice:
@@ -164,13 +159,7 @@ def _extend_jser(n: int) -> None:
     for k in range(1, size):
         e4[k] = 240 * sum(dd ** 3 for dd in range(1, k + 1) if k % dd == 0)
     e4_3 = _series_mul(_series_mul(e4, e4, size), e4, size)
-    eta24 = [1] + [0] * (size - 1)  # prod (1-q^m)^24, truncated
-    for m in range(1, size):
-        factor = [0] * size
-        factor[0] = 1
-        factor[m] = -1
-        for _ in range(24):
-            eta24 = _series_mul(eta24, factor, size)
+    eta24 = euler_product(24, n)  # Delta(q)/q = prod (1-q^m)^24
     inv = [0] * size  # 1/eta24, valid since eta24[0] = 1
     inv[0] = 1
     for k in range(1, size):
@@ -280,7 +269,7 @@ def inose_coefficients(j1: complex, j2: complex) -> InosePencil:
 def inose_pencil_from_form(f, tol: float = 1e-12) -> InosePencil:
     """Inose pencil of the singular K3 with transcendental form f: j-values
     at the Shioda-Mitani periods feed inose_coefficients."""
-    periods = shioda_mitani_periods(_coerce_form(f))
+    periods = shioda_mitani_periods(_coerce(f))
     return inose_coefficients(j_invariant(complex(periods.tau), tol),
                               j_invariant(complex(periods.tau_prime), tol))
 

@@ -21,8 +21,10 @@ from fractions import Fraction
 from . import _intpoly
 from .errors import (DataError, IncompletenessError, InconsistencyError,
                      MultiplicityError, UsageError)
+from .ff import isprime
 
 H2_DIM = 22  # dim H^2 of a K3 surface
+TRIAL_BOUND = 10 ** 4  # trial divisors square_class tries before sympy
 
 
 @dataclass(frozen=True)
@@ -144,13 +146,8 @@ def _root_magnitude_ok(coeffs, q) -> bool:
     counts the distinct roots of H.  Neither -2 nor 2 is a root of H,
     because z = +-1 would put a factor (1 -+ qT) back into g."""
     g = _intpoly.trim(int(c) for c in coeffs)
-    for a in (q, -q):
-        while len(g) > 1:
-            h = [g[0]]  # g = (1 - aT) h  <=>  h_k = g_k + a h_{k-1}
-            for c in g[1:-1]:
-                h.append(c + a * h[-1])
-            if g[-1] + a * h[-1]:
-                break
+    for lin in ([1, -q], [1, q]):
+        while len(g) > 1 and (h := _intpoly.exact_div(g, lin)) is not None:
             g = h
     d = len(g) - 1
     if d % 2 or any(g[d - k] != q ** (d - 2 * k) * g[k]
@@ -290,11 +287,9 @@ def picard_upper_bound(poly: FrobeniusPoly):
         em = _intpoly.euler_phi(m)
         if em > deg:
             continue
-        phi = list(_intpoly.cyclotomic(m))
-        mult = 0
-        while len(r) - 1 >= em and _intpoly.divides(phi, r):
-            r = _intpoly.exact_div(r, phi)
-            mult += 1
+        phi, mult = _intpoly.cyclotomic(m), 0
+        while (quo := _intpoly.exact_div(r, phi)) is not None:
+            r, mult = quo, mult + 1
         if mult:
             factors.append((m, mult))
             count += em * mult
@@ -314,12 +309,11 @@ def artin_tate_value(coeffs, q: int, rho: int) -> Fraction:
         raise UsageError("empty polynomial")
     if rho < 1:
         raise UsageError("rho must be at least 1 (the hyperplane class)")
-    lin = [1, -q]
     for _ in range(rho):
-        if not _intpoly.divides(lin, coeffs):
+        coeffs = _intpoly.exact_div(coeffs, [1, -q])
+        if coeffs is None:
             raise MultiplicityError(
                 f"(1 - {q}T)^{rho} does not divide the supplied factor")
-        coeffs = _intpoly.exact_div(coeffs, lin)
     t = Fraction(1, q)
     value = Fraction(0)
     for c in reversed(coeffs):
@@ -341,14 +335,23 @@ def artin_tate_discriminant(poly: FrobeniusPoly, rho: int):
 
 
 def square_class(x) -> int:
-    """Squarefree representative of a nonzero rational in Q*/(Q*)^2."""
+    """Squarefree representative of a nonzero rational in Q*/(Q*)^2.
+
+    Trial division up to TRIAL_BOUND factors num * den; a cofactor left
+    over is prime when it is below TRIAL_BOUND^2 or passes ff.isprime.
+    Only a composite cofactor goes to sympy's factorint."""
     frac = Fraction(x)
     if frac == 0:
         raise UsageError("square class of 0 is undefined")
     n = frac.numerator * frac.denominator
+    primes = _intpoly.factor(abs(n), TRIAL_BOUND)
+    rest = max(primes, default=1)
+    if rest >= TRIAL_BOUND ** 2 and not isprime(rest):
+        from sympy import factorint  # here, so that importing zeta stays light
+        del primes[rest]
+        primes.update(factorint(rest))
     out = -1 if n < 0 else 1
-    from sympy import factorint  # here, so that importing zeta stays light
-    for prime, mult in factorint(abs(n)).items():
+    for prime, mult in primes.items():
         if mult % 2:
             out *= prime
     return out

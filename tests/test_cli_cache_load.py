@@ -4,8 +4,12 @@
 helper: bad JSON, a cut last line or two conflicting counts for one key
 exit 2 with the path:line of the bad record.  A cache that loads but
 holds a wrong count still exits 1, because the verification against it
-fails; `test_cache_cli.py` pins that case.
+fails; `test_cache_cli.py` pins that case.  Only the commands that count
+(`count`, `modularity`, `sieve`) open `--cache` or `K3_CACHE`, so a bad
+`K3_CACHE` cannot break the others.
 """
+
+import json
 
 import pytest
 
@@ -43,4 +47,24 @@ def test_cache_from_environment_is_checked_too(tmp_path, capsys, monkeypatch):
     path.write_text(BROKEN["cut_last_line"])
     monkeypatch.setenv("K3_CACHE", str(path))
     assert main(["modularity", "--primes", "3"]) == 2
+    assert f"{path}:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bqf", "reduce", "--form", "3,2,5"],
+    ["inose", "--form", "2,1,3"],
+    ["kuwata", "--n", "3", "--relation", "not-isogenous"],
+    ["picard", "--p2", "1,-6,25", "--q", "5"],
+])
+def test_jobs_that_never_count_ignore_the_cache(tmp_path, capsys,
+                                                monkeypatch, argv):
+    path = tmp_path / "counts.jsonl"
+    path.write_text(BROKEN["cut_last_line"])
+    monkeypatch.setenv("K3_CACHE", str(path))
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["cache"] == {"entries": 0, "hits": 0, "misses": 0,
+                               "verified": False}
+    assert main(["count", "--model", "diagonal", "--coeffs", "1,1,1,1",
+                 "--p", "5"]) == 2
     assert f"{path}:2" in capsys.readouterr().err

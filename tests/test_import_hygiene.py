@@ -19,6 +19,11 @@ from k3arith.count import monomial_exponents
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(k3arith.__file__)))
 HEAVY = ("sympy", "numpy", "concurrent.futures.process")
+# P2 of the Fermat quartic over F_5: (1 - 5T)^8 (1 + 5T)^12 (1 + 6T + 25T^2)
+_P2 = [1, 6, 25]
+for _lin in [[1, -5]] * 8 + [[1, 5]] * 12:
+    _P2 = _intpoly.mul(_P2, _lin)
+FERMAT_F5_P2 = ",".join(map(str, _P2))
 
 
 def _loaded_after(code):
@@ -52,6 +57,7 @@ def test_import_loads_no_heavy_module():
     ("inose", "--form", "2,1,3"),
     ("kuwata", "--n", "3", "--relation", "not-isogenous"),
     ("picard", "--p2", "1,-6,25", "--q", "5"),
+    ("picard", "--p2", FERMAT_F5_P2, "--q", "5", "--artin-tate", "--rho", "8"),
 ])
 def test_small_jobs_load_no_heavy_module(argv):
     assert _loaded_after(_run_k3(*argv)) == []
