@@ -234,10 +234,6 @@ def _cmd_modularity(args, cache):
 
 
 def _cmd_sieve(args, cache):
-    if args.family != "dwork":
-        raise UsageError(f"unknown family {args.family!r}")
-    if args.target != "eta4_6":
-        raise UsageError(f"unknown target {args.target!r}")
     primes = _primes_arg(args.primes)
     if not primes:
         raise UsageError("no primes supplied")
@@ -247,8 +243,8 @@ def _cmd_sieve(args, cache):
     found = cmmod.sieve_survivors(candidates, primes,
                                   args.height if args.lift else None)
     results = {
-        "family": args.family,
-        "target": args.target,
+        "family": "dwork",
+        "target": "eta4_6",
         "primes": primes,
         "candidates": [{"p": c.p, "lam": c.lam, "h": c.h,
                         "count": _enc(c.count)} for c in candidates],
@@ -262,9 +258,6 @@ def _cmd_sieve(args, cache):
     return results, True
 
 
-_COUNTING = (_cmd_count, _cmd_modularity, _cmd_sieve)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="k3", description="Arithmetic of K3 surfaces: point counts, "
@@ -273,12 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"k3arith {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker process cap (default 1)")
-        sp.add_argument("--cache", default=None,
-                        help="count cache path (default: $K3_CACHE); "
-                        "read by count, modularity and sieve")
+    def common(sp, counts=False):
+        if counts:
+            sp.add_argument("--jobs", type=int, default=1,
+                            help="worker process cap (default 1)")
+            sp.add_argument("--cache", default=None,
+                            help="count cache path (default: $K3_CACHE)")
         sp.add_argument("--out", default=None,
                         help="write the JSON report here instead of stdout")
 
@@ -290,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=1, help="tower height (default 1)")
     sp.add_argument("--force", action="store_true",
                     help="override the feasibility cap")
-    common(sp)
+    common(sp, counts=True)
     sp.set_defaults(func=_cmd_count)
 
     sp = sub.add_parser("zeta", help="complete P2 from counts")
@@ -344,18 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("modularity", help="Fermat quartic: prediction vs count")
     sp.add_argument("--primes", required=True, help='"3,5,7" or "3..37"')
-    common(sp)
+    common(sp, counts=True)
     sp.set_defaults(func=_cmd_modularity)
 
-    sp = sub.add_parser("sieve", help="CM parameter sieve over a family")
-    sp.add_argument("--family", default="dwork", help="family name")
-    sp.add_argument("--target", default="eta4_6", help="target q-series")
+    sp = sub.add_parser("sieve", help="CM sieve: Dwork pencil vs eta(4z)^6")
     sp.add_argument("--primes", required=True, help='"5,13,17" or a range')
     sp.add_argument("--lift", action="store_true",
                     help="lift surviving residues by CRT + reconstruction")
     sp.add_argument("--height", type=int, default=100,
                     help="height bound for --lift (default 100)")
-    common(sp)
+    common(sp, counts=True)
     sp.set_defaults(func=_cmd_sieve)
     return parser
 
@@ -375,12 +366,11 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
 
-    cache_path = args.cache if getattr(args, "cache", None) else \
-        os.environ.get("K3_CACHE") or None
     started = time.perf_counter()
     try:
-        # only the handlers that count read or fill the count cache
-        cache = _open_cache(cache_path if args.func in _COUNTING else None)
+        # only the subcommands that count take --cache or read K3_CACHE
+        cache = (_open_cache(args.cache or os.environ.get("K3_CACHE") or None)
+                 if hasattr(args, "cache") else CountCache())
         results, ok = args.func(args, cache)
     except UsageError as exc:
         print(f"k3: usage error: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ machines:
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, lcm
 from operator import index
 
@@ -65,6 +64,21 @@ def isprime(n) -> bool:
         else:
             return False
     return True
+
+
+def is_prime_power(q) -> bool:
+    """True iff q = p^r with p prime and r >= 1, decided in integers: from
+    the largest r down, bisection finds the largest m with m^r <= q, and
+    the first exact root is p when q is a prime power."""
+    q = index(q)
+    for r in range(q.bit_length() - 1, 0, -1):
+        lo, hi = 1, 1 << (q.bit_length() // r + 1)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid ** r <= q else (lo, mid - 1)
+        if lo ** r == q:
+            return isprime(lo)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +344,6 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 # exact cyclotomic integers
 
-@lru_cache(maxsize=None)
-def _phi_poly(m):
-    return _intpoly.cyclotomic(m)
-
-
 @dataclass(frozen=True)
 class CyclotomicInt:
     """Element of Z[zeta_m] in the power basis 1, zeta, ..., zeta^(phi(m)-1);
@@ -344,8 +353,8 @@ class CyclotomicInt:
 
     @staticmethod
     def _reduce(m, raw):
-        red = _intpoly.mod_monic(list(raw), list(_phi_poly(m)))
-        d = len(_phi_poly(m)) - 1
+        red = _intpoly.mod_monic(list(raw), list(_intpoly.cyclotomic(m)))
+        d = len(_intpoly.cyclotomic(m)) - 1
         return tuple(red) + (0,) * (d - len(red))
 
     @classmethod

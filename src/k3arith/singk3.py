@@ -114,7 +114,6 @@ class TranscendentalLattice:
     """Rank-2 transcendental lattice of a singular K3, with its natural
     orientation.  Unoriented comparisons are GL_2(Z) ones."""
     form: BinaryQuadraticForm
-    oriented: bool = True
 
     def gram(self):
         return self.form.gram()
@@ -132,7 +131,7 @@ def _coerce_lattice(t) -> TranscendentalLattice:
 def kummer_double(t) -> TranscendentalLattice:
     """T(Km(A)) = T(A)(2): the Kummer construction doubles the form."""
     t = _coerce_lattice(t)
-    return TranscendentalLattice(scale(t.form, 2), t.oriented)
+    return TranscendentalLattice(scale(t.form, 2))
 
 
 def base_change_lattice(t, n: int) -> TranscendentalLattice:
@@ -141,7 +140,7 @@ def base_change_lattice(t, n: int) -> TranscendentalLattice:
     t = _coerce_lattice(t)
     if not 1 <= n <= 6:
         raise UsageError("base-change degree must lie in 1..6")
-    return TranscendentalLattice(scale(t.form, n), t.oriented)
+    return TranscendentalLattice(scale(t.form, n))
 
 
 # --- the elliptic j-function -------------------------------------------------

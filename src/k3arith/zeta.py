@@ -9,10 +9,11 @@ c_m mirrors them onto the tail.  The sign eps is pinned by the root
 magnitude test, and the completion refuses to guess when both signs
 survive.
 
-Everything is exact (int / Fraction), the |alpha| = q test included: a
-Sturm count on the trace polynomial decides it.  Partial data is a
-first-class state: a FrobeniusPoly of degree below 22 still yields a
-Picard bound, with the missing degrees counted as slack.
+Everything is exact, in integers (a Fraction only for the Artin-Tate value
+at T = 1/q), the |alpha| = q test included: a Sturm count on the trace
+polynomial decides it.  Partial data is a first-class state: a
+FrobeniusPoly of degree below 22 still yields a Picard bound, with the
+missing degrees counted as slack.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from fractions import Fraction
 from . import _intpoly
 from .errors import (DataError, IncompletenessError, InconsistencyError,
                      MultiplicityError, UsageError)
-from .ff import isprime
+from .ff import is_prime_power, isprime
 
 H2_DIM = 22  # dim H^2 of a K3 surface
 TRIAL_BOUND = 10 ** 4  # trial divisors square_class tries before sympy
@@ -34,6 +35,8 @@ class TraceVector:
     traces: tuple
 
     def __post_init__(self):
+        if not is_prime_power(self.q):
+            raise UsageError(f"q = {self.q} is not a prime power")
         for r, t in enumerate(self.traces, start=1):
             if abs(t) > H2_DIM * self.q ** r:
                 raise InconsistencyError(
@@ -52,6 +55,8 @@ class FrobeniusPoly:
     completed: tuple = ()
 
     def __post_init__(self):
+        if not is_prime_power(self.q):
+            raise UsageError(f"q = {self.q} is not a prime power")
         if not self.coeffs or self.coeffs[0] != 1:
             raise UsageError("P2 factor must have constant coefficient 1")
         if len(self.coeffs) - 1 > H2_DIM:
@@ -67,7 +72,7 @@ class FrobeniusPoly:
 
     def power_traces(self, r_max: int):
         """Power sums of the reciprocal roots, r = 1..r_max."""
-        return [int(x) for x in power_sums(list(self.coeffs), r_max)]
+        return power_sums(list(self.coeffs), r_max)
 
     def counts(self, r_max: int):
         """Predicted #X(F_{q^r}); meaningful when complete."""
@@ -102,32 +107,29 @@ def traces_from_counts(records) -> TraceVector:
 
 
 def power_sums(coeffs, n: int):
-    """First n power sums of the reciprocal roots of sum_k c_k T^k
-    (c_0 = 1), by Newton's identities, exactly."""
+    """First n power sums of the reciprocal roots of sum_k c_k T^k (c_0 = 1)
+    by Newton's identities over Z: s_k = -k c_k - sum_{i<k} s_i c_{k-i}."""
     if not coeffs or coeffs[0] != 1:
         raise UsageError("factor must have constant coefficient 1")
-    deg = len(coeffs) - 1
-    e = [Fraction((-1) ** k * coeffs[k]) if k <= deg else Fraction(0)
-         for k in range(n + 1)]
-    ps = [Fraction(0)] * (n + 1)
+    c = list(coeffs) + [0] * (n + 1 - len(coeffs))
+    s = [0]
     for k in range(1, n + 1):
-        acc = (-1) ** (k - 1) * k * e[k]
-        for i in range(1, k):
-            acc += (-1) ** (k - 1 - i) * e[k - i] * ps[i]
-        ps[k] = acc
-    return ps[1:]
+        s.append(-k * c[k] - sum(s[i] * c[k - i] for i in range(1, k)))
+    return s[1:]
 
 
-def _elementary_from_power_sums(ps):
-    """e_1..e_n from power sums: k e_k = sum_i (-1)^{i-1} e_{k-i} p_i."""
-    n = len(ps)
-    e = [Fraction(1)] + [Fraction(0)] * n
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * ps[i - 1]
-        e[k] = acc / k
-    return e[1:]
+def _coeffs_from_power_sums(s):
+    """c_0 = 1, c_1..c_n from power sums s_1..s_n by Newton's identities,
+    c_k = -(s_k + sum_{i<k} s_i c_{k-i}) / k, each division exact."""
+    c = [1]
+    for k in range(1, len(s) + 1):
+        num = -s[k - 1] - sum(s[i - 1] * c[k - i] for i in range(1, k))
+        if num % k:
+            raise InconsistencyError(
+                f"coefficient c_{k} = {Fraction(num, k)} is not an integer: "
+                f"counts and known factor are incompatible")
+        c.append(num // k)
+    return c
 
 
 def _root_magnitude_ok(coeffs, q) -> bool:
@@ -205,7 +207,7 @@ def p2_from_traces(tr: TraceVector, known_factor=None) -> FrobeniusPoly:
         raise UsageError("known factor degree exceeds 22")
 
     known_ps = power_sums(list(known), n)
-    u = [Fraction(t) - known_ps[i] for i, t in enumerate(traces)]
+    u = [t - known_ps[i] for i, t in enumerate(traces)]
 
     n_min = d // 2
     if n < n_min:
@@ -213,32 +215,15 @@ def p2_from_traces(tr: TraceVector, known_factor=None) -> FrobeniusPoly:
             f"need counts through r = {n_min} to pin a degree-{d} cofactor "
             f"(have r = {n})", needed=n_min - n)
 
-    e = _elementary_from_power_sums(u[:min(n, d)])
-    c_known = []
-    for k, ek in enumerate(e, start=1):
-        ck = (-1) ** k * ek
-        if ck.denominator != 1:
-            raise InconsistencyError(
-                f"coefficient c_{k} = {ck} is not an integer: counts and "
-                f"known factor are incompatible")
-        c_known.append(int(ck))
-
+    # c_0..c_min(n, d), then each sign's first half plus its mirror
+    # c_j = eps q^(2j - d) c_(d - j); the mirror must agree with the head
+    head = _coeffs_from_power_sums(u[:min(n, d)])
+    half = d - d // 2
     candidates = []
     for eps in (1, -1):
-        c = [None] * (d + 1)
-        c[0] = 1
-        for k, ck in enumerate(c_known, start=1):
-            c[k] = ck
-        ok = True
-        for m in range(d // 2 + 1):
-            val = eps * q ** (d - 2 * m) * c[m]
-            j = d - m
-            if c[j] is None:
-                c[j] = val
-            elif c[j] != val:
-                ok = False  # functional equation fails on the overlap
-                break
-        if not ok or any(v is None for v in c):
+        c = head[:half] + [eps * q ** (2 * j - d) * head[d - j]
+                           for j in range(half, d + 1)]
+        if c[:len(head)] != head:
             continue
         full = _intpoly.mul(list(known), c)
         if _root_magnitude_ok(full, q):
@@ -325,12 +310,16 @@ def artin_tate_discriminant(poly: FrobeniusPoly, rho: int):
     """(value, square class) of the Artin-Tate special value
     q * P2(T)/(1 - qT)^rho at T = 1/q.  The value equals the order of the
     Brauer group times |disc NS(X)| up to squares, so its square class is
-    the discriminant's."""
+    the discriminant's; a value above q 2^(deg P2 - rho), the bound for
+    reciprocal roots on |alpha| = q, is refused before it is factored."""
     value = artin_tate_value(poly.coeffs, poly.q, rho)
     if value == 0:
         raise MultiplicityError(
             "special value vanishes: rho understates the eigenvalue-q "
             "multiplicity")
+    if abs(value) > poly.q * 2 ** (poly.degree - rho):
+        raise DataError(f"special value {value} is too large for reciprocal "
+                        f"roots on |alpha| = {poly.q}")
     return value, square_class(value)
 
 

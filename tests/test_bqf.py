@@ -276,3 +276,13 @@ def test_gram_matrix_shape():
     f = BinaryQuadraticForm(2, 1, 3)
     assert f.gram() == ((4, 1), (1, 6))
     assert f(1, 0) == 2 and f(0, 1) == 3 and f(1, 1) == 6
+
+
+def test_class_group_table_against_ideal_oracle():
+    # h(-210640) = 120: every entry of the full composition table of a
+    # class group with h in 120..128 equals the ideal-multiplication product
+    grp = class_group(-210640)
+    assert grp.h == 120
+    for i, f in enumerate(grp.forms):
+        for j in range(i, grp.h):
+            assert grp.forms[grp.table[i][j]] == _oracle_compose(f, grp.forms[j])

@@ -1,0 +1,83 @@
+"""`k3 picard` refuses a q that is not a prime power and an Artin-Tate
+value that no Weil polynomial can have.
+
+q = p^r is decided in integers (`ff.is_prime_power`), so `--q 0` is a
+usage error (exit 2) rather than a division by zero.  Reciprocal roots on
+|alpha| = q force |q P'(1/q)| <= q 2^deg P' for P' = P2 / (1 - qT)^rho;
+a larger value is a data error (exit 1) raised before the value is
+factored, so a 60-digit semiprime never reaches sympy.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import k3arith
+from k3arith import _intpoly
+from k3arith.cli import main
+from k3arith.errors import UsageError
+from k3arith.ff import is_prime_power
+from k3arith.zeta import FrobeniusPoly, TraceVector
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(k3arith.__file__)))
+
+
+def test_is_prime_power_against_factorisation():
+    for q in range(-20, 3000):
+        want = q > 1 and len(_intpoly.factor(q)) == 1
+        assert is_prime_power(q) == want, q
+    for q in (5 ** 9, 1000003, 2 ** 10, 3 ** 40, (2 ** 61 - 1) ** 2):
+        assert is_prime_power(q)
+    for q in (6 ** 9, 2 ** 10 * 3, (2 ** 61 - 1) * (2 ** 31 - 1)):
+        assert not is_prime_power(q)
+
+
+@pytest.mark.parametrize("q", [0, 1, -7, 6, 12])
+def test_constructors_refuse_non_prime_powers(q):
+    with pytest.raises(UsageError):
+        FrobeniusPoly(q=q, coeffs=(1,))
+    with pytest.raises(UsageError):
+        TraceVector(q=q, traces=())
+
+
+@pytest.mark.parametrize("q", ["0", "1", "-7", "6", "12"])
+def test_picard_non_prime_power_q_exits_2(capsys, q):
+    assert main(["picard", "--p2", "1,-5", "--q", q, "--artin-tate",
+                 "--rho", "1"]) == 2
+    assert "is not a prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [5 ** 9, 1000003, 2 ** 10])
+def test_picard_accepts_prime_powers(capsys, q):
+    assert main(["picard", "--p2", f"1,{-q}", "--q", str(q)]) == 0
+
+
+def test_options_no_handler_reads_are_gone(capsys):
+    assert main(["picard", "--p2", "1,-5", "--q", "5", "--jobs", "2"]) == 2
+    assert main(["bqf", "reduce", "--form", "3,2,5", "--cache", "x"]) == 2
+    assert main(["sieve", "--primes", "5", "--family", "dwork"]) == 2
+
+
+def test_oversized_artin_tate_value_exits_1_without_sympy():
+    # P2 = (1 - 5T)(1 + (N - 5)T): the special value is N, a 60-digit
+    # product of two 30-digit primes, far above the bound 5 * 2
+    n = 400000000000000000000000000069 * 700000000000000000000000000033
+    p2 = _intpoly.mul([1, -5], [1, n - 5])
+    script = (
+        "import contextlib, io, sys\n"
+        "from k3arith.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['picard', '--p2', '{','.join(map(str, p2))}', "
+        "'--q', '5', '--artin-tate', '--rho', '1'])\n"
+        "assert 'sympy' not in sys.modules\n"
+        "sys.exit(code)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "too large" in proc.stderr
