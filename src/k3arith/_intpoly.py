@@ -99,12 +99,16 @@ def cyclotomic(m):
 
 
 def euler_product(e, n):
-    """prod_{k >= 1} (1 - x^k)^e through x^n, as its n + 1 coefficients."""
+    """prod_{k >= 1} (1 - x^k)^e through x^n, as its n + 1 coefficients;
+    a negative e divides by each (1 - x^k) where a positive one multiplies."""
     out = [1] + [0] * n
     for k in range(1, n + 1):
         for _ in range(e):  # multiply by (1 - x^k), truncated
             for i in range(n, k - 1, -1):
                 out[i] -= out[i - k]
+        for _ in range(-e):  # divide by (1 - x^k): a running sum, step k
+            for i in range(k, n + 1):
+                out[i] += out[i - k]
     return out
 
 

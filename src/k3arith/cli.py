@@ -21,7 +21,7 @@ from . import __version__, bqf, cmmod, count, ellsurf, singk3, zeta
 from .cache import CountCache
 from .errors import (DataError, DomainError, IntegrityError, K3ArithError,
                      UsageError)
-from .ff import CyclotomicInt, isprime
+from .ff import isprime
 
 SCHEMA = "k3arith-report/1"
 _BIG = 2 ** 53
@@ -42,8 +42,6 @@ def _enc(x):
         return _enc(x.numerator) if x.denominator == 1 else str(x)
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
-    if isinstance(x, CyclotomicInt):
-        return {"m": x.m, "coeffs": list(x.coeffs)}
     if isinstance(x, dict):
         return {str(k): _enc(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -111,8 +109,6 @@ _MODELS = {"quartic": count.Quartic, "sextic": count.DoubleSextic,
 
 def _cmd_count(args, cache):
     coeffs = tuple(_csv_ints(args.coeffs))
-    if args.model not in _MODELS:
-        raise UsageError(f"unknown model {args.model!r}")
     surface = _MODELS[args.model](coeffs)
     records = count.count_tower(surface, args.p, args.r, cache=cache,
                                 jobs=args.jobs, force=args.force)
@@ -160,32 +156,36 @@ def _cmd_picard(args, cache):
     return results, True
 
 
-def _cmd_bqf(args, cache):
-    if args.action == "reduce":
-        f = _form_arg(args.form)
-        g = bqf.reduce(f)
-        return {"input": list(f.astuple()), "reduced": list(g.astuple()),
-                "disc": f.disc}, True
-    if args.action == "classgroup":
-        grp = bqf.class_group(args.d)
-        return {
-            "d": args.d,
-            "h": grp.h,
-            "exponent": grp.exponent,
-            "forms": [list(f.astuple()) for f in grp.forms],
-            "identity": list(grp.forms[grp.identity_index].astuple()),
-        }, True
-    if args.action == "compose":
-        f = _form_arg(args.f)
-        g = _form_arg(args.g)
-        prod = bqf.compose(f, g)
-        return {"f": list(f.astuple()), "g": list(g.astuple()),
-                "product": list(prod.astuple())}, True
-    if args.action == "h1list":
-        ds = bqf.class_number_one_discriminants(args.bound)
-        return {"bound": args.bound, "discriminants": ds,
-                "count": len(ds)}, True
-    raise UsageError(f"unknown bqf action {args.action!r}")
+def _cmd_bqf_reduce(args, cache):
+    f = _form_arg(args.form)
+    g = bqf.reduce(f)
+    return {"input": list(f.astuple()), "reduced": list(g.astuple()),
+            "disc": f.disc}, True
+
+
+def _cmd_bqf_classgroup(args, cache):
+    grp = bqf.class_group(args.d)
+    return {
+        "d": args.d,
+        "h": grp.h,
+        "exponent": grp.exponent,
+        "forms": [list(f.astuple()) for f in grp.forms],
+        "identity": list(grp.forms[grp.identity_index].astuple()),
+    }, True
+
+
+def _cmd_bqf_compose(args, cache):
+    f = _form_arg(args.f)
+    g = _form_arg(args.g)
+    prod = bqf.compose(f, g)
+    return {"f": list(f.astuple()), "g": list(g.astuple()),
+            "product": list(prod.astuple())}, True
+
+
+def _cmd_bqf_h1list(args, cache):
+    ds = bqf.class_number_one_discriminants(args.bound)
+    return {"bound": args.bound, "discriminants": ds,
+            "count": len(ds)}, True
 
 
 def _cmd_inose(args, cache):
@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"k3arith {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, counts=False):
+    def common(sp, func, counts=False):
+        sp.set_defaults(func=func)
         if counts:
             sp.add_argument("--jobs", type=int, default=1,
                             help="worker process cap (default 1)")
@@ -283,16 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=1, help="tower height (default 1)")
     sp.add_argument("--force", action="store_true",
                     help="override the feasibility cap")
-    common(sp, counts=True)
-    sp.set_defaults(func=_cmd_count)
+    common(sp, _cmd_count, counts=True)
 
     sp = sub.add_parser("zeta", help="complete P2 from counts")
     sp.add_argument("--counts", required=True,
                     help="LDJSON count-record file (cache format)")
     sp.add_argument("--known-factor", default=None,
                     help="known divisor of P2: coefficients low first")
-    common(sp)
-    sp.set_defaults(func=_cmd_zeta)
+    common(sp, _cmd_zeta)
 
     sp = sub.add_parser("picard", help="Picard bound from a P2 factor")
     sp.add_argument("--p2", required=True,
@@ -302,28 +301,29 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also evaluate the Artin-Tate special value")
     sp.add_argument("--rho", type=int, default=None,
                     help="NS rank over F_q for --artin-tate")
-    common(sp)
-    sp.set_defaults(func=_cmd_picard)
+    common(sp, _cmd_picard)
 
     sp = sub.add_parser("bqf", help="binary quadratic forms and class groups")
-    sp.add_argument("action",
-                    choices=["reduce", "classgroup", "compose", "h1list"])
-    sp.add_argument("--form", default=None, help="a,b,c for reduce")
-    sp.add_argument("--f", default=None, help="left factor for compose")
-    sp.add_argument("--g", default=None, help="right factor for compose")
-    sp.add_argument("--d", type=int, default=None,
-                    help="discriminant for classgroup")
-    sp.add_argument("--bound", type=int, default=None,
-                    help="|d| bound for h1list")
-    common(sp)
-    sp.set_defaults(func=_cmd_bqf)
+    bqf_sub = sp.add_subparsers(dest="action", required=True)
+    sp = bqf_sub.add_parser("reduce", help="reduced form of a class")
+    sp.add_argument("--form", required=True, help="a,b,c")
+    common(sp, _cmd_bqf_reduce)
+    sp = bqf_sub.add_parser("classgroup", help="class group Cl(d)")
+    sp.add_argument("--d", type=int, required=True, help="discriminant < 0")
+    common(sp, _cmd_bqf_classgroup)
+    sp = bqf_sub.add_parser("compose", help="Gauss composition f * g")
+    sp.add_argument("--f", required=True, help="left factor a,b,c")
+    sp.add_argument("--g", required=True, help="right factor a,b,c")
+    common(sp, _cmd_bqf_compose)
+    sp = bqf_sub.add_parser("h1list", help="discriminants with h(d) = 1")
+    sp.add_argument("--bound", type=int, required=True, help="|d| bound")
+    common(sp, _cmd_bqf_h1list)
 
     sp = sub.add_parser("inose", help="Inose pencil of a singular K3")
     sp.add_argument("--form", required=True, help="transcendental form a,b,c")
     sp.add_argument("--tol", type=float, default=1e-12,
                     help="j-evaluation tolerance")
-    common(sp)
-    sp.set_defaults(func=_cmd_inose)
+    common(sp, _cmd_inose)
 
     sp = sub.add_parser("kuwata", help="fiber configuration and MW rank of "
                         "a cyclic Inose cover")
@@ -332,13 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="not-isogenous | isogenous-no-cm | isogenous-cm")
     sp.add_argument("--isomorphic", action="store_true",
                     help="E and E' isomorphic")
-    common(sp)
-    sp.set_defaults(func=_cmd_kuwata)
+    common(sp, _cmd_kuwata)
 
     sp = sub.add_parser("modularity", help="Fermat quartic: prediction vs count")
     sp.add_argument("--primes", required=True, help='"3,5,7" or "3..37"')
-    common(sp, counts=True)
-    sp.set_defaults(func=_cmd_modularity)
+    common(sp, _cmd_modularity, counts=True)
 
     sp = sub.add_parser("sieve", help="CM sieve: Dwork pencil vs eta(4z)^6")
     sp.add_argument("--primes", required=True, help='"5,13,17" or a range')
@@ -346,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="lift surviving residues by CRT + reconstruction")
     sp.add_argument("--height", type=int, default=100,
                     help="height bound for --lift (default 100)")
-    common(sp, counts=True)
-    sp.set_defaults(func=_cmd_sieve)
+    common(sp, _cmd_sieve, counts=True)
     return parser
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InconsistencyError, UnsupportedError, UsageError
-from .ff import CyclotomicInt, FieldCtx, MultChar, jacobi_sum
+from .ff import CyclotomicInt, FieldCtx, MultChar, isprime, jacobi_sum
 
 FEASIBILITY_CAP = 300_000_000  # rough elementary field operations
 
@@ -424,6 +424,8 @@ def count_tower(surface, p: int, r_max: int, cache=None, jobs: int = 1,
     exceeds the feasibility cap unless force is set."""
     if r_max < 1:
         raise UsageError("r_max must be at least 1")
+    if not isprime(p):
+        raise UsageError(f"p = {p} is not prime")
     est = _tower_cost(surface, p, r_max)
     if est > FEASIBILITY_CAP and not force:
         raise UsageError(

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._intpoly import euler_product
-from .bqf import BinaryQuadraticForm, _coerce, class_group, reduce, scale
+from ._intpoly import euler_product, mul
+from .bqf import BinaryQuadraticForm, _coerce, class_number, reduce, scale
 from .errors import DomainError, PrecisionError, UsageError
 
 
@@ -130,8 +130,7 @@ def _coerce_lattice(t) -> TranscendentalLattice:
 
 def kummer_double(t) -> TranscendentalLattice:
     """T(Km(A)) = T(A)(2): the Kummer construction doubles the form."""
-    t = _coerce_lattice(t)
-    return TranscendentalLattice(scale(t.form, 2))
+    return base_change_lattice(t, 2)
 
 
 def base_change_lattice(t, n: int) -> TranscendentalLattice:
@@ -157,26 +156,9 @@ def _extend_jser(n: int) -> None:
     e4[0] = 1
     for k in range(1, size):
         e4[k] = 240 * sum(dd ** 3 for dd in range(1, k + 1) if k % dd == 0)
-    e4_3 = _series_mul(_series_mul(e4, e4, size), e4, size)
-    eta24 = euler_product(24, n)  # Delta(q)/q = prod (1-q^m)^24
-    inv = [0] * size  # 1/eta24, valid since eta24[0] = 1
-    inv[0] = 1
-    for k in range(1, size):
-        inv[k] = -sum(eta24[i] * inv[k - i] for i in range(1, k + 1))
-    jser = _series_mul(e4_3, inv, size)
-    _JSER.clear()
-    _JSER.extend(jser)
-
-
-def _series_mul(u, v, size):
-    out = [0] * size
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        for k in range(min(size - i, len(v))):
-            if v[k]:
-                out[i + k] += ui * v[k]
-    return out
+    e4_3 = mul(mul(e4, e4)[:size], e4)[:size]
+    inv_delta = euler_product(-24, n)  # q/Delta(q) = prod (1-q^m)^-24
+    _JSER[:] = mul(e4_3, inv_delta)[:size]
 
 
 def _fundamental_domain(tau: complex) -> complex:
@@ -278,7 +260,7 @@ def inose_pencil_from_form(f, tol: float = 1e-12) -> InosePencil:
 def ring_class_degree(d: int) -> int:
     """[H(d) : K] = h(d) for the ring class field H(d) of the order of
     discriminant d inside K = Q(sqrt(d))."""
-    return class_group(d).h
+    return class_number(d)
 
 
 def ns_field_check(d: int, degree_L_sqrt_d_over_Q: int) -> bool:

@@ -47,7 +47,7 @@ class TraceVector:
 class FrobeniusPoly:
     """P2(T) or a partial factor of it: integer coefficients, low degree
     first, constant term 1, degree <= 22.  epsilon/known/completed record
-    how a completion was assembled (None on directly constructed polys)."""
+    how a completion was assembled (0, (), () on directly built polys)."""
     q: int
     coeffs: tuple
     epsilon: int = 0

@@ -192,6 +192,25 @@ def test_cli_usage_errors(capsys):
     assert code == 2 and "--rho" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bqf", "classgroup"),
+    ("bqf", "reduce"),
+    ("bqf", "compose", "--f", "2,1,3"),
+    ("bqf", "h1list"),
+])
+def test_cli_bqf_action_without_its_option_is_a_usage_error(capsys, argv):
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert "required" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", ["4", "1", "0", "-5"])
+def test_cli_count_non_prime_p_is_a_usage_error(capsys, p):
+    code, _, err = _run(capsys, "count", "--model", "diagonal",
+                        "--coeffs", "1,1,1,1", "--p", p)
+    assert code == 2 and "is not prime" in err
+
+
 def test_cli_version_and_help(capsys):
     assert main(["--version"]) == 0
     capsys.readouterr()

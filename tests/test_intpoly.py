@@ -113,3 +113,11 @@ def test_mod_monic_and_mod_p():
     assert _intpoly.mod_p([2, -1, 4], 2) == [0, 1]
     with pytest.raises(ValueError):
         _intpoly.mod_monic(u, [1, 2])
+
+
+@pytest.mark.parametrize("e", [1, 6, 24])
+def test_euler_product_negative_exponent_is_the_inverse(e):
+    n = 40
+    product = _intpoly.mul(_intpoly.euler_product(-e, n),
+                           _intpoly.euler_product(e, n))
+    assert product[:n + 1] == [1] + [0] * n

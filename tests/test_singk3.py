@@ -120,6 +120,12 @@ def test_j_series_prefix():
     assert _JSER[:4] == [1, 744, 196884, 21493760]
 
 
+def test_j_series_first_seven_coefficients():
+    _extend_jser(6)
+    assert _JSER[:7] == [1, 744, 196884, 21493760, 864299970,
+                         20245856256, 333202640600]
+
+
 def test_j_special_values():
     assert abs(j_invariant(1j) - 1728) <= 1e-9 * 1728
     assert abs(j_invariant(2j) - 287496) <= 1e-9 * 287496
