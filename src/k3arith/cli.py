@@ -102,6 +102,7 @@ def _open_cache(path=None):
 
 
 # --- subcommand handlers: each returns (results dict, verified flag) ---------
+# The results hold plain library values; main encodes them once with _enc.
 
 _MODELS = {"quartic": count.Quartic, "sextic": count.DoubleSextic,
            "diagonal": count.DiagonalQuartic}
@@ -115,7 +116,7 @@ def _cmd_count(args, cache):
     return {
         "model": args.model,
         "surface": surface.surface_hash(),
-        "counts": [{"p": rec.p, "r": rec.r, "count": _enc(rec.count)}
+        "counts": [{"p": rec.p, "r": rec.r, "count": rec.count}
                    for rec in records],
     }, True
 
@@ -126,11 +127,11 @@ def _cmd_zeta(args, cache):
     poly = zeta.p2_from_traces(tr, known)
     return {
         "q": poly.q,
-        "traces": [_enc(t) for t in tr.traces],
+        "traces": tr.traces,
         "epsilon": poly.epsilon,
-        "known": list(poly.known),
-        "completed": [_enc(c) for c in poly.completed],
-        "p2": [_enc(c) for c in poly.coeffs],
+        "known": poly.known,
+        "completed": poly.completed,
+        "p2": poly.coeffs,
         "degree": poly.degree,
     }, True
 
@@ -151,15 +152,14 @@ def _cmd_picard(args, cache):
         if args.rho is None:
             raise UsageError("--artin-tate needs --rho")
         value, sclass = zeta.artin_tate_discriminant(poly, args.rho)
-        results["artin_tate"] = {"rho": args.rho, "value": _enc(value),
+        results["artin_tate"] = {"rho": args.rho, "value": value,
                                  "square_class": sclass}
     return results, True
 
 
 def _cmd_bqf_reduce(args, cache):
     f = _form_arg(args.form)
-    g = bqf.reduce(f)
-    return {"input": list(f.astuple()), "reduced": list(g.astuple()),
+    return {"input": f.astuple(), "reduced": bqf.reduce(f).astuple(),
             "disc": f.disc}, True
 
 
@@ -169,17 +169,15 @@ def _cmd_bqf_classgroup(args, cache):
         "d": args.d,
         "h": grp.h,
         "exponent": grp.exponent,
-        "forms": [list(f.astuple()) for f in grp.forms],
-        "identity": list(grp.forms[grp.identity_index].astuple()),
+        "forms": [f.astuple() for f in grp.forms],
+        "identity": grp.forms[grp.identity_index].astuple(),
     }, True
 
 
 def _cmd_bqf_compose(args, cache):
-    f = _form_arg(args.f)
-    g = _form_arg(args.g)
-    prod = bqf.compose(f, g)
-    return {"f": list(f.astuple()), "g": list(g.astuple()),
-            "product": list(prod.astuple())}, True
+    f, g = _form_arg(args.f), _form_arg(args.g)
+    return {"f": f.astuple(), "g": g.astuple(),
+            "product": bqf.compose(f, g).astuple()}, True
 
 
 def _cmd_bqf_h1list(args, cache):
@@ -193,17 +191,17 @@ def _cmd_inose(args, cache):
     periods = singk3.shioda_mitani_periods(f)
     pencil = singk3.inose_pencil_from_form(f, args.tol)
     return {
-        "form": list(f.astuple()),
+        "form": f.astuple(),
         "disc": f.disc,
-        "tau": _enc(complex(periods.tau)),
-        "tau_prime": _enc(complex(periods.tau_prime)),
-        "j1": _enc(pencil.j1),
-        "j2": _enc(pencil.j2),
-        "A": _enc(pencil.A),
-        "B": _enc(pencil.B),
-        "a4": _enc(pencil.a4),
-        "a6": _enc(pencil.a6),
-        "relation_defects": list(pencil.relation_defects()),
+        "tau": complex(periods.tau),
+        "tau_prime": complex(periods.tau_prime),
+        "j1": pencil.j1,
+        "j2": pencil.j2,
+        "A": pencil.A,
+        "B": pencil.B,
+        "a4": pencil.a4,
+        "a6": pencil.a6,
+        "relation_defects": pencil.relation_defects(),
     }, True
 
 
@@ -222,11 +220,13 @@ def _cmd_kuwata(args, cache):
 
 def _cmd_modularity(args, cache):
     primes = _primes_arg(args.primes)
+    if not primes:
+        raise UsageError("no primes supplied")
     report = cmmod.verify_modularity(primes, cache=cache, jobs=args.jobs)
     return {
         "primes": primes,
-        "entries": [{"p": e.p, "predicted": _enc(e.predicted),
-                     "counted": _enc(e.counted), "agree": e.agree}
+        "entries": [{"p": e.p, "predicted": e.predicted,
+                     "counted": e.counted, "agree": e.agree}
                     for e in report.entries],
         "all_agree": report.all_agree,
         "mismatches": report.mismatches,
@@ -247,13 +247,13 @@ def _cmd_sieve(args, cache):
         "target": "eta4_6",
         "primes": primes,
         "candidates": [{"p": c.p, "lam": c.lam, "h": c.h,
-                        "count": _enc(c.count)} for c in candidates],
-        "per_prime_residues": _enc(found.per_prime),
-        "symmetry_orbits": _enc(found.orbits),
+                        "count": c.count} for c in candidates],
+        "per_prime_residues": found.per_prime,
+        "symmetry_orbits": found.orbits,
         "common_small_integers": found.common,
     }
     if args.lift:
-        results["lifts"] = [{"residues": _enc(combo), "parameter": _enc(lifted)}
+        results["lifts"] = [{"residues": combo, "parameter": lifted}
                             for combo, lifted in found.lifts]
     return results, True
 
@@ -261,12 +261,14 @@ def _cmd_sieve(args, cache):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="k3", description="Arithmetic of K3 surfaces: point counts, "
-        "zeta functions, Picard bounds, class groups, and CM sieves.")
+        "zeta functions, Picard bounds, class groups, and CM sieves.",
+        allow_abbrev=False)
     parser.add_argument("--version", action="version",
                         version=f"k3arith {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(sp, func, counts=False):
+        sp.allow_abbrev = False  # subparsers do not inherit it
         sp.set_defaults(func=func)
         if counts:
             sp.add_argument("--jobs", type=int, default=1,
@@ -303,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="NS rank over F_q for --artin-tate")
     common(sp, _cmd_picard)
 
-    sp = sub.add_parser("bqf", help="binary quadratic forms and class groups")
+    sp = sub.add_parser("bqf", help="binary quadratic forms and class groups",
+                        allow_abbrev=False)
     bqf_sub = sp.add_subparsers(dest="action", required=True)
     sp = bqf_sub.add_parser("reduce", help="reduced form of a class")
     sp.add_argument("--form", required=True, help="a,b,c")
@@ -381,7 +384,7 @@ def main(argv=None) -> int:
         "schema": SCHEMA,
         "tool": {"name": "k3arith", "version": __version__},
         "config": _config_echo(args),
-        "results": results,
+        "results": _enc(results),
         "timing": {"seconds": round(elapsed, 3)},
         "cache": cache.stats,
     }

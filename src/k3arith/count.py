@@ -11,23 +11,25 @@ character sums factors into two-character sums, O(q) each over the
 discrete logs of ff (Weil, "Numbers of solutions of equations in finite
 fields", 1949).
 
-Projective points are enumerated without quotienting, by strata on the
-first nonzero coordinate (x_0 = 1; then x_0 = 0, x_1 = 1; and so on).
-One kernel, `_affine_scan`, serves every stratum of every model: the
-coefficients of the leading variable are evaluated as numpy grids over the
-other (at most two) variables, and Horner's rule in the leading variable
-runs over blocks of its values.  Quartic counts tally zeros, double
-sextics sum the quadratic character of the values, and the smoothness scan
-tallies common zeros of f and its four partials.  The dominant stratum can
-be chunked over its leading coordinate across worker processes
-(`pool_map`, shared with the CM sieve); chunk subtotals are exact integers
-added in chunk order, so the worker count never changes the result.
+`_projective_scan` enumerates projective points without quotienting, by
+strata on the first nonzero coordinate (x_0 = 1; then x_0 = 0, x_1 = 1;
+and so on), for every count and the smoothness scan.  One kernel,
+`_affine_scan`, serves every stratum of every model: the coefficients of
+the leading variable are evaluated as numpy grids over the other (at most
+two) variables, and Horner's rule in the leading variable runs over blocks
+of its values.  Quartic counts tally zeros, double sextics sum the
+quadratic character of the values, and the smoothness scan tallies common
+zeros of f and its four partials.  The dominant stratum can be chunked
+over its leading coordinate across worker processes (`pool_map`, shared
+with the CM sieve); chunk subtotals are exact integers added in chunk
+order, so the worker count never changes the result.
 """
 
 import json
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .errors import InconsistencyError, UnsupportedError, UsageError
 from .ff import CyclotomicInt, FieldCtx, MultChar, isprime, jacobi_sum
@@ -38,13 +40,8 @@ FEASIBILITY_CAP = 300_000_000  # rough elementary field operations
 @lru_cache(maxsize=None)
 def monomial_exponents(nvars: int, degree: int) -> tuple:
     """All exponent tuples of the given total degree, sorted ascending."""
-    if nvars == 1:
-        return ((degree,),)
-    out = []
-    for e0 in range(degree + 1):
-        for rest in monomial_exponents(nvars - 1, degree - e0):
-            out.append((e0,) + rest)
-    return tuple(sorted(out))
+    return tuple(e for e in product(range(degree + 1), repeat=nvars)
+                 if sum(e) == degree)
 
 
 QUARTIC_EXPONENTS = monomial_exponents(4, 4)
@@ -261,21 +258,21 @@ def _scan_stratum(polys, k, ctx, chi, jobs):
     return sum(pool_map(_scan_worker, payloads, jobs))
 
 
-def _stratum_items(items, s, p):
-    """Restrict to the stratum x_0 = ... = x_{s-1} = 0, x_s = 1, mod p."""
-    out = {}
-    for exps, c in items:
-        if not any(exps[:s]):
-            out[exps[s + 1:]] = out.get(exps[s + 1:], 0) + c
-    return [(e, c % p) for e, c in out.items() if c % p]
+def _projective_scan(polys, n, ctx, chi=None, jobs=1):
+    """_scan_stratum summed over the strata x_0 = ... = x_{s-1} = 0,
+    x_s = 1 of P^n; only the dominant stratum s = 0 is chunked over jobs.
+    The polynomials are homogeneous, so their restrictions keep distinct
+    monomials and the nonzero coefficients mod p they came with."""
+    return sum(_scan_stratum([[(e[s + 1:], c) for e, c in f if not any(e[:s])]
+                              for f in polys], n - s, ctx, chi,
+                             jobs if s == 0 else 1) for s in range(n + 1))
 
 
 def count_quartic(surface, ctx: FieldCtx, jobs: int = 1) -> int:
     """#X(F_q) for a quartic surface in P^3 by stratified enumeration.
     Works for any quartic; smoothness is never assumed."""
-    items = surface.to_quartic().items(ctx.p)
-    return sum(_scan_stratum([_stratum_items(items, s, ctx.p)], 3 - s, ctx,
-                             None, jobs if s == 0 else 1) for s in range(4))
+    return _projective_scan([surface.to_quartic().items(ctx.p)], 3, ctx,
+                            jobs=jobs)
 
 
 def _partial_items(items, i, p):
@@ -300,8 +297,7 @@ def is_smooth_quartic(surface, ctx: FieldCtx) -> bool:
         raise UsageError(f"rational-point smoothness scan infeasible at q = {q}")
     f_items = surface.to_quartic().items(p)
     polys = [f_items] + [_partial_items(f_items, i, p) for i in range(4)]
-    return not any(_affine_scan([_stratum_items(f, s, p) for f in polys],
-                                3 - s, ctx) for s in range(4))
+    return _projective_scan(polys, 3, ctx) == 0
 
 
 def count_double_sextic(surface: DoubleSextic, ctx: FieldCtx, jobs: int = 1) -> int:
@@ -313,25 +309,11 @@ def count_double_sextic(surface: DoubleSextic, ctx: FieldCtx, jobs: int = 1) -> 
     import numpy as np
     chi = np.array([0] + [1 - 2 * (k & 1) for k in ctx.dlog_table()[1:]],
                    dtype=np.int8)
-    items = surface.items(ctx.p)
-    q = ctx.q
-    return q * q + q + 1 + sum(
-        _scan_stratum([_stratum_items(items, s, ctx.p)], 2 - s, ctx, chi,
-                      jobs if s == 0 else 1) for s in range(3))
+    return ctx.q ** 2 + ctx.q + 1 + _projective_scan(
+        [surface.items(ctx.p)], 2, ctx, chi, jobs)
 
 
 # --- Jacobi-sum fast path for diagonal quartics ------------------------------
-
-def _jacobi_tuples():
-    out = []
-    for j0 in range(1, 4):
-        for j1 in range(1, 4):
-            for j2 in range(1, 4):
-                for j3 in range(1, 4):
-                    if (j0 + j1 + j2 + j3) % 4 == 0:
-                        out.append((j0, j1, j2, j3))
-    return out
-
 
 def count_diagonal_quartic_jacobi(surface: DiagonalQuartic, ctx: FieldCtx):
     """(count, Frobenius eigenvalues on H^2) for a diagonal quartic via
@@ -356,7 +338,9 @@ def count_diagonal_quartic_jacobi(surface: DiagonalQuartic, ctx: FieldCtx):
 
     eigs = []
     total = CyclotomicInt.integer(4, 0)
-    for (j0, j1, j2, j3) in _jacobi_tuples():
+    for (j0, j1, j2, j3) in product(range(1, 4), repeat=4):
+        if (j0 + j1 + j2 + j3) % 4:
+            continue
         # J(chi^j0, chi^j1, chi^j2), the sum over x + y + z = 1 of
         # chi^j0(x) chi^j1(y) chi^j2(z), is J(chi^j0, chi^j1) J(chi^(j0+j1),
         # chi^j2) when chi^(j0+j1) is nontrivial and chi^j0(-1) q otherwise

@@ -127,13 +127,8 @@ def _is_irreducible(f, p):
 
 def _least_irreducible(p, r):
     """Deterministic modulus: least monic irreducible in the packed order."""
-    for n in range(p ** r):
-        coeffs = []
-        m = n
-        for _ in range(r):
-            coeffs.append(m % p)
-            m //= p
-        f = tuple(coeffs) + (1,)
+    for n in range(p ** r):  # c_i is the i-th base-p digit of n
+        f = tuple(n // p ** i % p for i in range(r)) + (1,)
         if _is_irreducible(f, p):
             return f
     raise DomainError(f"no irreducible polynomial of degree {r} over F_{p}")
