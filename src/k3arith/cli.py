@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import __version__, bqf, cmmod, count, ellsurf, singk3, zeta
 from .cache import CountCache
 from .errors import (DataError, DomainError, IntegrityError, K3ArithError,
-                     UsageError)
+                     UnsupportedError, UsageError)
 from .ff import isprime
 
 SCHEMA = "k3arith-report/1"
@@ -73,10 +73,7 @@ def _form_arg(text: str):
     vals = _csv_ints(text)
     if len(vals) != 3:
         raise UsageError("a form needs exactly three integers a,b,c")
-    try:
-        return bqf.BinaryQuadraticForm(*vals)
-    except DomainError as exc:  # the input is at fault, not the mathematics
-        raise UsageError(str(exc)) from exc
+    return bqf.BinaryQuadraticForm(*vals)
 
 
 def _primes_arg(text: str):
@@ -269,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, func, counts=False):
         sp.allow_abbrev = False  # subparsers do not inherit it
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, parser=sp)
         if counts:
             sp.add_argument("--jobs", type=int, default=1,
                             help="worker process cap (default 1)")
@@ -352,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_echo(args) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    return _enc(cfg)
+    return _enc({k: v for k, v in sorted(vars(args).items())
+                 if k not in ("func", "parser")})
 
 
 def main(argv=None) -> int:
@@ -361,7 +358,9 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_attach_negative_csv(argv))
+        args, extra = parser.parse_known_args(_attach_negative_csv(argv))
+        if extra:  # under the subcommand's usage line, not the top one
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse already printed usage/help
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -372,7 +371,7 @@ def main(argv=None) -> int:
         cache = (_open_cache(args.cache or os.environ.get("K3_CACHE") or None)
                  if hasattr(args, "cache") else CountCache())
         results, ok = args.func(args, cache)
-    except UsageError as exc:
+    except (UsageError, DomainError, UnsupportedError) as exc:
         print(f"k3: usage error: {exc}", file=sys.stderr)
         return 2
     except K3ArithError as exc:

@@ -24,7 +24,7 @@ from math import gcd, isqrt, prod
 from ._intpoly import euler_product
 from .count import Quartic, count_quartic, fermat_quartic, pool_map
 from .errors import DomainError, UsageError
-from .ff import FieldCtx, isprime, quadratic_character
+from .ff import FieldCtx, isprime
 
 H_BOUND = 20  # |trace of Frob on NS| <= rank NS = 20 for a singular K3
 SMALL_INT_BOUND = 20  # window |c| <= 20 of the common small integers
@@ -69,11 +69,10 @@ def _check_odd_prime(p: int) -> None:
 
 
 def hecke_h(p: int) -> int:
-    """h = 5 + 3 chi_{-1}(p) + 6 (chi_2(p) + chi_{-2}(p))."""
+    """h = 5 + 3 chi_{-1}(p) + 6 (chi_2(p) + chi_{-2}(p)), read off p mod 8."""
     _check_odd_prime(p)
-    ctx = FieldCtx(p)
-    chi_m1 = quadratic_character(ctx.element(-1))
-    chi_2 = quadratic_character(ctx.element(2))
+    chi_m1 = 1 if p % 4 == 1 else -1
+    chi_2 = 1 if p % 8 in (1, 7) else -1
     return 5 + 3 * chi_m1 + 6 * (chi_2 + chi_m1 * chi_2)
 
 

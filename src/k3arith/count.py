@@ -1,6 +1,7 @@
 """Exact point counts over finite fields for the surface models used here:
 quartics in P^3, double covers of P^2 branched over a sextic, and diagonal
-quartics, which admit a Jacobi-sum fast path.
+quartics, which admit a Jacobi-sum fast path.  `_route` picks the count
+and its price for each level F_{p^r} of a tower.
 
 Models carry integer coefficients in a fixed sorted monomial order, so the
 canonical serialization (and the cache hash derived from it) is stable.
@@ -322,12 +323,10 @@ def count_diagonal_quartic_jacobi(surface: DiagonalQuartic, ctx: FieldCtx):
     coefficients."""
     if not isinstance(surface, DiagonalQuartic):
         raise UsageError("fast path applies to diagonal quartics only")
+    if not _fast_path_ok(surface, ctx.p, ctx.r):
+        raise UnsupportedError("Jacobi fast path needs q = 1 mod 4 and p "
+                               "odd and prime to every coefficient")
     q = ctx.q
-    if ctx.p == 2 or any(a % ctx.p == 0 for a in surface.a):
-        raise UnsupportedError("characteristic divides 4 or a coefficient")
-    if q % 4 != 1:
-        raise UnsupportedError("Jacobi fast path needs q = 1 mod 4; "
-                               "use direct counting instead")
     chi = MultChar(ctx, 4, 1)
     l_minus1 = chi.log(-ctx.one)
     l_a = [chi.log(ctx.element(a)) for a in surface.a]
@@ -387,18 +386,21 @@ def _fast_path_ok(surface, p, r) -> bool:
             and all(a % p for a in surface.a) and (p ** r) % 4 == 1)
 
 
+def _route(surface, p, r):
+    """(count(surface, ctx, jobs), price in field operations, tables
+    included) for the level F_{p^r} of a tower.  The counts are module
+    globals read at call time, so a wrapper rebound here by name runs."""
+    q = p ** r
+    if isinstance(surface, DoubleSextic):
+        return count_double_sextic, 10 * q * q
+    if _fast_path_ok(surface, p, r):
+        return (lambda s, ctx, jobs: count_diagonal_quartic_jacobi(s, ctx)[0],
+                27 * q * q)
+    return count_quartic, 3 * q ** 3 + 2 * q * q
+
+
 def _tower_cost(surface, p, r_max) -> int:
-    est = 0
-    for r in range(1, r_max + 1):
-        q = p ** r
-        if _fast_path_ok(surface, p, r):
-            est += 25 * q * q
-        elif isinstance(surface, DoubleSextic):
-            est += 8 * q * q
-        else:
-            est += 3 * q ** 3
-        est += 2 * q * q  # arithmetic tables
-    return est
+    return sum(_route(surface, p, r)[1] for r in range(1, r_max + 1))
 
 
 def count_tower(surface, p: int, r_max: int, cache=None, jobs: int = 1,
@@ -418,18 +420,10 @@ def count_tower(surface, p: int, r_max: int, cache=None, jobs: int = 1,
     h = surface.surface_hash()
     records = []
     for r in range(1, r_max + 1):
-        cached = cache.lookup(h, p, r) if cache is not None else None
-        if cached is not None:
-            records.append(CountRecord(h, p, r, cached))
-            continue
-        ctx = FieldCtx(p, r)
-        if isinstance(surface, DoubleSextic):
-            n = count_double_sextic(surface, ctx, jobs)
-        elif _fast_path_ok(surface, p, r):
-            n, _ = count_diagonal_quartic_jacobi(surface, ctx)
-        else:
-            n = count_quartic(surface, ctx, jobs)
-        if cache is not None:
-            cache.record(h, p, r, n)
+        n = cache.lookup(h, p, r) if cache is not None else None
+        if n is None:
+            n = _route(surface, p, r)[0](surface, FieldCtx(p, r), jobs)
+            if cache is not None:
+                cache.record(h, p, r, n)
         records.append(CountRecord(h, p, r, n))
     return records

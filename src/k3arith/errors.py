@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the toolkit.
 
-The CLI maps these onto exit codes: UsageError -> 2, everything else
-that reaches the top level -> 1 (mathematical verification failure).
+The CLI maps these onto exit codes by class: UsageError, DomainError and
+UnsupportedError (the input is at fault) -> 2; everything else that
+reaches the top level -> 1 (mathematical verification failure).
 """
 
 

@@ -303,14 +303,9 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        out = self.ctx.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        ctx = self.ctx
+        red = _poly_powmod(_intpoly.trim(self.vec), n, ctx.modulus, ctx.p)
+        return FieldElement(ctx, tuple(red) + (0,) * (ctx.r - len(red)))
 
     def inv(self):
         if self.is_zero():

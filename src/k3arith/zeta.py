@@ -292,8 +292,8 @@ def artin_tate_value(coeffs, q: int, rho: int) -> Fraction:
     coeffs = list(coeffs)
     if not coeffs:
         raise UsageError("empty polynomial")
-    if rho < 1:
-        raise UsageError("rho must be at least 1 (the hyperplane class)")
+    if not 1 <= rho <= H2_DIM:
+        raise UsageError(f"rho must lie in 1..{H2_DIM} (rank of NS inside H^2)")
     for _ in range(rho):
         coeffs = _intpoly.exact_div(coeffs, [1, -q])
         if coeffs is None:

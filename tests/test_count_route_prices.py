@@ -1,0 +1,109 @@
+"""The route and price of each tower level, and the Legendre symbols of
+`hecke_h`.
+
+`count._route` picks the count for one level F_{p^r} and prices it;
+`_tower_cost` sums those prices against FEASIBILITY_CAP.  The table below
+was frozen from the if-chain `_route` replaced, so the set of refused
+towers cannot move unnoticed.  `hecke_h` reads chi_{-1}(p) and chi_2(p)
+off p mod 8; `ff.quadratic_character` is the reference.
+"""
+
+import pytest
+
+from k3arith import count
+from k3arith.cmmod import cm_sieve, eta4_pow6_expansion, hecke_h
+from k3arith.count import (FEASIBILITY_CAP, QUARTIC_EXPONENTS,
+                           SEXTIC_EXPONENTS, DiagonalQuartic, DoubleSextic,
+                           Quartic, _route, _tower_cost,
+                           count_diagonal_quartic_jacobi, count_tower,
+                           fermat_quartic)
+from k3arith.errors import DomainError, UnsupportedError, UsageError
+from k3arith.ff import FieldCtx, isprime, quadratic_character
+
+SEXTIC = DoubleSextic((1,) * len(SEXTIC_EXPONENTS))
+QUARTIC = Quartic((1,) * len(QUARTIC_EXPONENTS))
+FERMAT = fermat_quartic()
+DIAG5 = DiagonalQuartic((1, 1, 1, 5))  # 5 | a coefficient: no fast path at 5
+
+# (surface, p, r_max, _tower_cost) as the if-chain priced them
+FROZEN_COSTS = [
+    (SEXTIC, 3, 4, 73800),
+    (SEXTIC, 7, 4, 58849000),
+    (SEXTIC, 7, 5, 2883601490),
+    (SEXTIC, 5, 7, 63578287750),
+    (FERMAT, 5, 3, 439425),  # Jacobi at every level
+    (FERMAT, 3, 4, 239940),  # scan at odd r, Jacobi at even r
+    (FERMAT, 13, 2, 775710),
+    (FERMAT, 2, 8, 57696640),  # scan: characteristic 2
+    (FERMAT, 5, 7, 171661376925),
+    (DIAG5, 5, 3, 5939175),
+    (DIAG5, 3, 5, 43404759),
+    (QUARTIC, 101, 1, 3111305),
+    (QUARTIC, 2, 8, 57696640),
+    (QUARTIC, 2, 9, 460874112),
+    (QUARTIC, 3, 5, 44835219),
+    (QUARTIC, 3, 6, 1208159568),
+]
+
+
+@pytest.mark.parametrize("surface, p, r_max, cost", FROZEN_COSTS)
+def test_tower_cost_frozen(surface, p, r_max, cost):
+    assert _tower_cost(surface, p, r_max) == cost
+    if cost > FEASIBILITY_CAP:
+        with pytest.raises(UsageError, match="field operations"):
+            count_tower(surface, p, r_max)
+
+
+def test_route_picks_each_count():
+    assert _route(SEXTIC, 3, 1) == (count.count_double_sextic, 90)
+    assert _route(QUARTIC, 3, 1) == (count.count_quartic, 99)
+    assert _route(FERMAT, 3, 1) == (count.count_quartic, 99)
+    jacobi, price = _route(FERMAT, 3, 2)
+    assert price == 27 * 81
+    ctx = FieldCtx(3, 2)
+    assert jacobi(FERMAT, ctx, 1) == count_diagonal_quartic_jacobi(FERMAT, ctx)[0]
+
+
+def test_route_reads_the_counts_at_call_time(monkeypatch):
+    """A count rebound on the module by name is the one a tower calls."""
+    calls = []
+
+    def fake(surface, ctx, jobs):
+        calls.append((ctx.q, jobs))
+        return 7
+
+    monkeypatch.setattr(count, "count_quartic", fake)
+    monkeypatch.setattr(count, "count_double_sextic", fake)
+    assert [rec.count for rec in count_tower(QUARTIC, 3, 2, jobs=2)] == [7, 7]
+    assert [rec.count for rec in count_tower(SEXTIC, 3, 1)] == [7]
+    assert calls == [(3, 2), (9, 2), (3, 1)]
+
+
+@pytest.mark.parametrize("surface, p, r", [
+    (FERMAT, 3, 1),  # q = 3 mod 4
+    (FERMAT, 2, 2),  # characteristic 2
+    (DIAG5, 5, 2),  # p divides a coefficient
+])
+def test_jacobi_refuses_exactly_off_the_fast_path(surface, p, r):
+    assert not count._fast_path_ok(surface, p, r)
+    with pytest.raises(UnsupportedError, match="q = 1 mod 4"):
+        count_diagonal_quartic_jacobi(surface, FieldCtx(p, r))
+
+
+def test_hecke_h_matches_quadratic_character():
+    for p in range(3, 3000, 2):
+        if not isprime(p):
+            continue
+        ctx = FieldCtx(p)
+        chi_m1 = quadratic_character(ctx.element(-1))
+        chi_2 = quadratic_character(ctx.element(2))
+        assert hecke_h(p) == 5 + 3 * chi_m1 + 6 * (chi_2 + chi_m1 * chi_2), p
+
+
+def test_cm_sieve_refuses_bad_reduction_at_an_odd_prime():
+    class BadAtFive:
+        def good_reduction(self, p):
+            return p != 5
+
+    with pytest.raises(DomainError, match="bad reduction at 5"):
+        cm_sieve(BadAtFive(), eta4_pow6_expansion(13), [13, 5])
