@@ -238,17 +238,18 @@ def class_group(d: int) -> ClassGroup:
         for j in range(i, h):
             comp = compose(forms[i], forms[j])
             if comp not in idx:
-                raise DomainError("composition left the reduced set")
+                raise InconsistencyError("composition left the reduced set")
             table[i][j] = table[j][i] = idx[comp]
     for i in range(h):
         if table[e][i] != i:
-            raise DomainError("principal form failed as identity")
+            raise InconsistencyError("principal form failed as identity")
         if table[i][idx[reduce(forms[i].conjugate())]] != e:
-            raise DomainError("conjugate is not the composition inverse")
+            raise InconsistencyError(
+                "conjugate is not the composition inverse")
     for i in range(h):
         for j in range(h):
             if table[table[i][j]] != [table[i][k] for k in table[j]]:
-                raise DomainError("composition is not associative")
+                raise InconsistencyError("composition is not associative")
     return ClassGroup(d, forms, tuple(tuple(row) for row in table), e)
 
 

@@ -358,9 +358,13 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args, extra = parser.parse_known_args(_attach_negative_csv(argv))
-        if extra:  # under the subcommand's usage line, not the top one
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        argv = _attach_negative_csv(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # under the usage line of the parser they were given to
+            before = argv[:argv.index(args.subcommand)]
+            owner = (parser if any(tok in before for tok in extra)
+                     else args.parser)
+            owner.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse already printed usage/help
         code = exc.code
         return code if isinstance(code, int) else 2

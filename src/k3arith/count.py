@@ -6,11 +6,12 @@ and its price for each level F_{p^r} of a tower.
 Models carry integer coefficients in a fixed sorted monomial order, so the
 canonical serialization (and the cache hash derived from it) is stable.
 The stratum scans reduce the coefficients mod p and work in packed field
-elements (integers 0..q-1 indexing the numpy addition and multiplication
-tables of ff).  The Jacobi fast path needs no tables: each of its 21 three-
-character sums factors into two-character sums, O(q) each over the
-discrete logs of ff (Weil, "Numbers of solutions of equations in finite
-fields", 1949).
+elements (integers 0..q-1), evaluated by `FieldCtx.horner`: int64
+arithmetic mod p over prime fields, gathers from the q x q operation
+tables of ff only for r > 1.  The Jacobi fast path needs no tables: each of
+its 21 three-character sums factors into two-character sums, O(q) each
+over the discrete logs of ff (Weil, "Numbers of solutions of equations in
+finite fields", 1949).
 
 `_projective_scan` enumerates projective points without quotienting, by
 strata on the first nonzero coordinate (x_0 = 1; then x_0 = 0, x_1 = 1;
@@ -180,27 +181,17 @@ def _by_leading_degree(items):
     return parts
 
 
-def _horner(coeffs, x, add, mul):
-    """sum_e coeffs[e] * x^e in packed arithmetic, on broadcast arrays."""
-    v = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        v = add[mul[x, v], c]
-    return v
-
-
-def _values(items, n, add, mul):
+def _values(items, n, ctx):
     """The polynomial given by items (exponent tuples of length n, packed
     coefficients) at every point of F_q^n, as an array that broadcasts to
-    shape (q,) * n."""
+    shape (q,) * n.  At n = 0 it is the constant term: restrictions and
+    partials keep distinct monomials, so items holds at most one."""
     if n == 0:
-        v = 0
-        for _, c in items:
-            v = add[v, c]
-        return v
+        return items[0][1] if items else 0
     import numpy as np
-    x = np.arange(len(add)).reshape((-1,) + (1,) * (n - 1))
-    return _horner([_values(part, n - 1, add, mul)
-                    for part in _by_leading_degree(items)], x, add, mul)
+    x = np.arange(ctx.q).reshape((-1,) + (1,) * (n - 1))
+    return ctx.horner([_values(part, n - 1, ctx)
+                       for part in _by_leading_degree(items)], x)
 
 
 def _tally(vals, shape, chi):
@@ -225,18 +216,17 @@ def _affine_scan(polys, k, ctx, chi=None, lo=0, hi=None):
     over the other k - 1 <= 2 variables; Horner's rule in the leading
     variable then runs over blocks of its values, one numpy grid each."""
     import numpy as np
-    add, mul = ctx.packed_tables()
     if k == 0:  # the single point of F_q^0
-        return _tally([_values(f, 0, add, mul) for f in polys], (), chi)
+        return _tally([_values(f, 0, ctx) for f in polys], (), chi)
     q = ctx.q
     hi = q if hi is None else hi
-    coeffs = [[_values(part, k - 1, add, mul) for part in _by_leading_degree(f)]
+    coeffs = [[_values(part, k - 1, ctx) for part in _by_leading_degree(f)]
               for f in polys]
     step = max(1, _SCAN_BLOCK // q ** (k - 1))
     total = 0
     for a in range(lo, hi, step):
         x = np.arange(a, min(a + step, hi)).reshape((-1,) + (1,) * (k - 1))
-        total += _tally([_horner(c, x, add, mul) for c in coeffs],
+        total += _tally([ctx.horner(c, x) for c in coeffs],
                         (len(x),) + (q,) * (k - 1), chi)
     return total
 

@@ -12,11 +12,14 @@ machines:
 - The fixed primitive root of F_q^* is the least element in packed order
   with full multiplicative order.  It and the discrete-log table are found
   by element arithmetic on coefficient vectors, in O(q) steps and memory.
-- The q x q packed addition and multiplication tables are int32 numpy
-  arrays derived from these: multiplication from the discrete logs,
-  addition digit by digit in base p.  They serve only the scan kernel of
-  `count`, are built on first request, and are refused with UsageError
-  beyond TABLE_BYTES.
+- `FieldCtx.horner` evaluates polynomials on numpy arrays of packed
+  elements for the scan kernel of `count`.  Over F_p it is int64
+  arithmetic, reduced mod p only when the next step could reach 2^63, and
+  needs neither tables nor discrete logs.  For r > 1 it gathers from the
+  q x q packed addition and multiplication tables, int32 arrays derived
+  from the element arithmetic: multiplication from the discrete logs,
+  addition digit by digit in base p.  They are built on first request and
+  refused with UsageError beyond TABLE_BYTES.
 - chi(0) = 0 for every multiplicative character.
 - Character values and Jacobi sums live exactly in Z[zeta_m]; no floats
   anywhere in this module.
@@ -30,6 +33,7 @@ from . import _intpoly
 from .errors import DomainError, UnsupportedError, UsageError
 
 TABLE_BYTES = 256 * 2 ** 20  # cap on the two int32 operation tables
+_INT64_LIMIT = 2 ** 63  # int64 Horner keeps every partial value below it
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981  # Sorenson-Webster, 13 bases
 
@@ -215,7 +219,38 @@ class FieldCtx:
                            self.p)
         return tuple(red) + (0,) * (self.r - len(red))
 
-    # -- packed operation tables for the counting kernel
+    # -- polynomial evaluation for the counting kernel
+
+    def horner(self, coeffs, x):
+        """sum_e coeffs[e] * x^e over packed elements, coeffs[e] and x
+        numpy arrays (or ints) that broadcast together; coeffs is nonempty
+        and its entries lie in [0, q).  Over F_p the result is computed in
+        int64: a running bound on the partial values decides when to reduce
+        mod p, only before a step that could reach 2^63, and once at the
+        end.  Raises UsageError when p is too large for one step, that is
+        when (p-1)^2 + (p-1) >= 2^63.  For r > 1 it gathers from
+        packed_tables."""
+        v = coeffs[-1]
+        if self.r > 1:
+            add, mul = self.packed_tables()
+            for c in reversed(coeffs[:-1]):
+                v = add[mul[x, v], c]
+            return v
+        import numpy as np
+        p, top = self.p, self.p - 1
+        if top * top + top >= _INT64_LIMIT:
+            raise UsageError(f"int64 evaluation over F_{p} would overflow "
+                             f"(p must be at most 3037000493)")
+        x = np.asarray(x, dtype=np.int64)
+        bound = top
+        for c in reversed(coeffs[:-1]):
+            if bound * top + top >= _INT64_LIMIT:
+                v, bound = v % p, top
+            v = v * x + c
+            bound = bound * top + top
+        return v % p if bound > top else v
+
+    # -- packed operation tables for extension fields
 
     def packed_tables(self):
         """(add, mul) as q x q int32 numpy arrays over packed indices; built

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from ._intpoly import euler_product, mul
 from .bqf import BinaryQuadraticForm, _coerce, class_number, reduce, scale
-from .errors import DomainError, PrecisionError, UsageError
+from .errors import (DomainError, InconsistencyError, PrecisionError,
+                     UsageError)
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,10 @@ def shioda_mitani_periods(f) -> PeriodPair:
     # a*tau^2 + b*tau + c = 0 and tau'^2 - b*tau' + ac = 0, exactly.
     lhs = f.a * (tau * tau) + f.b * tau
     if not QuadIrr(d, lhs.x + f.c, lhs.y).is_zero():
-        raise DomainError("period tau fails its minimal polynomial")
+        raise InconsistencyError("period tau fails its minimal polynomial")
     lhs = tau_p * tau_p - f.b * tau_p
     if not QuadIrr(d, lhs.x + f.a * f.c, lhs.y).is_zero():
-        raise DomainError("period tau' fails its minimal polynomial")
+        raise InconsistencyError("period tau' fails its minimal polynomial")
     return PeriodPair(tau, tau_p)
 
 

@@ -10,7 +10,7 @@ one axiom the perturbation breaks.
 import pytest
 
 from k3arith import bqf
-from k3arith.errors import DomainError
+from k3arith.errors import InconsistencyError
 
 D = -47
 
@@ -41,7 +41,7 @@ def test_the_true_table_passes(monkeypatch):
 def test_closure(monkeypatch):
     monkeypatch.setattr(bqf, "compose",
                         lambda f, g: bqf.BinaryQuadraticForm(1, 1, 1))
-    with pytest.raises(DomainError, match="left the reduced set"):
+    with pytest.raises(InconsistencyError, match="left the reduced set"):
         bqf.class_group(D)
 
 
@@ -51,7 +51,7 @@ def test_identity(monkeypatch):
         x, y = [i for i in range(grp.h) if i != e][:2]
         _set(table, e, x, y)
     _patch(monkeypatch, edit)
-    with pytest.raises(DomainError, match="failed as identity"):
+    with pytest.raises(InconsistencyError, match="failed as identity"):
         bqf.class_group(D)
 
 
@@ -60,7 +60,8 @@ def test_inverse(monkeypatch):
         a = 1 if grp.identity_index != 1 else 2
         _set(table, a, _inverse(grp, a), a)
     _patch(monkeypatch, edit)
-    with pytest.raises(DomainError, match="not the composition inverse"):
+    with pytest.raises(InconsistencyError,
+                       match="not the composition inverse"):
         bqf.class_group(D)
 
 
@@ -77,5 +78,5 @@ def test_associativity_with_identity_and_inverses_intact(monkeypatch):
         assert table[e] == list(range(grp.h))
         assert all(table[i][_inverse(grp, i)] == e for i in range(grp.h))
     _patch(monkeypatch, edit)
-    with pytest.raises(DomainError, match="not associative"):
+    with pytest.raises(InconsistencyError, match="not associative"):
         bqf.class_group(D)

@@ -1,13 +1,15 @@
 """Exit codes of the `k3` front end by error class.
 
 UsageError, DomainError and UnsupportedError mean the input is at fault
-and exit 2; any other K3ArithError is a failed verification and exits 1.
-Options the subcommand does not know are reported under that
-subcommand's own usage line.
+and exit 2; any other K3ArithError is a failed verification and exits 1,
+the library's self-checks included.  Options the subcommand does not know
+are reported under that subcommand's own usage line, and options given
+before the subcommand under the top-level one.
 """
 
 import pytest
 
+from k3arith import bqf
 from k3arith.cli import main
 
 SEXTIC_ONES = ",".join(["1"] * 28)
@@ -60,3 +62,20 @@ def test_leftover_options_under_the_subcommand_usage(capsys, argv, usage,
     assert code == 2
     assert err.startswith(usage)
     assert err.endswith(f"error: unrecognized arguments: {leftover}\n")
+
+
+def test_leftover_options_before_the_subcommand_under_the_top_usage(capsys):
+    code, err = _run(capsys, "--bogus", "bqf", "reduce", "--form", "2,1,3")
+    assert code == 2
+    assert err.startswith("usage: k3 [-h] [--version]")
+    assert err.endswith("k3: error: unrecognized arguments: --bogus\n")
+
+
+def test_class_group_self_check_is_a_verification_failure(capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(bqf, "compose",
+                        lambda f, g: bqf.BinaryQuadraticForm(1, 1, 1))
+    code, err = _run(capsys, "bqf", "classgroup", "--d", "-47")
+    assert code == 1
+    assert err == ("k3: verification failure: composition left the "
+                   "reduced set\n")
