@@ -34,7 +34,8 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import InconsistencyError, UnsupportedError, UsageError
-from .ff import CyclotomicInt, FieldCtx, MultChar, isprime, jacobi_sum
+from .ff import (TABLE_BYTES, CyclotomicInt, FieldCtx, MultChar, isprime,
+                 jacobi_sum)
 
 FEASIBILITY_CAP = 300_000_000  # rough elementary field operations
 
@@ -214,11 +215,18 @@ def _affine_scan(polys, k, ctx, chi=None, lo=0, hi=None):
 
     The coefficients of the leading variable are evaluated once as grids
     over the other k - 1 <= 2 variables; Horner's rule in the leading
-    variable then runs over blocks of its values, one numpy grid each."""
+    variable then runs over blocks of its values, one numpy grid each.
+    Refused with UsageError, before any array is built, when a q x q int64
+    grid (8 q^2 bytes, as much as the two int32 tables of r > 1) would
+    exceed TABLE_BYTES."""
     import numpy as np
+    q = ctx.q
+    if 8 * q * q > TABLE_BYTES:
+        raise UsageError(f"q x q scan arrays over F_{q} need "
+                         f"{8 * q * q / 2 ** 20:.0f} MiB "
+                         f"(cap {TABLE_BYTES // 2 ** 20} MiB)")
     if k == 0:  # the single point of F_q^0
         return _tally([_values(f, 0, ctx) for f in polys], (), chi)
-    q = ctx.q
     hi = q if hi is None else hi
     coeffs = [[_values(part, k - 1, ctx) for part in _by_leading_degree(f)]
               for f in polys]

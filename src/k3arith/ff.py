@@ -15,11 +15,13 @@ machines:
 - `FieldCtx.horner` evaluates polynomials on numpy arrays of packed
   elements for the scan kernel of `count`.  Over F_p it is int64
   arithmetic, reduced mod p only when the next step could reach 2^63, and
-  needs neither tables nor discrete logs.  For r > 1 it gathers from the
-  q x q packed addition and multiplication tables, int32 arrays derived
-  from the element arithmetic: multiplication from the discrete logs,
-  addition digit by digit in base p.  They are built on first request and
-  refused with UsageError beyond TABLE_BYTES.
+  needs neither tables nor discrete logs; its overflow guard bounds one
+  evaluation, while the scans of `count` keep their own TABLE_BYTES
+  budget.  For r > 1 it gathers from the q x q packed addition and
+  multiplication tables, int32 arrays derived from the element arithmetic:
+  multiplication from the discrete logs, addition digit by digit in base
+  p.  They are built on first request and refused with UsageError beyond
+  TABLE_BYTES.
 - chi(0) = 0 for every multiplicative character.
 - Character values and Jacobi sums live exactly in Z[zeta_m]; no floats
   anywhere in this module.
@@ -228,7 +230,8 @@ class FieldCtx:
         int64: a running bound on the partial values decides when to reduce
         mod p, only before a step that could reach 2^63, and once at the
         end.  Raises UsageError when p is too large for one step, that is
-        when (p-1)^2 + (p-1) >= 2^63.  For r > 1 it gathers from
+        when (p-1)^2 + (p-1) >= 2^63: a bound on this evaluation, far above
+        the q the scans of count accept.  For r > 1 it gathers from
         packed_tables."""
         v = coeffs[-1]
         if self.r > 1:

@@ -6,7 +6,9 @@ a different reduction pattern, and every result is compared with plain
 Python-int Horner.  The int64 route is also compared with the gathers from
 `packed_tables` it replaced, and the prime-field counts are checked
 against independent routes with the tables (and, for the quartic scans,
-the discrete logs) refused.
+the discrete logs) refused.  The scans keep the q x q budget of the
+tables: an int64 coefficient grid costs as many bytes, so a prime above
+5792 is refused before any grid is built.
 """
 
 import itertools
@@ -16,12 +18,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from k3arith import count as count_mod
+from k3arith.cli import main
 from k3arith.cmmod import fermat_count_prediction
 from k3arith.count import (QUARTIC_EXPONENTS, DoubleSextic, Quartic,
                            count_double_sextic, count_quartic, dwork_pencil,
                            fermat_quartic, is_smooth_quartic)
 from k3arith.errors import UsageError
-from k3arith.ff import FieldCtx
+from k3arith.ff import TABLE_BYTES, FieldCtx
 
 LARGEST_PRIME = 3037000493  # largest p with (p-1)^2 + (p-1) < 2^63
 NEXT_PRIME = 3037000507
@@ -145,3 +149,27 @@ def test_sextic_over_f_2003_stays_small():
     assert ctx._tables is None
     assert peak < 8 * 2 ** 20
     assert count == 4011377
+
+
+def test_scan_budget_is_the_table_budget():
+    assert 8 * 5791 ** 2 <= TABLE_BYTES < 8 * 5801 ** 2  # consecutive primes
+    assert count_mod._affine_scan([[((), 0)]], 0, FieldCtx(5791)) == 1
+    with pytest.raises(UsageError, match="F_5801 need 257 MiB"):
+        count_mod._affine_scan([[((), 0)]], 0, FieldCtx(5801))
+
+
+@pytest.mark.parametrize("argv", [
+    ("modularity", "--primes", "5801"),
+    ("sieve", "--primes", "5801"),
+    ("count", "--model", "quartic", "--coeffs", ",".join(["1"] * 35),
+     "--p", "5801", "--force"),
+])
+def test_scans_beyond_the_budget_exit_2_before_any_grid(capsys, monkeypatch,
+                                                        argv):
+    def refuse(*args):
+        raise AssertionError("a coefficient grid was built")
+    monkeypatch.setattr(count_mod, "_values", refuse)
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err == (
+        "k3: usage error: q x q scan arrays over F_5801 need 257 MiB "
+        "(cap 256 MiB)\n")
