@@ -8,12 +8,14 @@ stream: {"meta": "verify", "verified": true} marks the store as having
 passed a verification pass; until then the cache serves counts but is not
 authoritative.
 
-Writes go through a single append per record, so several processes may
-share a file as long as at most one writes a given (surface, p, r) key.
+Each record is one os.write of its whole line on an O_APPEND descriptor,
+opened at the first append, so several processes may share a file as long
+as at most one writes a given (surface, p, r) key.
 """
 
 import json
 import os
+import weakref
 from .count import CountRecord
 from .errors import DataError, IntegrityError
 
@@ -44,6 +46,7 @@ class CountCache:
         self.path = os.fspath(path) if path is not None else None
         self._store = {}
         self._verified = False
+        self._fd = None
         self.hits = 0
         self.misses = 0
         if self.path and os.path.exists(self.path):
@@ -81,11 +84,14 @@ class CountCache:
     def _append(self, obj) -> None:
         if self.path is None:
             return
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        if self._fd is None:
+            os.makedirs(os.path.dirname(self.path) or os.curdir, exist_ok=True)
+            self._fd = os.open(self.path,
+                               os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            weakref.finalize(self, os.close, self._fd)
+        line = (json.dumps(obj, sort_keys=True) + "\n").encode()
+        if os.write(self._fd, line) != len(line):
+            raise OSError(f"{self.path}: short write of a count record")
 
     def lookup(self, surface: str, p: int, r: int):
         """Stored count or None; tallies hit/miss statistics."""
@@ -122,9 +128,7 @@ class CountCache:
     def verified(self) -> bool:
         return self._verified
 
-    @property
-    def authoritative(self) -> bool:
-        return self._verified
+    authoritative = verified
 
     def __len__(self) -> int:
         return len(self._store)

@@ -4,14 +4,15 @@ The weight-3 newform eta(4 tau)^6 = q prod (1 - q^{4n})^6 = sum b_n q^n
 predicts #X_p(F_p) = 1 + b_p + h p + p^2 for the Fermat quartic, with
 h = 5 + 3 chi_{-1}(p) + 6 (chi_2(p) + chi_{-2}(p)) from the rational part
 of the Neron-Severi action.  verify_modularity runs that prediction against
-direct counting.
+the stratum scan, never the Jacobi-sum path that rests on the same theory.
 
 cm_sieve turns the prediction around: scanning a one-parameter family mod
 several primes for members whose counts fit a target q-series with SOME
 bounded h.  A single prime admits spurious matches (h is free per prime),
 so only residues surviving every prime matter; lift_parameter CRT-combines
 those and rationally reconstructs a small-height parameter, and
-sieve_survivors runs that analysis over a whole sieve.
+sieve_survivors runs that analysis over a whole sieve.  Both count
+through `count.count_many`, with one field context per prime.
 """
 
 import warnings
@@ -22,7 +23,7 @@ from itertools import product
 from math import gcd, isqrt, prod
 
 from ._intpoly import euler_product
-from .count import Quartic, count_quartic, fermat_quartic, pool_map
+from .count import count_many, fermat_quartic
 from .errors import DomainError, UsageError
 from .ff import FieldCtx, isprime
 
@@ -112,18 +113,11 @@ def verify_modularity(p_range, cache=None, jobs: int = 1) -> ModularityReport:
     primes = sorted(set(p_range))
     for p in primes:
         _check_odd_prime(p)  # whole range vetted before any counting
-    fermat = fermat_quartic()
-    h = fermat.surface_hash()
-    entries = []
-    for p in primes:
-        predicted = fermat_count_prediction(p)
-        counted = cache.lookup(h, p, 1) if cache is not None else None
-        if counted is None:
-            counted = count_quartic(fermat, FieldCtx(p), jobs=jobs)
-            if cache is not None:
-                cache.record(h, p, 1, counted)
-        entries.append(ModularityEntry(p, predicted, counted))
-    return ModularityReport(tuple(entries))
+    fermat = fermat_quartic().to_quartic()  # the scan route, same hash
+    return ModularityReport(tuple(
+        ModularityEntry(p, fermat_count_prediction(p),
+                        count_many([fermat], FieldCtx(p), cache, jobs)[0])
+        for p in primes))
 
 
 @dataclass(frozen=True)
@@ -134,13 +128,6 @@ class SieveCandidate:
     lam: int
     h: int
     count: int
-
-
-def _count_members_worker(payload):
-    """Counts over F_p of the given quartics, in order, in one FieldCtx."""
-    p, chunk = payload
-    ctx = FieldCtx(p)
-    return [count_quartic(Quartic(coeffs), ctx) for coeffs in chunk]
 
 
 def cm_sieve(family, target: QSeries, primes, cache=None, jobs: int = 1):
@@ -165,30 +152,12 @@ def cm_sieve(family, target: QSeries, primes, cache=None, jobs: int = 1):
             warnings.warn(f"every residue mod {p} is singular; "
                           f"prime contributes nothing")
             continue
-        counts = {}
-        todo = []
-        for lam in lams:
-            member = family.member(lam)
-            cached = (cache.lookup(member.surface_hash(), p, 1)
-                      if cache is not None else None)
-            if cached is not None:
-                counts[lam] = cached
-            else:
-                todo.append((lam, member))
-        # at most max(jobs, 1) contiguous chunks, one FieldCtx(p) each
-        coeffs = [member.coeffs for _, member in todo]
-        cut = [len(coeffs) * i // max(jobs, 1) for i in range(max(jobs, 1) + 1)]
-        chunks = [(p, coeffs[a:b]) for a, b in zip(cut, cut[1:]) if a < b]
-        results = [n for part in pool_map(_count_members_worker, chunks, jobs)
-                   for n in part]
-        for (lam, member), n in zip(todo, results):
-            counts[lam] = n
-            if cache is not None:
-                cache.record(member.surface_hash(), p, 1, n)
-        for lam in lams:
-            t = counts[lam] - 1 - p * p - b_p
+        counts = count_many([family.member(lam) for lam in lams],
+                            FieldCtx(p), cache, jobs)
+        for lam, n in zip(lams, counts):
+            t = n - 1 - p * p - b_p
             if t % p == 0 and abs(t // p) <= H_BOUND:
-                out.append(SieveCandidate(p, lam, t // p, counts[lam]))
+                out.append(SieveCandidate(p, lam, t // p, n))
     out.sort(key=lambda cand: (cand.p, cand.lam))
     return out
 

@@ -22,13 +22,15 @@ two) variables, and Horner's rule in the leading variable runs over blocks
 of its values.  Quartic counts tally zeros, double sextics sum the
 quadratic character of the values, and the smoothness scan tallies common
 zeros of f and its four partials.  The dominant stratum can be chunked
-over its leading coordinate across worker processes (`pool_map`, shared
-with the CM sieve); chunk subtotals are exact integers added in chunk
-order, so the worker count never changes the result.
+over its leading coordinate across worker processes (`pool_map`); chunk
+subtotals are exact integers added in chunk order, so the worker count
+never changes the result.  `count_many` is the one cache-through count,
+for towers, the modularity check and the CM sieve alike.
 """
 
 import json
 import hashlib
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -164,12 +166,13 @@ _SCAN_BLOCK = 2 ** 14  # grid points per numpy pass; bounds the temporaries
 
 
 def pool_map(fn, payloads, jobs):
-    """[fn(x) for x in payloads] on up to `jobs` worker processes.  Results
-    come back in payload order, so a reduction over them is deterministic."""
-    if jobs <= 1 or len(payloads) <= 1:
+    """[fn(x) for x in payloads] in payload order, so a reduction over them
+    is deterministic, on min(jobs, CPUs) processes or serially below two."""
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers < 2:
         return [fn(x) for x in payloads]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads))
 
 
@@ -401,11 +404,39 @@ def _tower_cost(surface, p, r_max) -> int:
     return sum(_route(surface, p, r)[1] for r in range(1, r_max + 1))
 
 
+def _count_worker(payload):
+    surface, p, r = payload
+    return _route(surface, p, r)[0](surface, FieldCtx(p, r), 1)
+
+
+def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):
+    """#X(F_q) for each surface, in order: read from the cache, else made
+    by `_route` and recorded in surface order.  One pending count spreads
+    its dominant stratum over `jobs` workers; several go one per task."""
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
+    p, r = ctx.p, ctx.r
+    hashes = [s.surface_hash() for s in surfaces]
+    counts = [None if cache is None else cache.lookup(h, p, r) for h in hashes]
+    todo = [i for i, n in enumerate(counts) if n is None]
+    if len(todo) == 1 or jobs == 1:  # in this process, on the caller's ctx
+        made = [_route(surfaces[i], p, r)[0](surfaces[i], ctx, jobs)
+                for i in todo]
+    else:
+        made = pool_map(_count_worker, [(surfaces[i], p, r) for i in todo],
+                        jobs)
+    for i, n in zip(todo, made):
+        counts[i] = n
+        if cache is not None:
+            cache.record(hashes[i], p, r, n)
+    return counts
+
+
 def count_tower(surface, p: int, r_max: int, cache=None, jobs: int = 1,
                 force: bool = False):
-    """Counts #X(F_{p^r}) for r = 1..r_max, consulting and filling the
-    cache when one is supplied.  Refuses towers whose estimated cost
-    exceeds the feasibility cap unless force is set."""
+    """Counts #X(F_{p^r}) for r = 1..r_max through `count_many`, one level
+    at a time.  Refuses towers whose estimated cost exceeds the
+    feasibility cap unless force is set."""
     if r_max < 1:
         raise UsageError("r_max must be at least 1")
     if not isprime(p):
@@ -416,12 +447,6 @@ def count_tower(surface, p: int, r_max: int, cache=None, jobs: int = 1,
             f"tower needs about {est:.1e} field operations "
             f"(cap {FEASIBILITY_CAP:.1e}); pass force=True to override")
     h = surface.surface_hash()
-    records = []
-    for r in range(1, r_max + 1):
-        n = cache.lookup(h, p, r) if cache is not None else None
-        if n is None:
-            n = _route(surface, p, r)[0](surface, FieldCtx(p, r), jobs)
-            if cache is not None:
-                cache.record(h, p, r, n)
-        records.append(CountRecord(h, p, r, n))
-    return records
+    return [CountRecord(h, p, r, count_many([surface], FieldCtx(p, r), cache,
+                                            jobs)[0])
+            for r in range(1, r_max + 1)]

@@ -112,7 +112,7 @@ def test_verify_modularity_uses_cache(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("recount attempted despite a warm cache")
 
-    monkeypatch.setattr(cmmod_mod, "count_quartic", boom)
+    monkeypatch.setattr("k3arith.count.count_quartic", boom)
     report = verify_modularity([3, 5], cache=cache)
     assert report.all_agree
 

@@ -45,7 +45,7 @@ def test_cm_sieve_second_pass_reads_only_the_cache(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("recount attempted despite a warm cache")
 
-    monkeypatch.setattr(cmmod, "count_quartic", boom)
+    monkeypatch.setattr("k3arith.count.count_quartic", boom)
     cache = CountCache(path)
     again = cm_sieve(dwork_pencil, target, [5, 13], cache=cache)
     assert again == first
