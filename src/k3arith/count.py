@@ -243,31 +243,26 @@ def _affine_scan(polys, k, ctx, chi=None, lo=0, hi=None):
 
 
 def _scan_worker(payload):
-    p, r, polys, k, chi, lo, hi = payload
-    return _affine_scan(polys, k, FieldCtx(p, r), chi, lo, hi)
-
-
-def _scan_stratum(polys, k, ctx, chi, jobs):
-    """_affine_scan, chunked over the leading coordinate across worker
-    processes when jobs > 1; chunk subtotals are exact and added in order."""
-    if jobs <= 1 or k < 2 or ctx.q < 8:
-        return _affine_scan(polys, k, ctx, chi)
-    q = ctx.q
-    nchunks = min(q, 4 * jobs)
-    bounds = [q * i // nchunks for i in range(nchunks + 1)]
-    payloads = [(ctx.p, ctx.r, polys, k, chi, bounds[i], bounds[i + 1])
-                for i in range(nchunks)]
-    return sum(pool_map(_scan_worker, payloads, jobs))
+    return _affine_scan(*payload)
 
 
 def _projective_scan(polys, n, ctx, chi=None, jobs=1):
-    """_scan_stratum summed over the strata x_0 = ... = x_{s-1} = 0,
-    x_s = 1 of P^n; only the dominant stratum s = 0 is chunked over jobs.
-    The polynomials are homogeneous, so their restrictions keep distinct
-    monomials and the nonzero coefficients mod p they came with."""
-    return sum(_scan_stratum([[(e[s + 1:], c) for e, c in f if not any(e[:s])]
-                              for f in polys], n - s, ctx, chi,
-                             jobs if s == 0 else 1) for s in range(n + 1))
+    """_affine_scan summed over the strata x_0 = ... = x_{s-1} = 0,
+    x_s = 1 of P^n, each one `pool_map` chunk except the dominant s = 0
+    over q >= 8, cut at the leading coordinate into min(q, 4 w) for the
+    w >= 2 workers pool_map starts; exact subtotals, added in order.  The
+    homogeneous polys restrict to distinct monomials, nonzero mod p.
+    numpy loads first, so forked workers inherit it."""
+    import numpy  # noqa: F401
+    q, w, total = ctx.q, min(jobs, os.cpu_count() or 1), 0
+    for s in range(n + 1):
+        rest = [[(e[s + 1:], c) for e, c in f if not any(e[:s])]
+                for f in polys]
+        m = min(q, 4 * w) if s == 0 and q >= 8 and w > 1 else 1
+        total += sum(pool_map(_scan_worker, [
+            (rest, n - s, ctx, chi, q * i // m, q * (i + 1) // m)
+            for i in range(m)], jobs))
+    return total
 
 
 def count_quartic(surface, ctx: FieldCtx, jobs: int = 1) -> int:
@@ -405,26 +400,23 @@ def _tower_cost(surface, p, r_max) -> int:
 
 
 def _count_worker(payload):
-    surface, p, r = payload
-    return _route(surface, p, r)[0](surface, FieldCtx(p, r), 1)
+    surface, ctx, jobs = payload
+    return _route(surface, ctx.p, ctx.r)[0](surface, ctx, jobs)
 
 
 def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):
     """#X(F_q) for each surface, in order: read from the cache, else made
-    by `_route` and recorded in surface order.  One pending count spreads
-    its dominant stratum over `jobs` workers; several go one per task."""
+    by `_route` and recorded in surface order.  One pending count keeps
+    `jobs` for its own scan; several go one per task, each at one job."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     p, r = ctx.p, ctx.r
     hashes = [s.surface_hash() for s in surfaces]
     counts = [None if cache is None else cache.lookup(h, p, r) for h in hashes]
     todo = [i for i, n in enumerate(counts) if n is None]
-    if len(todo) == 1 or jobs == 1:  # in this process, on the caller's ctx
-        made = [_route(surfaces[i], p, r)[0](surfaces[i], ctx, jobs)
-                for i in todo]
-    else:
-        made = pool_map(_count_worker, [(surfaces[i], p, r) for i in todo],
-                        jobs)
+    each = jobs if len(todo) == 1 else 1
+    made = pool_map(_count_worker, [(surfaces[i], ctx, each) for i in todo],
+                    jobs)
     for i, n in zip(todo, made):
         counts[i] = n
         if cache is not None:

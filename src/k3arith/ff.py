@@ -169,6 +169,9 @@ class FieldCtx:
     def __repr__(self):
         return f"FieldCtx(p={self.p}, r={self.r})"
 
+    def __reduce__(self):  # pickles as (p, r): no tables or logs to workers
+        return FieldCtx, (self.p, self.r)
+
     # -- element construction
 
     def element(self, value) -> "FieldElement":

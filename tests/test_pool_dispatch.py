@@ -1,0 +1,109 @@
+"""`count.pool_map` is the one place that chooses between running in this
+process and starting workers: the dominant stratum is cut for the workers
+the pool will start, not for the `jobs` asked for; numpy is loaded before
+any worker forks; a `FieldCtx` travels to workers as (p, r); and counts
+agree at one, two and a thousand jobs through real worker processes."""
+
+import concurrent.futures
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+import k3arith
+from k3arith import count
+from k3arith.cmmod import cm_sieve, eta4_pow6_expansion
+from k3arith.count import (Quartic, count_many, count_quartic, count_tower,
+                           dwork_pencil)
+from k3arith.ff import FieldCtx
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(k3arith.__file__)))
+P = 13
+MEMBERS = [dwork_pencil.member(lam) for lam in range(P)
+           if dwork_pencil.is_smooth_member(lam, P)]
+DENSE = Quartic(tuple(range(1, 36)))
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the payloads it is
+    handed, maps in this process."""
+    handed = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        payloads = list(payloads)
+        self.handed.append(len(payloads))
+        return map(fn, payloads)
+
+
+def test_chunks_follow_the_workers_not_jobs(monkeypatch):
+    _RecordingPool.handed = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(count.os, "cpu_count", lambda: 2)
+    n = count_quartic(DENSE, FieldCtx(P), jobs=1000)
+    assert _RecordingPool.handed == [8]  # 4 chunks for each of 2 workers
+    assert n == count_quartic(DENSE, FieldCtx(P))
+
+
+def test_numpy_is_loaded_before_the_pool_starts():
+    # a fresh interpreter, because this session has long since loaded numpy
+    script = (
+        "import concurrent.futures, os, sys\n"
+        "from k3arith import count\n"
+        "from k3arith.ff import FieldCtx\n"
+        "seen = []\n"
+        "class Pool:\n"
+        "    def __init__(self, max_workers):\n"
+        "        seen.append('numpy' in sys.modules)\n"
+        "    def __enter__(self):\n"
+        "        return self\n"
+        "    def __exit__(self, *exc):\n"
+        "        return False\n"
+        "    def map(self, fn, payloads):\n"
+        "        return map(fn, payloads)\n"
+        "concurrent.futures.ProcessPoolExecutor = Pool\n"
+        "os.cpu_count = lambda: 2\n"
+        "count.count_quartic(count.fermat_quartic(), FieldCtx(13), jobs=2)\n"
+        "print(seen)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[True]"
+
+
+@pytest.mark.parametrize("p, r", [(13, 1), (3, 2), (5, 3)])
+def test_field_ctx_pickles_as_p_and_r(p, r):
+    ctx = FieldCtx(p, r)
+    bare = len(pickle.dumps(ctx))
+    ctx.dlog_table()
+    ctx.packed_tables()
+    blob = pickle.dumps(ctx)
+    assert len(blob) == bare  # neither logs nor tables are shipped
+    copy = pickle.loads(blob)
+    assert copy == ctx and copy.modulus == ctx.modulus
+    assert copy.dlog_table() == ctx.dlog_table()
+
+
+def test_counts_agree_at_one_two_and_many_jobs(monkeypatch):
+    monkeypatch.setattr(count.os, "cpu_count", lambda: 2)  # real processes
+    target = eta4_pow6_expansion(13)
+    runs = [(count_tower(DENSE, 3, 2, jobs=jobs),
+             count_many(MEMBERS, FieldCtx(P), jobs=jobs),
+             count_many([DENSE], FieldCtx(P), jobs=jobs),
+             cm_sieve(dwork_pencil, target, [5, 13], jobs=jobs))
+            for jobs in (1, 2, 1000)]
+    assert runs[0] == runs[1] == runs[2]

@@ -12,13 +12,13 @@ from k3arith.ff import FieldCtx, quadratic_character
                                   (11, 2)])
 def test_sextic_table_is_the_quadratic_character(monkeypatch, p, r):
     tables = []
-    scan = count._scan_stratum
+    scan = count._affine_scan
 
-    def recording_scan(polys, k, ctx, chi, jobs):
+    def recording_scan(polys, k, ctx, chi=None, lo=0, hi=None):
         tables.append(chi)
-        return scan(polys, k, ctx, chi, jobs)
+        return scan(polys, k, ctx, chi, lo, hi)
 
-    monkeypatch.setattr(count, "_scan_stratum", recording_scan)
+    monkeypatch.setattr(count, "_affine_scan", recording_scan)
     ctx = FieldCtx(p, r)
     surface = DoubleSextic(tuple(range(1, 29)))
     count_double_sextic(surface, ctx)
