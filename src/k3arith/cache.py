@@ -6,7 +6,8 @@ JSON safety.  Loading deduplicates identical records and rejects
 conflicting counts for the same key as corruption.  Meta events share the
 stream: {"meta": "verify", "verified": true} marks the store as having
 passed a verification pass; until then the cache serves counts but is not
-authoritative.
+authoritative.  `as_records` hands the counts out as CountRecord values,
+defined here so that reading a count file never loads the counting layer.
 
 Each record is one os.write of its whole line on an O_APPEND descriptor,
 opened at the first append, so several processes may share a file as long
@@ -16,10 +17,29 @@ as at most one writes a given (surface, p, r) key.
 import json
 import os
 import weakref
-from .count import CountRecord
+from dataclasses import dataclass
+
 from .errors import DataError, IntegrityError
 
 _BIG = 2 ** 53  # JSON number safety line
+
+
+@dataclass(frozen=True)
+class CountRecord:
+    """One exact count: #X(F_{p^r}) for the surface with the given hash."""
+    surface: str
+    p: int
+    r: int
+    count: int
+
+    @property
+    def q(self) -> int:
+        return self.p ** self.r
+
+    @property
+    def trace(self) -> int:
+        """t_r = #X(F_{q^r}) - 1 - q^{2r}."""
+        return self.count - 1 - self.q * self.q
 
 
 def _encode_count(n: int):

@@ -7,6 +7,11 @@ statistics when a cache was in play.  Results are a pure function of
 bytes are reproducible across runs and thread counts.
 
 Exit codes: 0 success, 1 mathematical verification failure, 2 usage error.
+
+Start-up loads only argparse, json, the errors and the count cache: each
+handler imports the layers its subcommand calls, so `k3 --version` loads no
+layer, and calls their functions through the module (`bqf.reduce(f)`), so
+that a function rebound there is the one that runs.
 """
 
 import argparse
@@ -15,13 +20,11 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 
-from . import __version__, bqf, cmmod, count, ellsurf, singk3, zeta
+from . import __version__
 from .cache import CountCache
 from .errors import (DataError, DomainError, IntegrityError, K3ArithError,
                      UnsupportedError, UsageError)
-from .ff import isprime
 
 SCHEMA = "k3arith-report/1"
 _BIG = 2 ** 53
@@ -38,7 +41,8 @@ def _enc(x):
         return x
     if isinstance(x, int):
         return str(x) if abs(x) >= _BIG else x
-    if isinstance(x, Fraction):
+    fractions = sys.modules.get("fractions")  # loaded by whoever made one
+    if fractions is not None and isinstance(x, fractions.Fraction):
         return _enc(x.numerator) if x.denominator == 1 else str(x)
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
@@ -70,6 +74,7 @@ def _attach_negative_csv(argv):
 
 
 def _form_arg(text: str):
+    from . import bqf
     vals = _csv_ints(text)
     if len(vals) != 3:
         raise UsageError("a form needs exactly three integers a,b,c")
@@ -77,14 +82,20 @@ def _form_arg(text: str):
 
 
 def _primes_arg(text: str):
-    """Either a comma list "3,5,7" or an inclusive range "3..37"."""
+    """Either a comma list "3,5,7" or an inclusive range "3..37".  A range
+    whose largest prime is past the scan budget is refused before the rest
+    of it is enumerated."""
+    from . import count, ff
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
-            lo, hi = int(lo), int(hi)
+            lo, hi = max(2, int(lo)), int(hi)
         except ValueError:
             raise UsageError(f"bad prime range {text!r}")
-        return [n for n in range(lo, hi + 1) if isprime(n)]
+        top = next((n for n in range(hi, lo - 1, -1) if ff.isprime(n)), None)
+        if top is not None:
+            count.check_scan_budget(top)
+        return [n for n in range(lo, hi + 1) if ff.isprime(n)]
     return _csv_ints(text)
 
 
@@ -101,13 +112,14 @@ def _open_cache(path=None):
 # --- subcommand handlers: each returns (results dict, verified flag) ---------
 # The results hold plain library values; main encodes them once with _enc.
 
-_MODELS = {"quartic": count.Quartic, "sextic": count.DoubleSextic,
-           "diagonal": count.DiagonalQuartic}
+_MODELS = {"quartic": "Quartic", "sextic": "DoubleSextic",
+           "diagonal": "DiagonalQuartic"}  # --model name -> class in count
 
 
 def _cmd_count(args, cache):
+    from . import count
     coeffs = tuple(_csv_ints(args.coeffs))
-    surface = _MODELS[args.model](coeffs)
+    surface = getattr(count, _MODELS[args.model])(coeffs)
     records = count.count_tower(surface, args.p, args.r, cache=cache,
                                 jobs=args.jobs, force=args.force)
     return {
@@ -119,6 +131,7 @@ def _cmd_count(args, cache):
 
 
 def _cmd_zeta(args, cache):
+    from . import zeta
     tr = zeta.traces_from_counts(_open_cache(args.counts).as_records())
     known = _csv_ints(args.known_factor) if args.known_factor else None
     poly = zeta.p2_from_traces(tr, known)
@@ -134,6 +147,7 @@ def _cmd_zeta(args, cache):
 
 
 def _cmd_picard(args, cache):
+    from . import zeta
     coeffs = tuple(_csv_ints(args.p2))
     poly = zeta.FrobeniusPoly(q=args.q, coeffs=coeffs)
     bound, factors = zeta.picard_upper_bound(poly)
@@ -155,12 +169,14 @@ def _cmd_picard(args, cache):
 
 
 def _cmd_bqf_reduce(args, cache):
+    from . import bqf
     f = _form_arg(args.form)
     return {"input": f.astuple(), "reduced": bqf.reduce(f).astuple(),
             "disc": f.disc}, True
 
 
 def _cmd_bqf_classgroup(args, cache):
+    from . import bqf
     grp = bqf.class_group(args.d)
     return {
         "d": args.d,
@@ -172,18 +188,21 @@ def _cmd_bqf_classgroup(args, cache):
 
 
 def _cmd_bqf_compose(args, cache):
+    from . import bqf
     f, g = _form_arg(args.f), _form_arg(args.g)
     return {"f": f.astuple(), "g": g.astuple(),
             "product": bqf.compose(f, g).astuple()}, True
 
 
 def _cmd_bqf_h1list(args, cache):
+    from . import bqf
     ds = bqf.class_number_one_discriminants(args.bound)
     return {"bound": args.bound, "discriminants": ds,
             "count": len(ds)}, True
 
 
 def _cmd_inose(args, cache):
+    from . import singk3
     f = _form_arg(args.form)
     periods = singk3.shioda_mitani_periods(f)
     pencil = singk3.inose_pencil_from_form(f, args.tol)
@@ -203,6 +222,7 @@ def _cmd_inose(args, cache):
 
 
 def _cmd_kuwata(args, cache):
+    from . import ellsurf
     config, rank = ellsurf.kuwata_row(args.n, args.relation, args.isomorphic)
     return {
         "n": args.n,
@@ -216,6 +236,7 @@ def _cmd_kuwata(args, cache):
 
 
 def _cmd_modularity(args, cache):
+    from . import cmmod
     primes = _primes_arg(args.primes)
     if not primes:
         raise UsageError("no primes supplied")
@@ -231,6 +252,7 @@ def _cmd_modularity(args, cache):
 
 
 def _cmd_sieve(args, cache):
+    from . import cmmod, count
     primes = _primes_arg(args.primes)
     if not primes:
         raise UsageError("no primes supplied")

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+from .cache import CountRecord
 from .errors import InconsistencyError, UnsupportedError, UsageError
 from .ff import (TABLE_BYTES, CyclotomicInt, FieldCtx, MultChar, isprime,
                  jacobi_sum)
@@ -165,6 +166,16 @@ dwork_pencil = DworkPencil()
 _SCAN_BLOCK = 2 ** 14  # grid points per numpy pass; bounds the temporaries
 
 
+def check_scan_budget(q: int) -> None:
+    """Refuse F_q with UsageError when a q x q int64 scan grid (8 q^2
+    bytes, as much as the two int32 tables of r > 1) would exceed
+    TABLE_BYTES.  Called before any table, log or array of F_q is built."""
+    if 8 * q * q > TABLE_BYTES:
+        raise UsageError(f"q x q scan arrays over F_{q} need "
+                         f"{8 * q * q / 2 ** 20:.0f} MiB "
+                         f"(cap {TABLE_BYTES // 2 ** 20} MiB)")
+
+
 def pool_map(fn, payloads, jobs):
     """[fn(x) for x in payloads] in payload order, so a reduction over them
     is deterministic, on min(jobs, CPUs) processes or serially below two."""
@@ -219,15 +230,10 @@ def _affine_scan(polys, k, ctx, chi=None, lo=0, hi=None):
     The coefficients of the leading variable are evaluated once as grids
     over the other k - 1 <= 2 variables; Horner's rule in the leading
     variable then runs over blocks of its values, one numpy grid each.
-    Refused with UsageError, before any array is built, when a q x q int64
-    grid (8 q^2 bytes, as much as the two int32 tables of r > 1) would
-    exceed TABLE_BYTES."""
+    Refused by `check_scan_budget` before any array is built."""
     import numpy as np
     q = ctx.q
-    if 8 * q * q > TABLE_BYTES:
-        raise UsageError(f"q x q scan arrays over F_{q} need "
-                         f"{8 * q * q / 2 ** 20:.0f} MiB "
-                         f"(cap {TABLE_BYTES // 2 ** 20} MiB)")
+    check_scan_budget(q)
     if k == 0:  # the single point of F_q^0
         return _tally([_values(f, 0, ctx) for f in polys], (), chi)
     hi = q if hi is None else hi
@@ -303,6 +309,7 @@ def count_double_sextic(surface: DoubleSextic, ctx: FieldCtx, jobs: int = 1) -> 
     read off the parity of the discrete logs."""
     if ctx.p == 2:
         raise UnsupportedError("double covers need odd characteristic")
+    check_scan_budget(ctx.q)  # before the O(q) discrete-log table
     import numpy as np
     chi = np.array([0] + [1 - 2 * (k & 1) for k in ctx.dlog_table()[1:]],
                    dtype=np.int8)
@@ -358,24 +365,6 @@ def count_diagonal_quartic_jacobi(surface: DiagonalQuartic, ctx: FieldCtx):
 
 
 # --- towers ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CountRecord:
-    """One exact count: #X(F_{p^r}) for the surface with the given hash."""
-    surface: str
-    p: int
-    r: int
-    count: int
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.r
-
-    @property
-    def trace(self) -> int:
-        """t_r = #X(F_{q^r}) - 1 - q^{2r}."""
-        return self.count - 1 - self.q * self.q
-
 
 def _fast_path_ok(surface, p, r) -> bool:
     return (isinstance(surface, DiagonalQuartic) and p != 2

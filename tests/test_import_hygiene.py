@@ -1,9 +1,13 @@
-"""What `k3` loads: sympy and numpy stay out of start-up.
+"""What `k3` loads: sympy and numpy stay out of start-up, and each job
+loads only the layers of k3arith its subcommand calls.
 
 Each check runs in a fresh interpreter, because the test session itself
 has long since imported both.  `import k3arith.cli` must load neither,
 nor the process-pool machinery; jobs that do no point counting must not
 load them either, and a count loads numpy (its scan kernel) but not sympy.
+`import k3arith` loads no submodule, building the parser loads no layer,
+and a job loads the layer it runs: a class-group job never loads the
+counting layer, a count never loads the class-group layer.
 """
 
 import json
@@ -19,20 +23,23 @@ from k3arith.count import monomial_exponents
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(k3arith.__file__)))
 HEAVY = ("sympy", "numpy", "concurrent.futures.process")
+LAYERS = tuple(f"k3arith.{m}" for m in (
+    "_intpoly", "bqf", "cmmod", "count", "ellsurf", "ff", "singk3", "zeta"))
 # P2 of the Fermat quartic over F_5: (1 - 5T)^8 (1 + 5T)^12 (1 + 6T + 25T^2)
-_P2 = [1, 6, 25]
+_LINES = [1]
 for _lin in [[1, -5]] * 8 + [[1, 5]] * 12:
-    _P2 = _intpoly.mul(_P2, _lin)
-FERMAT_F5_P2 = ",".join(map(str, _P2))
+    _LINES = _intpoly.mul(_LINES, _lin)
+FERMAT_F5_LINES = ",".join(map(str, _LINES))
+FERMAT_F5_P2 = ",".join(map(str, _intpoly.mul(_LINES, [1, 6, 25])))
 
 
-def _loaded_after(code):
+def _loaded_after(code, watch=HEAVY):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
     script = code + (
         "\nimport json, sys\n"
-        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n")
+        f"print(json.dumps([m for m in {watch!r} if m in sys.modules]))\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -82,3 +89,50 @@ def test_count_loads_numpy_but_not_sympy():
     argv = ("count", "--model", "quartic", "--coeffs",
             ",".join(map(str, fermat)), "--p", "7")
     assert _loaded_after(_run_k3(*argv)) == ["numpy"]
+
+
+def _layers_after(code):
+    return _loaded_after(code, LAYERS)
+
+
+def test_package_import_loads_no_submodule():
+    every = LAYERS + ("k3arith.cache", "k3arith.cli", "k3arith.errors")
+    assert _loaded_after("import k3arith", every) == []
+
+
+def test_building_the_parser_loads_no_layer():
+    assert _layers_after("from k3arith.cli import build_parser\n"
+                         "build_parser()\n") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("bqf", "reduce", "--form", "3,2,5"),
+    ("bqf", "classgroup", "--d", "-84"),
+    ("bqf", "compose", "--f", "2,1,3", "--g", "2,-1,3"),
+    ("bqf", "h1list", "--bound", "200"),
+])
+def test_bqf_jobs_load_only_bqf(argv):
+    assert _layers_after(_run_k3(*argv)) == ["k3arith.bqf"]
+
+
+def test_kuwata_loads_only_ellsurf():
+    argv = ("kuwata", "--n", "3", "--relation", "not-isogenous")
+    assert _layers_after(_run_k3(*argv)) == ["k3arith.ellsurf"]
+
+
+def test_picard_and_zeta_load_no_counting_layer(tmp_path):
+    counts = tmp_path / "counts.jsonl"
+    counts.write_text(
+        '{"surface": "fermat", "p": 5, "r": 1, "count": 0}\n'
+        '{"surface": "fermat", "p": 5, "r": 2, "count": 1112}\n')
+    for argv in [("picard", "--p2", FERMAT_F5_P2, "--q", "5"),
+                 ("zeta", "--counts", str(counts),
+                  "--known-factor", FERMAT_F5_LINES)]:
+        assert "k3arith.count" not in _layers_after(_run_k3(*argv))
+
+
+def test_count_loads_no_class_group_or_modularity_layer():
+    argv = ("count", "--model", "diagonal", "--coeffs", "1,1,1,1",
+            "--p", "5", "--r", "2")
+    assert _layers_after(_run_k3(*argv)) == [
+        "k3arith._intpoly", "k3arith.count", "k3arith.ff"]

@@ -8,7 +8,8 @@ Python-int Horner.  The int64 route is also compared with the gathers from
 against independent routes with the tables (and, for the quartic scans,
 the discrete logs) refused.  The scans keep the q x q budget of the
 tables: an int64 coefficient grid costs as many bytes, so a prime above
-5792 is refused before any grid is built.
+5792 is refused before any grid is built, a double sextic before its
+discrete logs, and a `--primes` range before it is enumerated.
 """
 
 import itertools
@@ -19,7 +20,8 @@ import numpy as np
 import pytest
 
 from k3arith import count as count_mod
-from k3arith.cli import main
+from k3arith import ff as ff_mod
+from k3arith.cli import _primes_arg, main
 from k3arith.cmmod import fermat_count_prediction
 from k3arith.count import (QUARTIC_EXPONENTS, DoubleSextic, Quartic,
                            count_double_sextic, count_quartic, dwork_pencil,
@@ -156,6 +158,39 @@ def test_scan_budget_is_the_table_budget():
     assert count_mod._affine_scan([[((), 0)]], 0, FieldCtx(5791)) == 1
     with pytest.raises(UsageError, match="F_5801 need 257 MiB"):
         count_mod._affine_scan([[((), 0)]], 0, FieldCtx(5801))
+
+
+@pytest.mark.parametrize("p, r", [(5801, 1), (3, 9), (7, 5)])
+def test_over_budget_sextic_is_refused_before_its_logs(monkeypatch, p, r):
+    def refuse(self):
+        raise AssertionError("the discrete-log table was built")
+    monkeypatch.setattr(FieldCtx, "dlog_table", refuse)
+    ctx = FieldCtx(p, r)
+    with pytest.raises(UsageError, match=f"F_{ctx.q} need"):
+        count_double_sextic(DoubleSextic(tuple(range(1, 29))), ctx)
+
+
+@pytest.mark.parametrize("sub", ["modularity", "sieve"])
+def test_prime_range_past_the_budget_is_refused_before_enumeration(
+        capsys, monkeypatch, sub):
+    tested = []
+    isprime = ff_mod.isprime
+
+    def counting_isprime(n):
+        tested.append(n)
+        return isprime(n)
+    monkeypatch.setattr(ff_mod, "isprime", counting_isprime)
+    assert main([sub, "--primes", "6000..20000000"]) == 2
+    assert capsys.readouterr().err == (
+        "k3: usage error: q x q scan arrays over F_19999999 need "
+        "3051757507 MiB (cap 256 MiB)\n")
+    assert tested == [20000000, 19999999]  # the top prime, nothing more
+
+
+def test_prime_range_below_the_budget_is_enumerated():
+    # no prime lies between 5791 (in budget) and 5801 (past it)
+    assert _primes_arg("5770..5800") == [5779, 5783, 5791]
+    assert _primes_arg("-5..7") == [2, 3, 5, 7]
 
 
 @pytest.mark.parametrize("argv", [
