@@ -22,12 +22,11 @@ import sys
 import time
 
 from . import __version__
-from .cache import CountCache
+from .cache import CountCache, _encode_count
 from .errors import (DataError, DomainError, IntegrityError, K3ArithError,
                      UnsupportedError, UsageError)
 
 SCHEMA = "k3arith-report/1"
-_BIG = 2 ** 53
 
 # options taking comma-separated integers, any of which may be negative
 _CSV_OPTIONS = ("--coeffs", "--p2", "--known-factor", "--form", "--f", "--g")
@@ -35,12 +34,12 @@ _NEGATIVE_CSV = re.compile(r"-\d[-\d, ]*")
 
 
 def _enc(x):
-    """JSON-safe encoding: big ints as strings, exact rationals as
-    "num/den" strings, complex as {re, im} pairs."""
+    """JSON-safe encoding: ints as the count cache writes them, exact
+    rationals as "num/den" strings, complex as {re, im} pairs."""
     if isinstance(x, bool) or x is None or isinstance(x, (str, float)):
         return x
     if isinstance(x, int):
-        return str(x) if abs(x) >= _BIG else x
+        return _encode_count(x)
     fractions = sys.modules.get("fractions")  # loaded by whoever made one
     if fractions is not None and isinstance(x, fractions.Fraction):
         return _enc(x.numerator) if x.denominator == 1 else str(x)
@@ -82,21 +81,22 @@ def _form_arg(text: str):
 
 
 def _primes_arg(text: str):
-    """Either a comma list "3,5,7" or an inclusive range "3..37".  A range
-    whose largest prime is past the scan budget is refused before the rest
-    of it is enumerated."""
-    from . import count, ff
+    """Either a comma list "3,5,7" or an inclusive range "3..37".  A list
+    whose largest entry, or a range whose largest prime, is past the scan
+    budget is refused before any series is built or the range enumerated."""
+    from . import ff
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
             lo, hi = max(2, int(lo)), int(hi)
         except ValueError:
             raise UsageError(f"bad prime range {text!r}")
-        top = next((n for n in range(hi, lo - 1, -1) if ff.isprime(n)), None)
-        if top is not None:
-            count.check_scan_budget(top)
+        top = next((n for n in range(hi, lo - 1, -1) if ff.isprime(n)), 0)
+        ff.check_scan_budget(top)
         return [n for n in range(lo, hi + 1) if ff.isprime(n)]
-    return _csv_ints(text)
+    primes = _csv_ints(text)
+    ff.check_scan_budget(max([0, *primes]))
+    return primes
 
 
 def _open_cache(path=None):

@@ -25,7 +25,7 @@ from math import gcd, isqrt, prod
 from ._intpoly import euler_product
 from .count import count_many, fermat_quartic
 from .errors import DomainError, UsageError
-from .ff import FieldCtx, isprime
+from .ff import FieldCtx, check_scan_budget, isprime
 
 H_BOUND = 20  # |trace of Frob on NS| <= rank NS = 20 for a singular K3
 SMALL_INT_BOUND = 20  # window |c| <= 20 of the common small integers
@@ -111,8 +111,9 @@ class ModularityReport:
 def verify_modularity(p_range, cache=None, jobs: int = 1) -> ModularityReport:
     """Prediction vs direct count of the Fermat quartic at each prime."""
     primes = sorted(set(p_range))
-    for p in primes:
-        _check_odd_prime(p)  # whole range vetted before any counting
+    for p in primes:  # whole range vetted before any series or count
+        _check_odd_prime(p)
+        check_scan_budget(p)
     fermat = fermat_quartic().to_quartic()  # the scan route, same hash
     return ModularityReport(tuple(
         ModularityEntry(p, fermat_count_prediction(p),
@@ -139,6 +140,7 @@ def cm_sieve(family, target: QSeries, primes, cache=None, jobs: int = 1):
     plist = sorted(set(primes))
     for p in plist:
         _check_odd_prime(p)
+        check_scan_budget(p)
         if not family.good_reduction(p):
             raise DomainError(f"family has bad reduction at {p}")
         if p > target.n_max:

@@ -37,8 +37,8 @@ from itertools import product
 
 from .cache import CountRecord
 from .errors import InconsistencyError, UnsupportedError, UsageError
-from .ff import (TABLE_BYTES, CyclotomicInt, FieldCtx, MultChar, isprime,
-                 jacobi_sum)
+from .ff import (CyclotomicInt, FieldCtx, MultChar, check_scan_budget,
+                 isprime, jacobi_sum)
 
 FEASIBILITY_CAP = 300_000_000  # rough elementary field operations
 
@@ -164,16 +164,6 @@ dwork_pencil = DworkPencil()
 # --- the scan kernel ---------------------------------------------------------
 
 _SCAN_BLOCK = 2 ** 14  # grid points per numpy pass; bounds the temporaries
-
-
-def check_scan_budget(q: int) -> None:
-    """Refuse F_q with UsageError when a q x q int64 scan grid (8 q^2
-    bytes, as much as the two int32 tables of r > 1) would exceed
-    TABLE_BYTES.  Called before any table, log or array of F_q is built."""
-    if 8 * q * q > TABLE_BYTES:
-        raise UsageError(f"q x q scan arrays over F_{q} need "
-                         f"{8 * q * q / 2 ** 20:.0f} MiB "
-                         f"(cap {TABLE_BYTES // 2 ** 20} MiB)")
 
 
 def pool_map(fn, payloads, jobs):
@@ -306,13 +296,14 @@ def is_smooth_quartic(surface, ctx: FieldCtx) -> bool:
 def count_double_sextic(surface: DoubleSextic, ctx: FieldCtx, jobs: int = 1) -> int:
     """#X(F_q) for the double plane w^2 = F: each P^2 point contributes
     1 + chi(F(P)) fibers, chi the quadratic character with chi(0) = 0,
-    read off the parity of the discrete logs."""
+    read off the squares x^2 that `FieldCtx.horner` gives."""
     if ctx.p == 2:
         raise UnsupportedError("double covers need odd characteristic")
-    check_scan_budget(ctx.q)  # before the O(q) discrete-log table
+    check_scan_budget(ctx.q)  # before the O(q) arrays of squares and chi
     import numpy as np
-    chi = np.array([0] + [1 - 2 * (k & 1) for k in ctx.dlog_table()[1:]],
-                   dtype=np.int8)
+    chi = np.full(ctx.q, -1, dtype=np.int8)
+    chi[ctx.horner([0, 0, 1], np.arange(ctx.q))] = 1
+    chi[0] = 0
     return ctx.q ** 2 + ctx.q + 1 + _projective_scan(
         [surface.items(ctx.p)], 2, ctx, chi, jobs)
 

@@ -16,12 +16,11 @@ machines:
   elements for the scan kernel of `count`.  Over F_p it is int64
   arithmetic, reduced mod p only when the next step could reach 2^63, and
   needs neither tables nor discrete logs; its overflow guard bounds one
-  evaluation, while the scans of `count` keep their own TABLE_BYTES
-  budget.  For r > 1 it gathers from the q x q packed addition and
+  evaluation.  For r > 1 it gathers from the q x q packed addition and
   multiplication tables, int32 arrays derived from the element arithmetic:
   multiplication from the discrete logs, addition digit by digit in base
-  p.  They are built on first request and refused with UsageError beyond
-  TABLE_BYTES.
+  p.  They are built on first request.  `check_scan_budget` is the one
+  q x q budget, for these tables and for the scans of `count` alike.
 - chi(0) = 0 for every multiplicative character.
 - Character values and Jacobi sums live exactly in Z[zeta_m]; no floats
   anywhere in this module.
@@ -34,10 +33,21 @@ from operator import index
 from . import _intpoly
 from .errors import DomainError, UnsupportedError, UsageError
 
-TABLE_BYTES = 256 * 2 ** 20  # cap on the two int32 operation tables
+TABLE_BYTES = 256 * 2 ** 20  # cap on one q x q array: see check_scan_budget
 _INT64_LIMIT = 2 ** 63  # int64 Horner keeps every partial value below it
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981  # Sorenson-Webster, 13 bases
+
+
+def check_scan_budget(q: int) -> None:
+    """Refuse F_q with UsageError, before any table, log or array of F_q is
+    built, when one q x q int64 array (8 q^2 bytes, as much as the two int32
+    tables of r > 1) would pass TABLE_BYTES.  The cap bounds one array, not
+    one count: a dense quartic scan peaks at seven, a double sextic at none."""
+    if 8 * q * q > TABLE_BYTES:
+        raise UsageError(f"q x q scan arrays over F_{q} need "
+                         f"{8 * q * q / 2 ** 20:.0f} MiB "
+                         f"(cap {TABLE_BYTES // 2 ** 20} MiB)")
 
 
 def isprime(n) -> bool:
@@ -261,15 +271,12 @@ class FieldCtx:
     def packed_tables(self):
         """(add, mul) as q x q int32 numpy arrays over packed indices; built
         once, cached.  mul is read off the discrete logs (zero row and
-        column), add digit by digit in base p.  Raises UsageError, before
-        allocating, when the two tables would exceed TABLE_BYTES."""
+        column), add digit by digit in base p.  Refused by
+        `check_scan_budget` before anything is built."""
         if self._tables is None:
             import numpy as np
             p, q = self.p, self.q
-            if 8 * q * q > TABLE_BYTES:
-                raise UsageError(f"operation tables for F_{q} need "
-                                 f"{8 * q * q / 2 ** 20:.0f} MiB "
-                                 f"(cap {TABLE_BYTES // 2 ** 20} MiB)")
+            check_scan_budget(q)
             logs = np.array(self.dlog_table()[1:], dtype=np.int32)
             antilog = np.empty(2 * (q - 1), dtype=np.int32)
             antilog[logs] = antilog[logs + (q - 1)] = np.arange(1, q)
