@@ -14,6 +14,7 @@ diagnostics and is strictly coarser (first seen at d = -23).
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd, isqrt, lcm
 
 from .errors import DomainError, InconsistencyError, UsageError
@@ -38,7 +39,7 @@ class BinaryQuadraticForm:
 
     @property
     def content(self) -> int:
-        return gcd(gcd(self.a, self.b), self.c)
+        return gcd(self.a, self.b, self.c)
 
     @property
     def is_primitive(self) -> bool:
@@ -86,13 +87,17 @@ def _coerce(f) -> BinaryQuadraticForm:
 
 
 def reduce(f) -> BinaryQuadraticForm:
-    """The unique reduced representative of the proper class of f.
+    """The unique reduced representative of the proper class of f."""
+    f = _coerce(f)
+    return BinaryQuadraticForm(*_reduce_abc(f.a, f.b, f.c))
+
+
+def _reduce_abc(a, b, c):
+    """Reduces the triple of a positive definite form on integers.
 
     Alternates translations b -> b + 2ka (placing b in (-a, a]) with the
     inversion (a, b, c) -> (c, -b, a) whenever c < a; terminates because a
     strictly drops on every inversion."""
-    f = _coerce(f)
-    a, b, c = f.a, f.b, f.c
     while True:
         if b > a or b <= -a:
             k = (a - b) // (2 * a)
@@ -103,7 +108,7 @@ def reduce(f) -> BinaryQuadraticForm:
             continue
         if a == c and b < 0:
             b = -b
-        return BinaryQuadraticForm(a, b, c)
+        return a, b, c
 
 
 def is_isomorphic_singular_k3(f, g) -> bool:
@@ -145,56 +150,58 @@ def compose(f, g) -> BinaryQuadraticForm:
     e = gcd(a1, a2, s) = u a1 + v a2 + w s, the composite is
     (a1 a2 / e^2, (u a1 b2 + v a2 b1 + w (b1 b2 + d)/2) / e, *), reduced."""
     f, g = _coerce(f), _coerce(g)
-    if f.disc != g.disc:
+    d = f.disc
+    if g.disc != d:
         raise DomainError("forms must share a discriminant")
     if not (f.is_primitive and g.is_primitive):
         raise DomainError("composition needs primitive forms")
-    (a1, b1), (a2, b2), d = (f.a, f.b), (g.a, g.b), f.disc
+    (a1, b1), (a2, b2) = (f.a, f.b), (g.a, g.b)
     h, x, y = _egcd(a1, a2)
     e, z, w = _egcd(h, (b1 + b2) // 2)  # u = z x, v = z y
     A = a1 * a2 // (e * e)
     B, rem = divmod(z * (x * a1 * b2 + y * a2 * b1) + w * (b1 * b2 + d) // 2, e)
     if rem or (B * B - d) % (4 * A):
         raise InconsistencyError(f"composite of {f} and {g} is not integral")
-    return reduce(BinaryQuadraticForm(A, B, (B * B - d) // (4 * A)))
+    return BinaryQuadraticForm(*_reduce_abc(A, B, (B * B - d) // (4 * A)))
 
 
 def _egcd(a, b):
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, u, v = _egcd(b, a % b)
-    return (g, v, u - (a // b) * v)
+    """(g, u, v) with g = gcd(a, b) = u a + v b and g >= 0, by the extended
+    Euclidean algorithm as a loop, so the size of a and b bounds no stack."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+
+
+def _reduced_triples(d: int):
+    """Every reduced (a, b, c) of discriminant d, primitive or not, in (a, b)
+    order: 0 < a <= sqrt(|d|/3), b in (-a, a] with b = d mod 2 and
+    4a | b^2 - d, c = (b^2 - d)/(4a) >= a, and b >= 0 when c = a.  About
+    |d|/6 steps of b."""
+    _check_disc(d)
+    for a in range(1, isqrt(-d // 3) + 1):
+        four_a = 4 * a
+        for b in range(1 - a + ((a + 1 + d) & 1), a + 1, 2):
+            num = b * b - d
+            if num % four_a == 0:
+                c = num // four_a
+                if c > a or (c == a and b >= 0):
+                    yield a, b, c
 
 
 def reduced_forms(d: int, primitive_only: bool = True):
-    """All reduced forms of discriminant d, in (a, b, c) order.
-
-    Enumeration: 0 < a <= sqrt(|d|/3), b in (-a, a] with b = d mod 2 and
-    4a | b^2 - d, c = (b^2 - d)/(4a) >= a, plus the boundary sign rules."""
-    _check_disc(d)
-    out = []
-    amax = isqrt(-d // 3)
-    for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b - d) % 2:
-                continue
-            num = b * b - d
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if (abs(b) == a or a == c) and b < 0:
-                continue
-            form = BinaryQuadraticForm(a, b, c)
-            if primitive_only and not form.is_primitive:
-                continue
-            out.append(form)
-    return out
+    """All reduced forms of discriminant d, in (a, b, c) order; the
+    imprimitive ones too when primitive_only is false."""
+    return [BinaryQuadraticForm(a, b, c) for a, b, c in _reduced_triples(d)
+            if not primitive_only or gcd(a, b, c) == 1]
 
 
 def class_number(d: int) -> int:
-    return len(reduced_forms(d))
+    return sum(gcd(a, b, c) == 1 for a, b, c in _reduced_triples(d))
 
 
 @dataclass(frozen=True)
@@ -223,40 +230,89 @@ class ClassGroup:
         return lcm(*(self.order_of(i) for i in range(self.h)))
 
 
+CLASS_GROUP_STEPS = 10 ** 7  # cap on each price of class_group, in steps
+
+
+def _check_price(d: int, steps: int, what: str):
+    if steps > CLASS_GROUP_STEPS:
+        raise UsageError(f"Cl({d}) needs about {steps:.1e} {what} "
+                         f"(cap {CLASS_GROUP_STEPS:.0e})")
+
+
+def _generating_set(table, e):
+    """Indices S such that e and S, closed under right multiplication by S,
+    reach every index: greedily, each new generator is the first index not
+    yet reached.  The closure is read off the table, not assumed."""
+    gens, reached = [], {e}
+    for i in range(len(table)):
+        if i in reached:
+            continue
+        gens.append(i)
+        reached.add(i)
+        frontier = list(reached)
+        while frontier:
+            row = table[frontier.pop()]
+            for s in gens:
+                if row[s] not in reached:
+                    reached.add(row[s])
+                    frontier.append(row[s])
+    return gens
+
+
 def class_group(d: int) -> ClassGroup:
-    """Builds Cl(d) by exhaustive reduced-form enumeration plus composition,
-    and verifies the group axioms outright (closure and commutativity by
-    table construction, identity, inverses, and associativity as one row
-    identity (ab)c = a(bc) over all c per pair (a, b))."""
-    forms = tuple(reduced_forms(d))
+    """Builds Cl(d) from the reduced primitive forms and their composition
+    table, and verifies the group axioms outright.
+
+    Checked: closure (every product is one of the forms), commutativity (by
+    construction of the table), the identity row of the principal form,
+    conjugates as inverses, and associativity by Light's test.  The set A
+    of classes a with (xa)y = x(ay) for all x, y is closed under products
+    and holds the identity; so if every s of a generating set S has
+    (xs)y = x(sy) for all x, y (one row comparison per x), A is the whole
+    table.  S comes from `_generating_set`, whose closure is computed on
+    the table itself.
+
+    Cost: about |d|/6 enumeration steps, h(h+1)/2 compositions, and
+    |S| h^2 table reads for associativity, with |S| <= log2 h.  Each of
+    |d|/6 and h(h+1)/2 + h^2 is priced before the work starts and refused
+    with UsageError past CLASS_GROUP_STEPS."""
     ident = principal_form(d)
+    _check_price(d, -d // 6, "enumeration steps")
+    forms = tuple(reduced_forms(d))
+    h = len(forms)
+    _check_price(d, h * (h + 1) // 2 + h * h, "compositions and table cells")
     idx = {f: i for i, f in enumerate(forms)}
     e = idx[ident]
-    h = len(forms)
     table = [[None] * h for _ in range(h)]
-    for i in range(h):
+    for i, f in enumerate(forms):
         for j in range(i, h):
-            comp = compose(forms[i], forms[j])
-            if comp not in idx:
+            k = idx.get(compose(f, forms[j]))
+            if k is None:
                 raise InconsistencyError("composition left the reduced set")
-            table[i][j] = table[j][i] = idx[comp]
+            table[i][j] = table[j][i] = k
     for i in range(h):
         if table[e][i] != i:
             raise InconsistencyError("principal form failed as identity")
         if table[i][idx[reduce(forms[i].conjugate())]] != e:
             raise InconsistencyError(
                 "conjugate is not the composition inverse")
-    for i in range(h):
-        for j in range(h):
-            if table[table[i][j]] != [table[i][k] for k in table[j]]:
+    for s in _generating_set(table, e):
+        for row in table:
+            if table[row[s]] != [row[k] for k in table[s]]:
                 raise InconsistencyError("composition is not associative")
     return ClassGroup(d, forms, tuple(tuple(row) for row in table), e)
 
 
 def class_number_one_discriminants(bound: int):
     """All negative discriminants d with -bound <= d and h(d) = 1, fundamental
-    or not, ordered from -3 downward."""
+    or not, ordered from -3 downward.  Each enumeration stops at the second
+    primitive form."""
     if bound < 3:
         raise UsageError("bound must be at least 3")
+
+    def one_class(d):
+        primitive = (t for t in _reduced_triples(d) if gcd(*t) == 1)
+        return next(islice(primitive, 1, None), None) is None
+
     return [d for d in range(-3, -bound - 1, -1)
-            if d % 4 in (0, 1) and class_number(d) == 1]
+            if d % 4 in (0, 1) and one_class(d)]

@@ -132,6 +132,8 @@ def _cmd_count(args, cache):
 
 def _cmd_zeta(args, cache):
     from . import zeta
+    if not os.path.isfile(args.counts):
+        raise UsageError(f"no count file at {args.counts}")
     tr = zeta.traces_from_counts(_open_cache(args.counts).as_records())
     known = _csv_ints(args.known_factor) if args.known_factor else None
     poly = zeta.p2_from_traces(tr, known)
