@@ -32,17 +32,23 @@ FROZEN_COSTS = [
     (SEXTIC, 7, 5, 2883601490),
     (SEXTIC, 5, 7, 63578287750),
     (FERMAT, 5, 3, 439425),  # Jacobi at every level
-    (FERMAT, 3, 4, 239940),  # scan at odd r, Jacobi at even r
+    (FERMAT, 3, 4, 207334),  # closed form at odd r, Jacobi at even r
     (FERMAT, 13, 2, 775710),
-    (FERMAT, 2, 8, 57696640),  # scan: characteristic 2
+    (FERMAT, 2, 8, 1296000),  # closed form: characteristic 2
     (FERMAT, 5, 7, 171661376925),
     (DIAG5, 5, 3, 5939175),
-    (DIAG5, 3, 5, 43404759),
+    (DIAG5, 3, 5, 332334),
     (QUARTIC, 101, 1, 3111305),
     (QUARTIC, 2, 8, 57696640),
     (QUARTIC, 2, 9, 460874112),
     (QUARTIC, 3, 5, 44835219),
     (QUARTIC, 3, 6, 1208159568),
+    # diagonal towers the closed form admits, and the first it refuses
+    (FERMAT, 3, 7, 15024241),  # refused at 31448379213 by the scan
+    (FERMAT, 3, 8, 1177285708),
+    (FERMAT, 2, 32, 278784000),  # 1000 r^3 a level
+    (FERMAT, 2, 33, 314721000),
+    (FERMAT, 2, 1000, 250500250000000),
 ]
 
 
@@ -57,7 +63,7 @@ def test_tower_cost_frozen(surface, p, r_max, cost):
 def test_route_picks_each_count():
     assert _route(SEXTIC, 3, 1) == (count.count_double_sextic, 90)
     assert _route(QUARTIC, 3, 1) == (count.count_quartic, 99)
-    assert _route(FERMAT, 3, 1) == (count.count_quartic, 99)
+    assert _route(FERMAT, 3, 1) == (count.count_diagonal_quartic_quadric, 1000)
     jacobi, price = _route(FERMAT, 3, 2)
     assert price == 27 * 81
     ctx = FieldCtx(3, 2)
