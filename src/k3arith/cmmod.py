@@ -12,7 +12,9 @@ bounded h.  A single prime admits spurious matches (h is free per prime),
 so only residues surviving every prime matter; lift_parameter CRT-combines
 those and rationally reconstructs a small-height parameter, and
 sieve_survivors runs that analysis over a whole sieve.  Both count
-through `count.count_many`, with one field context per prime.
+through `count.count_many`, with one field context per prime; the sieve
+hands it every smooth member at once, and those members, a pencil, take
+one scan per prime.
 """
 
 import warnings

@@ -142,9 +142,16 @@ def _is_irreducible(f, p):
 
 
 def _least_irreducible(p, r):
-    """Deterministic modulus: least monic irreducible in the packed order."""
-    for n in range(p ** r):  # c_i is the i-th base-p digit of n
-        f = tuple(n // p ** i % p for i in range(r)) + (1,)
+    """Deterministic modulus: least monic irreducible in the packed order,
+    skipping x | f at r >= 2 and the binomials x^r + c (n < p) when no one
+    is irreducible (Lidl and Niederreiter, Finite Fields, Thm. 3.75)."""
+    binomials = not (any(r % l == 0 and (p - 1) % l and isprime(l)
+                         for l in range(2, r + 1))
+                     or r % 4 == 0 and p % 4 == 3)
+    for n in range(0 if binomials else p, p ** r):
+        if r > 1 and n % p == 0:
+            continue
+        f = tuple(n // p ** i % p for i in range(r)) + (1,)  # base-p digits
         if _is_irreducible(f, p):
             return f
     raise DomainError(f"no irreducible polynomial of degree {r} over F_{p}")
