@@ -2,7 +2,8 @@
 quartics in P^3, double covers of P^2 branched over a sextic, and diagonal
 quartics, which count without a scan (Jacobi sums at q = 1 mod 4, a
 closed form at q = 3 mod 4 or p = 2) unless p > 2 divides a coefficient.
-`_route` picks the count and its price for each level F_{p^r} of a tower.
+`_route` picks the count for each level F_{p^r} and its one price, which
+refuses work past FEASIBILITY_CAP and gives a count workers (`count_many`).
 
 Models carry integer coefficients in a fixed sorted monomial order, so the
 canonical serialization (and the cache hash derived from it) is stable.
@@ -23,10 +24,10 @@ two) variables, and Horner's rule in the leading variable runs over blocks
 of its values.  Quartic counts tally zeros, double sextics sum the
 quadratic character of the values, the smoothness scan tallies common
 zeros of f and its four partials, and a pencil F + mu G tallies its
-points by member, mu = -F/G.  The dominant stratum can be chunked
-over its leading coordinate across worker processes (`pool_map`); chunk
-subtotals are exact, added in chunk order, so the worker count
-never changes the result.  `count_many` is the one cache-through count,
+points by member, mu = -F/G.  The dominant stratum is chunked over its
+leading coordinate across the worker processes (`pool_map`) a scan is
+given; chunk subtotals are exact, added in chunk order, so the worker
+count never changes the result.  `count_many` is the one cache-through count,
 for towers, the modularity check and the CM sieve alike.
 """
 
@@ -42,7 +43,8 @@ from .errors import InconsistencyError, UnsupportedError, UsageError
 from .ff import (CyclotomicInt, FieldCtx, MultChar, check_scan_budget,
                  isprime, jacobi_sum, quadratic_character)
 
-FEASIBILITY_CAP = 300_000_000  # rough elementary field operations
+FEASIBILITY_CAP = 300_000_000  # `_route` price units, about 1 ns each
+_POOL_PRICE = 12_000_000  # workers from this price on: see count_many
 
 
 @lru_cache(maxsize=None)
@@ -263,17 +265,17 @@ def _scan_worker(payload):
 
 def _projective_scan(polys, n, ctx, tally=None, jobs=1):
     """_affine_scan summed over the strata x_0 = ... = x_{s-1} = 0,
-    x_s = 1 of P^n, each one `pool_map` chunk except the dominant s = 0
-    over q >= 8, cut at the leading coordinate into min(q, 4 w) for the
-    w >= 2 workers pool_map starts; exact subtotals, added in order.  The
-    homogeneous polys restrict to distinct monomials, nonzero mod p.
-    numpy loads first, so forked workers inherit it."""
+    x_s = 1 of P^n, each one `pool_map` chunk except the dominant s = 0,
+    cut at the leading coordinate into min(q, 4 w) for the w >= 2 workers
+    pool_map starts; exact subtotals, added in order.  The homogeneous
+    polys restrict to distinct monomials, nonzero mod p.  numpy loads
+    first, so forked workers inherit it."""
     import numpy  # noqa: F401
     q, w, total = ctx.q, min(jobs, os.cpu_count() or 1), 0
     for s in range(n + 1):
         rest = [[(e[s + 1:], c) for e, c in f if not any(e[:s])]
                 for f in polys]
-        m = min(q, 4 * w) if s == 0 and q >= 8 and w > 1 else 1
+        m = min(q, 4 * w) if s == 0 and w > 1 else 1
         total += sum(pool_map(_scan_worker, [
             (rest, n - s, ctx, tally, q * i // m, q * (i + 1) // m)
             for i in range(m)], jobs))
@@ -303,11 +305,12 @@ def is_smooth_quartic(surface, ctx: FieldCtx) -> bool:
     """Jacobian criterion checked at every F_q-rational point: returns False
     when some rational point of the quartic also kills all four partials.
     A True answer certifies only the rational points; a singular point seen
-    first over an extension needs a re-run at larger r."""
-    p, q = ctx.p, ctx.q
-    if 200 * q ** 3 > FEASIBILITY_CAP:
+    first over an extension needs a re-run at larger r.  Priced by
+    `_route` as five quartic scans (to F_271 under FEASIBILITY_CAP)."""
+    p, q, f = ctx.p, ctx.q, surface.to_quartic()
+    if 5 * _route(f, p, ctx.r)[1] > FEASIBILITY_CAP:
         raise UsageError(f"rational-point smoothness scan infeasible at q = {q}")
-    f_items = surface.to_quartic().items(p)
+    f_items = f.items(p)
     polys = [f_items] + [_partial_items(f_items, i, p) for i in range(4)]
     return _projective_scan(polys, 3, ctx) == 0
 
@@ -406,21 +409,23 @@ def _quadric_path_ok(surface, p, r) -> bool:
 
 
 def _route(surface, p, r):
-    """(count(surface, ctx, jobs), price in field operations, tables
-    included) for the level F_{p^r} of a tower.  A diagonal quartic's
-    closed form is priced at its `FieldCtx(p, r)`: F_{2^r}, r <= 200, took
-    at most 700 r^3 ns on a 2-core x86 machine, and an operation about 1 ns.
-    The counts are module globals read at call time, so a wrapper rebound
-    here by name runs."""
+    """(count(surface, ctx, jobs), price) for the level F_{p^r}: the one
+    price that refuses work and hands out workers, a unit about 1 ns (2-core
+    x86, in-process).  A scan, 3 q^3 plus 2 q^2 for the tables r > 1
+    builds, ran at 1.0 to 1.3 ns a unit over F_101 to F_251, 4.2 to 5.1
+    over F_243 to F_343; a double sextic, 10 q^2, at 1.0 to 7.9 over F_101
+    to F_{7^4}; Jacobi sums, 5000 q, at 4.2 to 7.2 us an element of F_169
+    to F_{3^10}; the closed form, 1000 r^3, builds F_{2^r}, r <= 200, in
+    700 r^3 ns or less.  Counts are module globals read at call time."""
     q = p ** r
     if isinstance(surface, DoubleSextic):
         return count_double_sextic, 10 * q * q
     if _fast_path_ok(surface, p, r):
         return (lambda s, ctx, jobs: count_diagonal_quartic_jacobi(s, ctx)[0],
-                27 * q * q)
+                5000 * q)
     if _quadric_path_ok(surface, p, r):
         return count_diagonal_quartic_quadric, 1000 * r ** 3
-    return count_quartic, 3 * q ** 3 + 2 * q * q
+    return count_quartic, 3 * q ** 3 + 2 * q * q * (r > 1)
 
 
 def _tower_cost(surface, p, r_max) -> int:
@@ -460,20 +465,29 @@ def _count_pencil(surfaces, ctx, jobs):
 
 def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):
     """#X(F_q) for each surface, in order: read from the cache, else made
-    and recorded in surface order: by one scan at `jobs` for a pencil's
-    members (`_count_pencil`), else by `_route`, one pending count keeping
-    `jobs` for its own scan and several going one per task at one job."""
+    and recorded in surface order: by one scan for a pencil's members
+    (`_count_pencil`, priced as 4 of them), else by `_route`, one pending
+    count keeping the jobs for its own scan and several going one per
+    task.  The one place that uses `jobs`, only for work whose `_route`
+    price reaches _POOL_PRICE: a dense quartic at 1 job against 2 took
+    17.9 against 18.7 ms over F_151 (price 1.0e7), 25.0 against 23.8 over
+    F_167 (1.4e7; 2 CPUs, median of 5)."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     p, r = ctx.p, ctx.r
     hashes = [s.surface_hash() for s in surfaces]
     counts = [None if cache is None else cache.lookup(h, p, r) for h in hashes]
     todo = [i for i, n in enumerate(counts) if n is None]
-    made = _count_pencil([surfaces[i] for i in todo], ctx, jobs)
+    pending = [surfaces[i] for i in todo]
+
+    def gate(work):
+        return jobs if jobs > 1 and sum(
+            _route(s, p, r)[1] for s in work) >= _POOL_PRICE else 1
+    made = _count_pencil(pending, ctx, gate(pending[:4]))
     if made is None:
-        each = jobs if len(todo) == 1 else 1
-        made = pool_map(_count_worker,
-                        [(surfaces[i], ctx, each) for i in todo], jobs)
+        jobs = gate(pending)
+        made = pool_map(_count_worker, [
+            (s, ctx, jobs if len(todo) == 1 else 1) for s in pending], jobs)
     for i, n in zip(todo, made):
         counts[i] = n
         if cache is not None:
@@ -484,18 +498,19 @@ def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):
 def count_tower(surface, p: int, r_max: int, cache=None, jobs: int = 1,
                 force: bool = False):
     """Counts #X(F_{p^r}) for r = 1..r_max through `count_many`, one level
-    at a time.  Refuses towers whose estimated cost exceeds the
-    feasibility cap unless force is set."""
+    at a time.  Unless force is set, refuses the tower at the first level
+    where the running sum of `_route` prices passes the feasibility cap."""
     if r_max < 1:
         raise UsageError("r_max must be at least 1")
     if not isprime(p):
         raise UsageError(f"p = {p} is not prime")
-    est = _tower_cost(surface, p, r_max)
-    if est > FEASIBILITY_CAP and not force:
-        raise UsageError(
-            f"tower needs about {est:.1e} field operations "
-            f"(cap {FEASIBILITY_CAP:.1e}); pass force=True (k3 count "
-            f"--force) to override")
+    for r in [] if force else range(1, r_max + 1):
+        if (est := _tower_cost(surface, p, r)) > FEASIBILITY_CAP:
+            from decimal import Decimal  # a price past float range
+            raise UsageError(
+                f"tower needs about {Decimal(est):.1e} field operations by "
+                f"r = {r} (cap {Decimal(FEASIBILITY_CAP):.1e}); pass "
+                f"force=True (k3 count --force) to override")
     h = surface.surface_hash()
     return [CountRecord(h, p, r, count_many([surface], FieldCtx(p, r), cache,
                                             jobs)[0])

@@ -315,8 +315,15 @@ class FieldCtx:
 
     def dlog_table(self):
         """dlog[a] = k with g^k = a for packed a != 0; dlog[0] = None.
-        One walk over the powers of g: O(q) multiplications and memory."""
+        One walk over the powers of g: O(q) multiplications and memory.
+        Refused before the walk when the list would pass TABLE_BYTES at
+        40 bytes an entry (tracemalloc read about 40 at q = 5^6, 17^4 and
+        3^12), that is for q > 6710886."""
         if self._dlog is None:
+            if 40 * self.q > TABLE_BYTES:
+                raise UsageError(f"discrete logs of F_{self.q} need "
+                                 f"{40 * self.q // 2 ** 20} MiB "
+                                 f"(cap {TABLE_BYTES // 2 ** 20} MiB)")
             g = self.from_packed(self.primitive_root()).vec
             table = [None] * self.q
             acc = self.one.vec

@@ -275,5 +275,5 @@ def test_smoothness_catches_singular_models():
 
 
 def test_smoothness_feasibility_guard():
-    with pytest.raises(UsageError):
-        is_smooth_quartic(fermat_quartic(), FieldCtx(11, 2))
+    with pytest.raises(UsageError):  # F_121 is admitted since priced by _route
+        is_smooth_quartic(fermat_quartic(), FieldCtx(17, 2))

@@ -106,12 +106,14 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, fake_pool):
     monkeypatch.setattr(count.os, "cpu_count", lambda: 3)
     huge = 10 ** 6  # only ever handed to the fake pool
     quartic = fermat_quartic().to_quartic()
-    tower = count_tower(quartic, 3, 2, jobs=huge)
-    assert fake_pool == [3]  # the dominant stratum over F_9 (F_3 is small)
-    assert tower == count_tower(quartic, 3, 2)
+    tower = count_tower(quartic, 13, 2, jobs=huge)
+    assert fake_pool == [3]  # the dominant stratum over F_169 (F_13 is small)
+    assert tower == count_tower(quartic, 13, 2)
     fake_pool.clear()
-    assert count_many(MEMBERS, FieldCtx(P), jobs=huge) == count_many(
-        MEMBERS, FieldCtx(P))
+    members = [dwork_pencil.member(lam) for lam in range(127)
+               if dwork_pencil.is_smooth_member(lam, 127)]
+    assert count_many(members, FieldCtx(127), jobs=huge) == count_many(
+        members, FieldCtx(127))
     assert fake_pool == [3]  # several pending counts: one pool
 
 
