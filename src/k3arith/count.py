@@ -2,8 +2,7 @@
 quartics in P^3, double covers of P^2 branched over a sextic, and diagonal
 quartics, which count without a scan (Jacobi sums at q = 1 mod 4, a
 closed form at q = 3 mod 4 or p = 2) unless p > 2 divides a coefficient.
-`_route` picks the count for each level F_{p^r} and its one price, which
-refuses work past FEASIBILITY_CAP and gives a count workers (`count_many`).
+`_route` picks the count and the one price for each level F_{p^r}.
 
 Models carry integer coefficients in a fixed sorted monomial order, so the
 canonical serialization (and the cache hash derived from it) is stable.
@@ -24,10 +23,10 @@ two) variables, and Horner's rule in the leading variable runs over blocks
 of its values.  Quartic counts tally zeros, double sextics sum the
 quadratic character of the values, the smoothness scan tallies common
 zeros of f and its four partials, and a pencil F + mu G tallies its
-points by member, mu = -F/G.  The dominant stratum is chunked over its
-leading coordinate across the worker processes (`pool_map`) a scan is
-given; chunk subtotals are exact, added in chunk order, so the worker
-count never changes the result.  `count_many` is the one cache-through count,
+points by member, mu = -F/G.  The dominant stratum can be chunked
+over its leading coordinate across worker processes (`pool_map`); chunk
+subtotals are exact, added in chunk order, so the worker count
+never changes the result.  `count_many` is the one cache-through count,
 for towers, the modularity check and the CM sieve alike.
 """
 
@@ -306,7 +305,7 @@ def is_smooth_quartic(surface, ctx: FieldCtx) -> bool:
     when some rational point of the quartic also kills all four partials.
     A True answer certifies only the rational points; a singular point seen
     first over an extension needs a re-run at larger r.  Priced by
-    `_route` as five quartic scans (to F_271 under FEASIBILITY_CAP)."""
+    `_route` as five quartic scans."""
     p, q, f = ctx.p, ctx.q, surface.to_quartic()
     if 5 * _route(f, p, ctx.r)[1] > FEASIBILITY_CAP:
         raise UsageError(f"rational-point smoothness scan infeasible at q = {q}")
@@ -411,12 +410,14 @@ def _quadric_path_ok(surface, p, r) -> bool:
 def _route(surface, p, r):
     """(count(surface, ctx, jobs), price) for the level F_{p^r}: the one
     price that refuses work and hands out workers, a unit about 1 ns (2-core
-    x86, in-process).  A scan, 3 q^3 plus 2 q^2 for the tables r > 1
-    builds, ran at 1.0 to 1.3 ns a unit over F_101 to F_251, 4.2 to 5.1
-    over F_243 to F_343; a double sextic, 10 q^2, at 1.0 to 7.9 over F_101
-    to F_{7^4}; Jacobi sums, 5000 q, at 4.2 to 7.2 us an element of F_169
-    to F_{3^10}; the closed form, 1000 r^3, builds F_{2^r}, r <= 200, in
-    700 r^3 ns or less.  Counts are module globals read at call time."""
+    x86, in-process, a fresh `FieldCtx` each).  A scan over F_p, 3 q^3,
+    ran at 1.3 to 1.8 ns a unit over F_101 to F_251; over F_{p^r}, r > 1,
+    10 q^3 for the table gathers plus 2 q^2 for the tables, at 1.2 to 2.0
+    over F_64 to F_343; a double sextic, 10 q^2, at 0.7 to 1.2 over F_1009
+    to F_4001 and 4.4 to 10 over F_{5^4} to F_{5^5}; Jacobi sums, 5000 q,
+    at 4.2 to 7.2 us an element of F_169 to F_{3^10}; the closed form,
+    1000 r^3, builds F_{2^r}, r <= 200, in 700 r^3 ns or less.  Counts are
+    module globals read at call time."""
     q = p ** r
     if isinstance(surface, DoubleSextic):
         return count_double_sextic, 10 * q * q
@@ -425,7 +426,7 @@ def _route(surface, p, r):
                 5000 * q)
     if _quadric_path_ok(surface, p, r):
         return count_diagonal_quartic_quadric, 1000 * r ** 3
-    return count_quartic, 3 * q ** 3 + 2 * q * q * (r > 1)
+    return count_quartic, 3 * q ** 3 if r == 1 else 10 * q ** 3 + 2 * q * q
 
 
 def _tower_cost(surface, p, r_max) -> int:
@@ -466,12 +467,11 @@ def _count_pencil(surfaces, ctx, jobs):
 def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):
     """#X(F_q) for each surface, in order: read from the cache, else made
     and recorded in surface order: by one scan for a pencil's members
-    (`_count_pencil`, priced as 4 of them), else by `_route`, one pending
-    count keeping the jobs for its own scan and several going one per
-    task.  The one place that uses `jobs`, only for work whose `_route`
-    price reaches _POOL_PRICE: a dense quartic at 1 job against 2 took
-    17.9 against 18.7 ms over F_151 (price 1.0e7), 25.0 against 23.8 over
-    F_167 (1.4e7; 2 CPUs, median of 5)."""
+    (`_count_pencil`), else by `_route`, one pending count keeping the jobs
+    for its own scan and several going one per task.  The one place that
+    uses `jobs`, once the `_route` price reaches _POOL_PRICE (a pencil's
+    scan priced as 4 members): a dense quartic took 18.0 ms at 1 job and
+    at 2 over F_151 (price 1.0e7), 24.0 and 21.3 over F_167 (1.4e7)."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     p, r = ctx.p, ctx.r
@@ -479,13 +479,11 @@ def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):
     counts = [None if cache is None else cache.lookup(h, p, r) for h in hashes]
     todo = [i for i, n in enumerate(counts) if n is None]
     pending = [surfaces[i] for i in todo]
-
-    def gate(work):
-        return jobs if jobs > 1 and sum(
-            _route(s, p, r)[1] for s in work) >= _POOL_PRICE else 1
-    made = _count_pencil(pending, ctx, gate(pending[:4]))
+    prices = [_route(s, p, r)[1] for s in pending] if jobs > 1 else []
+    made = _count_pencil(pending, ctx, jobs if 4 * max(prices, default=0)
+                         >= _POOL_PRICE else 1)
     if made is None:
-        jobs = gate(pending)
+        jobs = jobs if sum(prices) >= _POOL_PRICE else 1
         made = pool_map(_count_worker, [
             (s, ctx, jobs if len(todo) == 1 else 1) for s in pending], jobs)
     for i, n in zip(todo, made):
@@ -504,8 +502,10 @@ def count_tower(surface, p: int, r_max: int, cache=None, jobs: int = 1,
         raise UsageError("r_max must be at least 1")
     if not isprime(p):
         raise UsageError(f"p = {p} is not prime")
+    est = 0
     for r in [] if force else range(1, r_max + 1):
-        if (est := _tower_cost(surface, p, r)) > FEASIBILITY_CAP:
+        est += _route(surface, p, r)[1]
+        if est > FEASIBILITY_CAP:
             from decimal import Decimal  # a price past float range
             raise UsageError(
                 f"tower needs about {Decimal(est):.1e} field operations by "

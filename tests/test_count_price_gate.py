@@ -65,11 +65,12 @@ def test_smoothness_prices_five_quartic_scans(monkeypatch):
         raise AssertionError("scanned a field priced past the cap")
 
     monkeypatch.setattr(count, "_projective_scan", boom)
-    for p in (277, 1009):
-        assert 5 * _route(DENSE, p, 1)[1] > FEASIBILITY_CAP
-        with pytest.raises(UsageError, match=f"q = {p}"):
-            is_smooth_quartic(fermat_quartic(), FieldCtx(p))
+    for p, r in ((277, 1), (1009, 1), (3, 5), (2, 8)):
+        assert 5 * _route(DENSE, p, r)[1] > FEASIBILITY_CAP
+        with pytest.raises(UsageError, match=f"q = {p ** r}"):
+            is_smooth_quartic(fermat_quartic(), FieldCtx(p, r))
     assert 5 * _route(DENSE, 271, 1)[1] <= FEASIBILITY_CAP
+    assert 5 * _route(DENSE, 13, 2)[1] <= FEASIBILITY_CAP
 
 
 def test_small_scans_at_two_jobs_start_no_pool(pools):
@@ -85,6 +86,17 @@ def test_a_dense_quartic_over_f_251_gets_its_workers(pools):
     assert pools == [2]  # one pool, never more workers than CPUs
     assert tower == count_tower(DENSE, 251, 1)
     assert pools == [2]
+
+
+def test_scans_at_r_above_1_are_priced_at_their_measured_cost(pools):
+    """A scan through the operation tables runs about 3 times slower a
+    point than one over F_p, so its price reaches the gate from a smaller
+    q: F_125 gets workers, F_81 none."""
+    assert _route(DENSE, 5, 3)[1] == 10 * 125 ** 3 + 2 * 125 ** 2
+    for p, r, pool in ((3, 4, []), (5, 3, [2])):
+        pools.clear()
+        count_tower(DENSE, p, r, jobs=2)
+        assert pools == pool, (p, r)
 
 
 def test_a_direct_count_obeys_jobs_over_any_field(pools):
