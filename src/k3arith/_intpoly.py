@@ -7,7 +7,6 @@ exact division returns None rather than a quotient with a remainder.  F_p[x]
 arithmetic is the Z[x] arithmetic here followed by one `mod_p`.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -40,6 +39,7 @@ def mod_p(p, prime):
 
 def divmod_poly(p, q):
     """Polynomial division over Q; (quotient, remainder) as Fraction lists."""
+    from fractions import Fraction  # loaded only where a Fraction is made
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     rem = [Fraction(c) for c in p]

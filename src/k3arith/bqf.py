@@ -237,8 +237,10 @@ CLASS_GROUP_STEPS = 10 ** 7  # cap on each price of this module, in steps
 
 def _check_price(subject: str, steps: int, what: str):
     if steps > CLASS_GROUP_STEPS:
-        raise UsageError(f"{subject} needs about {steps:.1e} {what} "
-                         f"(cap {CLASS_GROUP_STEPS:.0e})")
+        from decimal import Decimal  # a price past float range
+        mant, _, exp = f"{Decimal(steps):.1e}".partition("e")
+        raise UsageError(f"{subject} needs about {mant}e{int(exp):+03d} "
+                         f"{what} (cap {CLASS_GROUP_STEPS:.0e})")
 
 
 def _generating_set(table, e):

@@ -12,9 +12,18 @@ Start-up loads only argparse, json, the errors and the count cache: each
 handler imports the layers its subcommand calls, so `k3 --version` loads no
 layer, and calls their functions through the module (`bqf.reduce(f)`), so
 that a function rebound there is the one that runs.
+
+Past the imports, a process also pays for cyclic garbage collection: the
+collections during a run and the interpreter's final ones at exit, which
+walk every object numpy and the layers loaded (timings in README).  A `k3`
+run makes no cyclic garbage that grows with its work, so `run()`, the
+process entry, turns the collector off and freezes what is left before the
+interpreter finalizes.  `main(argv)`, for in-process callers, leaves the
+collector alone.
 """
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -428,5 +437,15 @@ def main(argv=None) -> int:
     return 0 if ok else 1
 
 
+def run() -> int:
+    """Process entry (`k3`, `python -m k3arith.cli`): main() with cyclic
+    garbage collection off, then every object left frozen, so that the
+    collections at exit have nothing to walk."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

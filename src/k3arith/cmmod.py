@@ -19,7 +19,6 @@ one scan per prime.
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, prod
@@ -205,6 +204,7 @@ def lift_parameter(residues, height_bound: int):
         return None
     if abs(u) > height_bound or v > height_bound:
         return None
+    from fractions import Fraction  # loaded only where a Fraction is made
     return Fraction(u, v)
 
 

@@ -136,3 +136,24 @@ def test_count_loads_no_class_group_or_modularity_layer():
             "--p", "5", "--r", "2")
     assert _layers_after(_run_k3(*argv)) == [
         "k3arith._intpoly", "k3arith.count", "k3arith.ff"]
+
+
+FRACTIONS = ("fractions", "decimal")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--model", "quartic", "--coeffs",
+     ",".join(str(int(max(e) == 4)) for e in monomial_exponents(4, 4)),
+     "--p", "7"),
+    ("count", "--model", "diagonal", "--coeffs", "1,1,1,1", "--p", "5",
+     "--r", "2"),
+    ("modularity", "--primes", "3..37"),
+])
+def test_counting_jobs_load_no_fractions(argv):
+    # counting makes no Fraction, so neither module loads
+    assert _loaded_after(_run_k3(*argv), FRACTIONS) == []
+
+
+def test_sieve_lift_loads_fractions():
+    argv = ("sieve", "--primes", "5,13,17", "--lift")
+    assert _loaded_after(_run_k3(*argv), FRACTIONS) == list(FRACTIONS)
