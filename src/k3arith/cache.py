@@ -89,11 +89,11 @@ class CountCache:
                     if obj.get("verified"):
                         self._verified = True
                     continue
-                try:
-                    key = (obj["surface"], int(obj["p"]), int(obj["r"]))
-                except (KeyError, TypeError, ValueError):
-                    raise DataError(f"{where}: record needs surface/p/r/count "
-                                    f"fields") from None
+                key = (obj.get("surface"), obj.get("p"), obj.get("r"))
+                if not (isinstance(key[0], str) and all(
+                        type(v) is int for v in key[1:])):
+                    raise DataError(f"{where}: record needs a string surface "
+                                    f"and integer p and r")
                 count = _decode_count(obj.get("count"), where)
                 if key in self._store and self._store[key] != count:
                     raise IntegrityError(

@@ -20,14 +20,15 @@ and so on), for every count and the smoothness scan.  One kernel,
 `_affine_scan`, serves every stratum of every model: the coefficients of
 the leading variable are evaluated as numpy grids over the other (at most
 two) variables, and Horner's rule in the leading variable runs over blocks
-of its values.  Quartic counts tally zeros, double sextics sum the
-quadratic character of the values, the smoothness scan tallies common
-zeros of f and its four partials, and a pencil F + mu G tallies its
-points by member, mu = -F/G.  The dominant stratum can be chunked
-over its leading coordinate across worker processes (`pool_map`); chunk
-subtotals are exact, added in chunk order, so the worker count
-never changes the result.  `count_many` is the one cache-through count,
-for towers, the modularity check and the CM sieve alike.
+of its values.  Every block's tally is a function of (values, shape):
+`_zeros` counts common zeros (quartics, the smoothness scan), `_chi_sum`
+sums the quadratic character (double sextics), and `_pencil_tally` puts a
+pencil F + mu G's points under their member mu = -F/G.  Only a scan takes
+workers: its dominant stratum can be chunked over its leading coordinate
+across worker processes (`pool_map`); chunk subtotals are exact, added in
+chunk order, so the worker count never changes the result.  `count_many`
+is the one cache-through count, for towers, the modularity check and the
+CM sieve alike.
 """
 
 import json
@@ -40,7 +41,7 @@ from itertools import product
 from .cache import CountRecord
 from .errors import InconsistencyError, UnsupportedError, UsageError
 from .ff import (CyclotomicInt, FieldCtx, MultChar, check_scan_budget,
-                 isprime, jacobi_sum, quadratic_character)
+                 isprime, jacobi_sum)
 
 FEASIBILITY_CAP = 300_000_000  # `_route` price units, about 1 ns each
 _POOL_PRICE = 12_000_000  # workers from this price on: see count_many
@@ -202,19 +203,19 @@ def _values(items, n, ctx):
                        for part in _by_leading_degree(items)], x)
 
 
-def _tally(vals, shape, tally):
-    """One block's tally, each array broadcast to the grid shape: the
-    common zeros of vals, or with an array tally the sum of it over
-    vals[0], or with a function tally(vals, shape)."""
+def _zeros(vals, shape):
+    """The common zeros of vals, each array broadcast to the grid shape."""
     import numpy as np
-    if callable(tally):
-        return tally(vals, shape)
-    if tally is not None:
-        return int(np.broadcast_to(tally[vals[0]], shape).sum())
     hit = np.ones(shape, dtype=bool)
     for v in vals:
         hit &= v == 0
     return int(np.count_nonzero(hit))
+
+
+def _chi_sum(chi, vals, shape):
+    """The sum of the table chi over vals[0], broadcast to the grid shape."""
+    import numpy as np
+    return int(np.broadcast_to(chi[vals[0]], shape).sum())
 
 
 def _pencil_tally(ninv, vals, shape):
@@ -227,15 +228,15 @@ def _pencil_tally(ninv, vals, shape):
     mu *= f
     mu %= len(ninv)
     hist = np.bincount(np.ravel(mu), minlength=len(ninv))
-    hist[0] -= _tally([g], shape, None)
-    hist += _tally([f, g], shape, None)
+    hist[0] -= _zeros([g], shape)
+    hist += _zeros([f, g], shape)
     return hist
 
 
-def _affine_scan(polys, k, ctx, tally=None, lo=0, hi=None):
+def _affine_scan(polys, k, ctx, tally=_zeros, lo=0, hi=None):
     """Scan the affine stratum F_q^k, leading coordinate in [lo, hi), for
     the polynomials in polys (lists of (exponent tuple, coefficient mod p)):
-    `_tally` summed over the blocks, by default the common zeros.
+    tally(vals, shape) summed over the blocks, `_zeros` by default.
 
     The coefficients of the leading variable are evaluated once as grids
     over the other k - 1 <= 2 variables; Horner's rule in the leading
@@ -245,7 +246,7 @@ def _affine_scan(polys, k, ctx, tally=None, lo=0, hi=None):
     q = ctx.q
     check_scan_budget(q)
     if k == 0:  # the single point of F_q^0
-        return _tally([_values(f, 0, ctx) for f in polys], (), tally)
+        return tally([_values(f, 0, ctx) for f in polys], ())
     hi = q if hi is None else hi
     coeffs = [[_values(part, k - 1, ctx) for part in _by_leading_degree(f)]
               for f in polys]
@@ -253,8 +254,8 @@ def _affine_scan(polys, k, ctx, tally=None, lo=0, hi=None):
     total = 0
     for a in range(lo, hi, step):
         x = np.arange(a, min(a + step, hi)).reshape((-1,) + (1,) * (k - 1))
-        total += _tally([ctx.horner(c, x) for c in coeffs],
-                        (len(x),) + (q,) * (k - 1), tally)
+        total += tally([ctx.horner(c, x) for c in coeffs],
+                       (len(x),) + (q,) * (k - 1))
     return total
 
 
@@ -262,13 +263,14 @@ def _scan_worker(payload):
     return _affine_scan(*payload)
 
 
-def _projective_scan(polys, n, ctx, tally=None, jobs=1):
+def _projective_scan(polys, n, ctx, tally=_zeros, jobs=1):
     """_affine_scan summed over the strata x_0 = ... = x_{s-1} = 0,
     x_s = 1 of P^n, each one `pool_map` chunk except the dominant s = 0,
     cut at the leading coordinate into min(q, 4 w) for the w >= 2 workers
-    pool_map starts; exact subtotals, added in order.  The homogeneous
-    polys restrict to distinct monomials, nonzero mod p.  numpy loads
-    first, so forked workers inherit it."""
+    pool_map starts (its one caller); exact subtotals, added in order.
+    The homogeneous polys restrict to distinct monomials, nonzero mod p.
+    numpy loads first, so forked workers inherit it, and each worker
+    builds the field once (`FieldCtx.__reduce__`)."""
     import numpy  # noqa: F401
     q, w, total = ctx.q, min(jobs, os.cpu_count() or 1), 0
     for s in range(n + 1):
@@ -326,7 +328,7 @@ def count_double_sextic(surface: DoubleSextic, ctx: FieldCtx, jobs: int = 1) -> 
     chi[ctx.horner([0, 0, 1], np.arange(ctx.q))] = 1
     chi[0] = 0
     return ctx.q ** 2 + ctx.q + 1 + _projective_scan(
-        [surface.items(ctx.p)], 2, ctx, chi, jobs)
+        [surface.items(ctx.p)], 2, ctx, partial(_chi_sum, chi), jobs)
 
 
 # --- closed forms for diagonal quartics: Jacobi sums, quadrics, planes -------
@@ -341,10 +343,10 @@ def count_diagonal_quartic_jacobi(surface: DiagonalQuartic, ctx: FieldCtx):
     if not _fast_path_ok(surface, ctx.p, ctx.r):
         raise UnsupportedError("Jacobi fast path needs q = 1 mod 4 and p "
                                "odd and prime to every coefficient")
-    q = ctx.q
+    p, q = ctx.p, ctx.q
     chi = MultChar(ctx, 4, 1)
-    l_minus1 = chi.log(-ctx.one)
-    l_a = [chi.log(ctx.element(a)) for a in surface.a]
+    l_minus1 = chi.log(p - 1)  # -1 and a mod p are packed as in F_p
+    l_a = [chi.log(a % p) for a in surface.a]
 
     @lru_cache(maxsize=None)
     def pair_sum(a, b):  # J(chi^a, chi^b) in O(q); 6 distinct pairs occur
@@ -383,7 +385,9 @@ def count_diagonal_quartic_quadric(surface: DiagonalQuartic, ctx: FieldCtx,
     sum a_i x_i^4 = (sum a_i x_i)^4: a plane, or P^3 if every a_i is even.
     At q = 3 mod 4, p prime to every a_i, squaring permutes the squares (a
     group of odd order), so x^4 and y^2 take each value equally often: X
-    has the q^2 + q + 1 + eta(a0 a1 a2 a3) q points of sum a_i y_i^2 = 0."""
+    has the q^2 + q + 1 + eta(a0 a1 a2 a3) q points of sum a_i y_i^2 = 0,
+    eta the Legendre symbol mod p: r is odd, so (q - 1)/(p - 1) is odd
+    and F_p has the same squares in F_q as in itself."""
     if not _quadric_path_ok(surface, ctx.p, ctx.r):
         raise UnsupportedError("the closed form needs a diagonal quartic and "
                                "p = 2, or q = 3 mod 4 and p prime to each a_i")
@@ -391,7 +395,7 @@ def count_diagonal_quartic_quadric(surface: DiagonalQuartic, ctx: FieldCtx,
     if ctx.p == 2:
         return q * q + q + 1 + q ** 3 * all(a % 2 == 0 for a in surface.a)
     a0, a1, a2, a3 = surface.a
-    eta = quadratic_character(ctx.element(a0 * a1 * a2 * a3))
+    eta = 1 if pow(a0 * a1 * a2 * a3, (ctx.p - 1) // 2, ctx.p) == 1 else -1
     return q * q + q + 1 + eta * q
 
 
@@ -433,16 +437,12 @@ def _tower_cost(surface, p, r_max) -> int:
     return sum(_route(surface, p, r)[1] for r in range(1, r_max + 1))
 
 
-def _count_worker(payload):
-    surface, ctx, jobs = payload
-    return _route(surface, ctx.p, ctx.r)[0](surface, ctx, jobs)
-
-
 def _count_pencil(surfaces, ctx, jobs):
     """Counts of at least 5 quartics over F_p whose coefficient vectors mod
-    p lie on one line F + mu G, by one scan; else None.  That scan cost 3.0
-    to 4.8 member scans at p = 53, 101 and 211, Dwork or dense G (best of
-    3, in-process, 2-core x86 machine), so fewer members count alone."""
+    p lie on one line F + mu G, by one scan, priced as 4 members; else
+    None.  That scan cost 3.0 to 4.8 member scans at p = 53, 101 and 211,
+    Dwork or dense G (best of 3, in-process, 2-core x86 machine), so fewer
+    members count alone."""
     p = ctx.p
     if (ctx.r > 1 or len(surfaces) < 5
             or not all(isinstance(s, Quartic) for s in surfaces)):
@@ -459,6 +459,7 @@ def _count_pencil(surfaces, ctx, jobs):
     import numpy as np
     ninv = np.array([0] + [p - pow(a, -1, p) for a in range(1, p)])
     polys = [Quartic(tuple(v)).items(p) for v in (vecs[0], g)]
+    jobs = jobs if 4 * _route(surfaces[0], p, 1)[1] >= _POOL_PRICE else 1
     hist = _projective_scan(polys, 3, ctx, partial(_pencil_tally, ninv),
                             jobs)
     return [int(hist[mu]) for mu in mus]
@@ -467,11 +468,11 @@ def _count_pencil(surfaces, ctx, jobs):
 def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):
     """#X(F_q) for each surface, in order: read from the cache, else made
     and recorded in surface order: by one scan for a pencil's members
-    (`_count_pencil`), else by `_route`, one pending count keeping the jobs
-    for its own scan and several going one per task.  The one place that
-    uses `jobs`, once the `_route` price reaches _POOL_PRICE (a pencil's
-    scan priced as 4 members): a dense quartic took 18.0 ms at 1 job and
-    at 2 over F_151 (price 1.0e7), 24.0 and 21.3 over F_167 (1.4e7)."""
+    (`_count_pencil`), else one after another by `_route`.  The one place
+    that hands out `jobs`: a count, or a pencil's one scan, gets them only
+    when its own `_route` price reaches _POOL_PRICE.  A dense quartic took
+    18.0 ms at 1 job and at 2 over F_151 (price 1.0e7), 24.0 and 21.3
+    over F_167 (1.4e7)."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     p, r = ctx.p, ctx.r
@@ -479,13 +480,11 @@ def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):
     counts = [None if cache is None else cache.lookup(h, p, r) for h in hashes]
     todo = [i for i, n in enumerate(counts) if n is None]
     pending = [surfaces[i] for i in todo]
-    prices = [_route(s, p, r)[1] for s in pending] if jobs > 1 else []
-    made = _count_pencil(pending, ctx, jobs if 4 * max(prices, default=0)
-                         >= _POOL_PRICE else 1)
+    made = _count_pencil(pending, ctx, jobs)
     if made is None:
-        jobs = jobs if sum(prices) >= _POOL_PRICE else 1
-        made = pool_map(_count_worker, [
-            (s, ctx, jobs if len(todo) == 1 else 1) for s in pending], jobs)
+        routes = [_route(s, p, r) for s in pending]
+        made = [count(s, ctx, jobs if price >= _POOL_PRICE else 1)
+                for s, (count, price) in zip(pending, routes)]
     for i, n in zip(todo, made):
         counts[i] = n
         if cache is not None:

@@ -27,6 +27,7 @@ machines:
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 from operator import index
 
@@ -186,8 +187,10 @@ class FieldCtx:
     def __repr__(self):
         return f"FieldCtx(p={self.p}, r={self.r})"
 
-    def __reduce__(self):  # pickles as (p, r): no tables or logs to workers
-        return FieldCtx, (self.p, self.r)
+    def __reduce__(self):
+        """Pickles as (p, r), without tables or logs; `_field` unpickles it,
+        so a worker builds each field once for all the chunks it gets."""
+        return _field, (self.p, self.r)
 
     # -- element construction
 
@@ -332,6 +335,12 @@ class FieldCtx:
                 acc = self._vmulmod(acc, g)
             self._dlog = table
         return self._dlog
+
+
+@lru_cache(maxsize=4)
+def _field(p: int, r: int) -> FieldCtx:
+    """FieldCtx(p, r), one per process for each of the last few fields."""
+    return FieldCtx(p, r)
 
 
 @dataclass(frozen=True)

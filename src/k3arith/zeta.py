@@ -347,17 +347,16 @@ def square_class(x) -> int:
 
 
 def van_luijk_combine(b1: int, c1: int, b2: int, c2: int) -> int:
-    """Combine two reductions: min of the bounds, dropped to 1 when both
-    reductions pin the bound to 2 with distinct discriminant square classes
-    (rank 2 would make both specializations finite-index, forcing all three
-    discriminants to agree up to squares; the mismatch rules that out, and
-    rank 1 is the floor from the hyperplane class).  Equal bounds above 2
-    with mismatched classes keep the plain minimum: that case is documented
-    as a conservative extension rather than pushed through the same
-    finite-index argument."""
+    """Combine two reductions: the min of the bounds, dropped to b - 1
+    when both bounds equal b and the discriminant square classes differ
+    (van Luijk's argument, at every rank: rho(X-bar) = b would make
+    NS(X-bar) finite-index in both NS(X-bar_p), forcing all three
+    discriminants to agree up to squares; Elsenhans and Jahnel, "The
+    Picard group of a K3 surface and its reduction modulo p", 2011).
+    Rank 1 is the floor from the hyperplane class."""
     for b in (b1, b2):
         if not 1 <= b <= H2_DIM:
             raise UsageError("bounds must lie in 1..22")
-    if b1 == b2 == 2 and square_class(c1) != square_class(c2):
-        return 1
+    if b1 == b2 and square_class(c1) != square_class(c2):
+        return max(b1 - 1, 1)
     return min(b1, b2)

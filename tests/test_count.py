@@ -267,6 +267,10 @@ def test_smoothness_dwork_sweep():
     assert not dwork_pencil.good_reduction(2)
 
 
+def test_no_dwork_member_is_smooth_in_characteristic_2():
+    assert not any(dwork_pencil.is_smooth_member(lam, 2) for lam in range(4))
+
+
 def test_smoothness_catches_singular_models():
     nodal = Quartic.from_dict({(2, 2, 0, 0): 1, (0, 0, 4, 0): 1,
                                (0, 0, 0, 4): 1})

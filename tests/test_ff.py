@@ -31,6 +31,21 @@ def test_char2_addition_is_involutive():
         assert (a + a).is_zero()
 
 
+def test_subtraction_and_negation_add_the_negative():
+    for ctx in (FieldCtx(7), FieldCtx(3, 2), FieldCtx(2, 3)):
+        els = list(ctx.elements())
+        for a in els:
+            assert -a + a == ctx.zero
+            for b in els:
+                assert a - b == a + (-b)
+    for m, coeffs in ((4, (3, -2)), (3, (5, 1)), (5, (1, -4, 0, 2))):
+        x = CyclotomicInt(m, coeffs)
+        assert -x == CyclotomicInt(m, tuple(-c for c in coeffs))
+        assert -x + x == CyclotomicInt.zero(m)
+        for y in (CyclotomicInt.root_power(m, 1, 7), CyclotomicInt(4, (1, 1))):
+            assert x - y == x + (-y)
+
+
 def test_prime_field_matches_integer_arithmetic():
     ctx = FieldCtx(11)
     rng = random.Random(11)

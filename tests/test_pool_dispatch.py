@@ -1,8 +1,9 @@
 """`count.pool_map` is the one place that chooses between running in this
 process and starting workers: the dominant stratum is cut for the workers
 the pool will start, not for the `jobs` asked for; numpy is loaded before
-any worker forks; a `FieldCtx` travels to workers as (p, r); and counts
-agree at one, two and a thousand jobs through real worker processes."""
+any worker forks; a `FieldCtx` travels to workers as (p, r), built once
+in each process that unpickles it; and counts agree at one, two and a
+thousand jobs through real worker processes."""
 
 import concurrent.futures
 import os
@@ -96,6 +97,16 @@ def test_field_ctx_pickles_as_p_and_r(p, r):
     copy = pickle.loads(blob)
     assert copy == ctx and copy.modulus == ctx.modulus
     assert copy.dlog_table() == ctx.dlog_table()
+
+
+def test_a_process_unpickles_each_field_once():
+    """A worker sent many chunks over one field builds its logs and tables
+    once: the unpickled field is the one it already holds."""
+    blob = pickle.dumps(FieldCtx(7, 2))
+    first = pickle.loads(blob)
+    logs = first.dlog_table()
+    again = pickle.loads(blob)
+    assert again is first and again.dlog_table() is logs
 
 
 def test_counts_agree_at_one_two_and_many_jobs(monkeypatch):

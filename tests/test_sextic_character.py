@@ -1,5 +1,7 @@
-"""The double sextic's character table, read off the parity of the discrete
-logs, against `ff.quadratic_character` element by element."""
+"""The double sextic's character table, read off the squares
+`FieldCtx.horner` computes and handed to the scan as the tally
+`partial(_chi_sum, chi)`, against `ff.quadratic_character` element by
+element."""
 
 import pytest
 
@@ -14,9 +16,10 @@ def test_sextic_table_is_the_quadratic_character(monkeypatch, p, r):
     tables = []
     scan = count._affine_scan
 
-    def recording_scan(polys, k, ctx, chi=None, lo=0, hi=None):
-        tables.append(chi)
-        return scan(polys, k, ctx, chi, lo, hi)
+    def recording_scan(polys, k, ctx, tally, lo=0, hi=None):
+        assert tally.func is count._chi_sum
+        tables.append(tally.args[0])
+        return scan(polys, k, ctx, tally, lo, hi)
 
     monkeypatch.setattr(count, "_affine_scan", recording_scan)
     ctx = FieldCtx(p, r)

@@ -166,6 +166,20 @@ def test_p2_completion_rejects_garbage():
         p2_from_traces(TraceVector(q=5, traces=(-26,)), known_factor=(2, 1))
 
 
+def test_p2_completion_error_paths():
+    with pytest.raises(UsageError, match="exceeds 22"):
+        p2_from_traces(TraceVector(q=5, traces=(-26,)),
+                       known_factor=(1,) + (0,) * 22 + (1,))
+    good = p2_from_traces(TraceVector(q=5, traces=(-26, 486)),
+                          known_factor=KNOWN_5)
+    t3 = good.power_traces(3)[2]
+    assert p2_from_traces(TraceVector(q=5, traces=(-26, 486, t3)),
+                          known_factor=KNOWN_5) == good
+    with pytest.raises(InconsistencyError, match="fails to reproduce t_3"):
+        p2_from_traces(TraceVector(q=5, traces=(-26, 486, t3 + 5)),
+                       known_factor=KNOWN_5)
+
+
 def test_p2_completion_roundtrip_random():
     rng = random.Random(23)
     q = 3
@@ -236,6 +250,13 @@ def test_artin_tate_validation():
         artin_tate_value((), 5, 1)
 
 
+def test_artin_tate_refuses_a_value_past_its_size_bound():
+    # (1 - 5T)(1 + 100T): the value 5 (1 + 100/5) = 105 passes 5 * 2^1
+    poly = FrobeniusPoly(q=5, coeffs=tuple(_mul([1, -5], [1, 100])))
+    with pytest.raises(DataError, match="too large"):
+        artin_tate_discriminant(poly, 1)
+
+
 def test_square_class():
     assert square_class(12) == 3
     assert square_class(-18) == -2
@@ -252,7 +273,15 @@ def test_van_luijk_combine():
     assert van_luijk_combine(2, 5, 2, 5) == 2
     assert van_luijk_combine(2, 5, 2, 20) == 2  # 20 = 4 * 5, same class
     assert van_luijk_combine(3, 7, 2, 5) == 2
-    assert van_luijk_combine(4, 5, 4, 1) == 4  # conservative above rank 2
+    assert van_luijk_combine(4, 5, 4, 1) == 3  # the argument at every rank
+    assert van_luijk_combine(2, 3, 2, 12) == 2  # 12 = 4 * 3, same class
+    assert van_luijk_combine(2, -3, 2, 3) == 1
+    assert van_luijk_combine(10, 2, 10, 3) == 9
+    assert van_luijk_combine(10, 2, 10, 8) == 10
+    assert van_luijk_combine(20, -1, 20, 1) == 19
+    assert van_luijk_combine(20, 7, 20, 63) == 20
+    assert van_luijk_combine(20, 7, 22, 1) == 20
+    assert van_luijk_combine(1, 2, 1, 3) == 1  # the hyperplane class
     with pytest.raises(UsageError):
         van_luijk_combine(0, 1, 2, 1)
     with pytest.raises(UsageError):
