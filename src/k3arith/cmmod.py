@@ -4,7 +4,8 @@ The weight-3 newform eta(4 tau)^6 = q prod (1 - q^{4n})^6 = sum b_n q^n
 predicts #X_p(F_p) = 1 + b_p + h p + p^2 for the Fermat quartic, with
 h = 5 + 3 chi_{-1}(p) + 6 (chi_2(p) + chi_{-2}(p)) from the rational part
 of the Neron-Severi action.  verify_modularity runs that prediction against
-the stratum scan, never the Jacobi-sum path that rests on the same theory.
+an elementary count, by the fibres of x -> x^4 (`count`), never the
+Jacobi-sum path that rests on the same theory.
 
 cm_sieve turns the prediction around: scanning a one-parameter family mod
 several primes for members whose counts fit a target q-series with SOME
@@ -78,11 +79,13 @@ def hecke_h(p: int) -> int:
     return 5 + 3 * chi_m1 + 6 * (chi_2 + chi_m1 * chi_2)
 
 
-def fermat_count_prediction(p: int) -> int:
-    """Predicted #X_p(F_p) = 1 + b_p + h p + p^2 for the Fermat quartic."""
+def fermat_count_prediction(p: int, series: QSeries = None) -> int:
+    """Predicted #X_p(F_p) = 1 + b_p + h p + p^2 for the Fermat quartic,
+    b_p read off series, eta4_pow6_expansion through at least p (built
+    through p when not given)."""
     _check_odd_prime(p)
-    b_p = eta4_pow6_expansion(p).b(p)
-    return 1 + b_p + hecke_h(p) * p + p * p
+    series = eta4_pow6_expansion(p) if series is None else series
+    return 1 + series.b(p) + hecke_h(p) * p + p * p
 
 
 @dataclass(frozen=True)
@@ -110,14 +113,16 @@ class ModularityReport:
 
 
 def verify_modularity(p_range, cache=None, jobs: int = 1) -> ModularityReport:
-    """Prediction vs direct count of the Fermat quartic at each prime."""
+    """Prediction vs direct count of the Fermat quartic at each prime, the
+    predictions read off one eta expansion through the largest prime."""
     primes = sorted(set(p_range))
     for p in primes:  # whole range vetted before any series or count
         _check_odd_prime(p)
         check_scan_budget(p)
-    fermat = fermat_quartic().to_quartic()  # the scan route, same hash
+    series = eta4_pow6_expansion(primes[-1]) if primes else None
+    fermat = fermat_quartic().to_quartic()  # the fibre route, same hash
     return ModularityReport(tuple(
-        ModularityEntry(p, fermat_count_prediction(p),
+        ModularityEntry(p, fermat_count_prediction(p, series),
                         count_many([fermat], FieldCtx(p), cache, jobs)[0])
         for p in primes))
 

@@ -2,7 +2,11 @@
 quartics in P^3, double covers of P^2 branched over a sextic, and diagonal
 quartics, which count without a scan (Jacobi sums at q = 1 mod 4, a
 closed form at q = 3 mod 4 or p = 2) unless p > 2 divides a coefficient.
-`_route` picks the count and the one price for each level F_{p^r}.
+Over F_p, any other quartic whose only monomials mod p are a_i x_i^4 (p
+divides some a_i, or it is a plain `Quartic`, like the Fermat quartic of
+the modularity check) counts in O(p) by the fibres of x -> x^4, in Python
+integers: never a scan, never a Jacobi sum.  `_route` picks the count and
+the one price for each level F_{p^r}.
 
 Models carry integer coefficients in a fixed sorted monomial order, so the
 canonical serialization (and the cache hash derived from it) is stable.
@@ -37,6 +41,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
+from math import gcd
 
 from .cache import CountRecord
 from .errors import InconsistencyError, UnsupportedError, UsageError
@@ -306,10 +311,10 @@ def is_smooth_quartic(surface, ctx: FieldCtx) -> bool:
     """Jacobian criterion checked at every F_q-rational point: returns False
     when some rational point of the quartic also kills all four partials.
     A True answer certifies only the rational points; a singular point seen
-    first over an extension needs a re-run at larger r.  Priced by
-    `_route` as five quartic scans."""
+    first over an extension needs a re-run at larger r.  Priced as five
+    quartic scans (`_scan_price`)."""
     p, q, f = ctx.p, ctx.q, surface.to_quartic()
-    if 5 * _route(f, p, ctx.r)[1] > FEASIBILITY_CAP:
+    if 5 * _scan_price(q, ctx.r) > FEASIBILITY_CAP:
         raise UsageError(f"rational-point smoothness scan infeasible at q = {q}")
     f_items = f.items(p)
     polys = [f_items] + [_partial_items(f_items, i, p) for i in range(4)]
@@ -399,6 +404,62 @@ def count_diagonal_quartic_quadric(surface: DiagonalQuartic, ctx: FieldCtx,
     return q * q + q + 1 + eta * q
 
 
+def _diagonal_shape(surface, p):
+    """[a0, a1, a2, a3] mod p when the quartic's only monomials mod p are
+    a_i x_i^4, else None."""
+    if isinstance(surface, DoubleSextic):
+        return None
+    a = [0] * 4
+    for e, c in surface.to_quartic().items(p):
+        if 4 not in e:
+            return None
+        a[e.index(4)] = c
+    return a
+
+
+def count_diagonal_quartic_fibres(surface, ctx: FieldCtx, jobs: int = 1) -> int:
+    """#X(F_p) for a quartic whose only monomials mod p are a_i x_i^4, by
+    the fibres of x -> x^4 (Weil 1949; Ireland and Rosen, "A Classical
+    Introduction to Modern Number Theory", ch. 8).  With H01(w) the points
+    of a0 x0^4 + a1 x1^4 = w and H23 those of a2 x2^4 + a3 x3^4 = w, the
+    affine cone has N = H01(0) H23(0) + (p - 1)/d sum_{w in R} H01(w)
+    H23(-w) points: scaling (x0, x1) by s takes w to s^4 w, so H01 and H23
+    are constant on the classes of F_p^* mod fourth powers, d = gcd(4,
+    p - 1) of them, R one w from each.  #X = (N - 1)/(p - 1).  O(p) in
+    Python integers: no numpy and no field tables."""
+    p = ctx.p
+    check_scan_budget(p)
+    a = _diagonal_shape(surface, p)
+    if ctx.r > 1 or a is None:
+        raise UnsupportedError("the fibre count needs r = 1 and a quartic "
+                               "whose only monomials mod p are a_i x_i^4")
+    d = gcd(4, p - 1)
+    reps = {}  # w^((p - 1)/d) names the class of w
+    for w in range(1, p):
+        reps.setdefault(pow(w, (p - 1) // d, p), w)
+        if len(reps) == d:
+            break
+    # x^4 -> its number of roots: d for each nonzero fourth power (the
+    # kernel of x -> x^4 on F_p^*), hit by some x <= p/2 as (-x)^4 = x^4
+    powers = dict.fromkeys((pow(x, 4, p) for x in range(1, p // 2 + 1)), d)
+    powers[0] = 1
+
+    def fibres(c0, c1):  # w -> #{(x, y) : c0 x^4 + c1 y^4 = w}, 0 <= w < p
+        h1 = [0] * p
+        for v, k in powers.items():
+            h1[c1 * v % p] += k
+        h0 = [(c0 * v % p, k) for v, k in powers.items()]
+        # h1[w - u] is h1[(w - u) mod p]: negative indices wrap
+        return lambda w: sum(k * h1[w - u] for u, k in h0)
+
+    h01, h23 = fibres(a[0], a[1]), fibres(a[2], a[3])
+    n = h01(0) * h23(0) + (p - 1) // d * sum(
+        h01(w) * h23(p - w) for w in reps.values())
+    if (n - 1) % (p - 1):
+        raise InconsistencyError("affine cone count is not 1 mod p - 1")
+    return (n - 1) // (p - 1)
+
+
 # --- towers ------------------------------------------------------------------
 
 def _fast_path_ok(surface, p, r) -> bool:
@@ -411,6 +472,11 @@ def _quadric_path_ok(surface, p, r) -> bool:
         p == 2 or (p ** r) % 4 == 3 and all(a % p for a in surface.a))
 
 
+def _scan_price(q, r):
+    """The price of one quartic scan over F_q, q = p^r: see `_route`."""
+    return 3 * q ** 3 if r == 1 else 10 * q ** 3 + 2 * q * q
+
+
 def _route(surface, p, r):
     """(count(surface, ctx, jobs), price) for the level F_{p^r}: the one
     price that refuses work and hands out workers, a unit about 1 ns (2-core
@@ -420,8 +486,12 @@ def _route(surface, p, r):
     over F_64 to F_343; a double sextic, 10 q^2, at 0.7 to 1.2 over F_1009
     to F_4001 and 4.4 to 10 over F_{5^4} to F_{5^5}; Jacobi sums, 5000 q,
     at 4.2 to 7.2 us an element of F_169 to F_{3^10}; the closed form,
-    1000 r^3, builds F_{2^r}, r <= 200, in 700 r^3 ns or less.  Counts are
-    module globals read at call time."""
+    1000 r^3, builds F_{2^r}, r <= 200, in 700 r^3 ns or less; the fibre
+    count, 300 p, at 0.6 to 1.7 ns a unit over F_101 to F_5791, takes the
+    other quartics whose only monomials mod p are a_i x_i^4 at r = 1: a
+    `DiagonalQuartic` with p | a_i, or a `Quartic` of that shape, such as
+    the Fermat quartic of the modularity check.  Counts are module globals
+    read at call time."""
     q = p ** r
     if isinstance(surface, DoubleSextic):
         return count_double_sextic, 10 * q * q
@@ -430,7 +500,9 @@ def _route(surface, p, r):
                 5000 * q)
     if _quadric_path_ok(surface, p, r):
         return count_diagonal_quartic_quadric, 1000 * r ** 3
-    return count_quartic, 3 * q ** 3 if r == 1 else 10 * q ** 3 + 2 * q * q
+    if r == 1 and _diagonal_shape(surface, p) is not None:
+        return count_diagonal_quartic_fibres, 300 * p
+    return count_quartic, _scan_price(q, r)
 
 
 def _tower_cost(surface, p, r_max) -> int:
@@ -439,10 +511,10 @@ def _tower_cost(surface, p, r_max) -> int:
 
 def _count_pencil(surfaces, ctx, jobs):
     """Counts of at least 5 quartics over F_p whose coefficient vectors mod
-    p lie on one line F + mu G, by one scan, priced as 4 members; else
-    None.  That scan cost 3.0 to 4.8 member scans at p = 53, 101 and 211,
-    Dwork or dense G (best of 3, in-process, 2-core x86 machine), so fewer
-    members count alone."""
+    p lie on one line F + mu G, by one scan, priced as 4 member scans
+    (`_scan_price`); else None.  That scan cost 3.0 to 4.8 member scans at
+    p = 53, 101 and 211, Dwork or dense G (best of 3, in-process, 2-core
+    x86 machine), so fewer members count alone."""
     p = ctx.p
     if (ctx.r > 1 or len(surfaces) < 5
             or not all(isinstance(s, Quartic) for s in surfaces)):
@@ -459,7 +531,7 @@ def _count_pencil(surfaces, ctx, jobs):
     import numpy as np
     ninv = np.array([0] + [p - pow(a, -1, p) for a in range(1, p)])
     polys = [Quartic(tuple(v)).items(p) for v in (vecs[0], g)]
-    jobs = jobs if 4 * _route(surfaces[0], p, 1)[1] >= _POOL_PRICE else 1
+    jobs = jobs if 4 * _scan_price(p, 1) >= _POOL_PRICE else 1
     hist = _projective_scan(polys, 3, ctx, partial(_pencil_tally, ninv),
                             jobs)
     return [int(hist[mu]) for mu in mus]

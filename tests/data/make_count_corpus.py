@@ -10,7 +10,9 @@ the routes that agreed on it when it was made:
   (another modulus for r > 1) and evaluates every monomial at every point;
 - "jacobi" and "closed_form": the diagonal quartic's Jacobi sums and its
   count as a plane or a quadric;
-- "pencil": the one scan of the Dwork pencil over F_p, tallied by member.
+- "pencil": the one scan of the Dwork pencil over F_p, tallied by member;
+- "fibre": the count over F_p of a quartic whose only monomials mod p are
+  a_i x_i^4, by the fibres of x -> x^4.
 
 Records are only ever added: a candidate already on file is recounted by
 its routes and must agree with the file; a new one is appended.  Run from
@@ -48,6 +50,9 @@ def _dense(rng, p, n):
     return out
 
 
+DIAGONAL = ((4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4))
+
+
 def _quartic(d):
     return list(count.Quartic.from_dict(d).coeffs)
 
@@ -82,6 +87,19 @@ def candidates():
     for p in (29, 53):
         for lam in range(p):
             yield "quartic", dwork_member(lam), p, 1, ("pencil", "scan")
+    # quartics of diagonal shape over F_p: the Fermat quartic and a twist
+    # as plain quartics, then diagonal quartics with p | a_i
+    for p in (101, 211, 401, 1009):
+        for a in ((1, 1, 1, 1), _dense(rng, p, 4)):
+            yield ("quartic", _quartic(dict(zip(DIAGONAL, a))), p, 1,
+                   ("fibre", "scan"))
+    yield "quartic", _quartic(dict.fromkeys(DIAGONAL, 1)), 2, 1, (
+        "fibre", "brute")
+    for a, p in (((1, 2, 3, 11), 11), ((5, 10, 1, 2), 5), ((0, 1, 2, 3), 13),
+                 ((3, 0, 2, 6), 3), ((13, 1, 1, 1), 13)):
+        yield "diagonal", list(a), p, 1, ("fibre", "brute")
+    for a, p in (((1, 2, 3, 211), 211), ((101, 7, 202, -5), 101)):
+        yield "diagonal", list(a), p, 1, ("fibre", "scan")
 
 
 @lru_cache(maxsize=None)
@@ -102,6 +120,8 @@ def by_route(route, model, coeffs, p, r):
         return count.count_diagonal_quartic_jacobi(surface, ctx)[0]
     if route == "closed_form":
         return count.count_diagonal_quartic_quadric(surface, ctx)
+    if route == "fibre":
+        return count.count_diagonal_quartic_fibres(surface, ctx)
     if route == "pencil":
         lam = -coeffs[count.QUARTIC_EXPONENTS.index((1, 1, 1, 1))] % p
         return _pencil(p)[lam]

@@ -126,7 +126,7 @@ def test_pool_runs_serially_below_two_workers(monkeypatch, fake_pool, cpus):
     assert fake_pool == []
 
 
-def test_modularity_counts_by_the_scan(monkeypatch):
+def test_modularity_never_counts_by_jacobi_sums(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("modularity check took the Jacobi route")
 

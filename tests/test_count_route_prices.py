@@ -61,12 +61,13 @@ FROZEN_COSTS = [
 # sums are O(q)); a scan at r = 1 no longer pays 2 q^2 for operation tables
 # it never builds, and one at r > 1 pays 10 q^3, its measured cost, not
 # 3 q^3.  (FERMAT, 3, 8) is admitted now; (FERMAT, 5, 7) stays refused.
+# DIAG5's level F_5 takes the fibre count, 300 p, not a 3 q^3 scan.
 REPRICED = {
     (FERMAT, 5, 3): 775000,
     (FERMAT, 3, 4): 478000,
     (FERMAT, 13, 2): 910000,
     (FERMAT, 5, 7): 488275000,
-    (DIAG5, 5, 3): 19720375,
+    (DIAG5, 5, 3): 19721500,
     (DIAG5, 3, 5): 603000,
     (QUARTIC, 101, 1): 3090903,
     (QUARTIC, 2, 8): 191914296,
@@ -91,6 +92,13 @@ def test_route_picks_each_count():
     assert _route(SEXTIC, 3, 1) == (count.count_double_sextic, 90)
     assert _route(QUARTIC, 3, 1) == (count.count_quartic, 81)  # no tables
     assert _route(FERMAT, 3, 1) == (count.count_diagonal_quartic_quadric, 1000)
+    # the levels r = 1 of diagonal shape left over: p | a_i, or a Quartic
+    fibres, plain = count.count_diagonal_quartic_fibres, FERMAT.to_quartic()
+    assert _route(DIAG5, 5, 1) == (fibres, 300 * 5)
+    assert _route(plain, 13, 1) == (fibres, 300 * 13)
+    assert _route(plain, 13, 2) == (count.count_quartic,
+                                    10 * 169 ** 3 + 2 * 169 ** 2)
+    assert _route(count.dwork_pencil.member(13), 13, 1)[0] is fibres
     jacobi, price = _route(FERMAT, 3, 2)
     assert price == 5000 * 9
     ctx = FieldCtx(3, 2)

@@ -4,7 +4,8 @@ loads only the layers of k3arith its subcommand calls.
 Each check runs in a fresh interpreter, because the test session itself
 has long since imported both.  `import k3arith.cli` must load neither,
 nor the process-pool machinery; jobs that do no point counting must not
-load them either, and a count loads numpy (its scan kernel) but not sympy.
+load them either, nor must the modularity check, and a count by the scan
+kernel loads numpy but not sympy.
 `import k3arith` loads no submodule, building the parser loads no layer,
 and a job loads the layer it runs: a class-group job never loads the
 counting layer, a count never loads the class-group layer.
@@ -19,7 +20,7 @@ import pytest
 
 import k3arith
 from k3arith import _intpoly
-from k3arith.count import monomial_exponents
+from k3arith.count import dwork_pencil, monomial_exponents
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(k3arith.__file__)))
 HEAVY = ("sympy", "numpy", "concurrent.futures.process")
@@ -84,11 +85,16 @@ def test_zeta_from_counts_loads_no_heavy_module(tmp_path):
 
 
 def test_count_loads_numpy_but_not_sympy():
-    # the Fermat quartic as a dense quartic, so the scan kernel counts it
-    fermat = [int(max(e) == 4) for e in monomial_exponents(4, 4)]
+    # the Dwork member lam = 1 is not diagonal, so the scan kernel counts it
+    dwork = dwork_pencil.member(1).coeffs
     argv = ("count", "--model", "quartic", "--coeffs",
-            ",".join(map(str, fermat)), "--p", "7")
+            ",".join(map(str, dwork)), "--p", "7")
     assert _loaded_after(_run_k3(*argv)) == ["numpy"]
+
+
+def test_modularity_loads_no_heavy_module():
+    # the Fermat quartic counts by the fibres of x -> x^4, without numpy
+    assert _loaded_after(_run_k3("modularity", "--primes", "3..37")) == []
 
 
 def _layers_after(code):
