@@ -3,11 +3,13 @@
 One JSON record per line: {"surface": hex-hash, "p": P, "r": R,
 "count": N}, with N serialized as a decimal string when it exceeds 53-bit
 JSON safety.  Loading deduplicates identical records and rejects
-conflicting counts for the same key as corruption.  Meta events share the
-stream: {"meta": "verify", "verified": true} marks the store as having
-passed a verification pass; until then the cache serves counts but is not
-authoritative.  `as_records` hands the counts out as CountRecord values,
-defined here so that reading a count file never loads the counting layer.
+conflicting counts for the same key as corruption; a file it cannot read
+or a line that is not UTF-8 or not a record raises DataError, naming the
+path and the line.  Meta events share the stream: {"meta": "verify",
+"verified": true} marks the store as having passed a verification pass;
+until then the cache serves counts but is not authoritative.
+`as_records` hands the counts out as CountRecord values, defined here so
+that reading a count file never loads the counting layer.
 
 Each record is one os.write of its whole line on an O_APPEND descriptor,
 opened at the first append, so several processes may share a file as long
@@ -73,33 +75,40 @@ class CountCache:
             self._load()
 
     def _load(self):
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{self.path}:{lineno}"
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{where}: invalid JSON: {exc}") from None
-                if not isinstance(obj, dict):
-                    raise DataError(f"{where}: record must be an object")
-                if "meta" in obj:
-                    if obj.get("verified"):
-                        self._verified = True
-                    continue
-                key = (obj.get("surface"), obj.get("p"), obj.get("r"))
-                if not (isinstance(key[0], str) and all(
-                        type(v) is int for v in key[1:])):
-                    raise DataError(f"{where}: record needs a string surface "
-                                    f"and integer p and r")
-                count = _decode_count(obj.get("count"), where)
-                if key in self._store and self._store[key] != count:
-                    raise IntegrityError(
-                        f"{where}: conflicting counts for {key}: "
-                        f"{self._store[key]} vs {count}")
-                self._store[key] = count
+        try:
+            with open(self.path, "rb") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise DataError(f"{self.path}: {exc.strerror}") from None
+        for lineno, raw in enumerate(lines, start=1):
+            where = f"{self.path}:{lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise DataError(f"{where}: not UTF-8") from None
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{where}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise DataError(f"{where}: record must be an object")
+            if "meta" in obj:
+                if obj.get("verified"):
+                    self._verified = True
+                continue
+            key = (obj.get("surface"), obj.get("p"), obj.get("r"))
+            if not (isinstance(key[0], str) and all(
+                    type(v) is int for v in key[1:])):
+                raise DataError(f"{where}: record needs a string surface "
+                                f"and integer p and r")
+            count = _decode_count(obj.get("count"), where)
+            if key in self._store and self._store[key] != count:
+                raise IntegrityError(
+                    f"{where}: conflicting counts for {key}: "
+                    f"{self._store[key]} vs {count}")
+            self._store[key] = count
 
     def _append(self, obj) -> None:
         if self.path is None:

@@ -426,8 +426,13 @@ def main(argv=None) -> int:
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"k3: usage error: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         try:
             print(text, flush=True)

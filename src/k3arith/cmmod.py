@@ -4,8 +4,9 @@ The weight-3 newform eta(4 tau)^6 = q prod (1 - q^{4n})^6 = sum b_n q^n
 predicts #X_p(F_p) = 1 + b_p + h p + p^2 for the Fermat quartic, with
 h = 5 + 3 chi_{-1}(p) + 6 (chi_2(p) + chi_{-2}(p)) from the rational part
 of the Neron-Severi action.  verify_modularity runs that prediction against
-an elementary count, by the fibres of x -> x^4 (`count`), never the
-Jacobi-sum path that rests on the same theory.
+an elementary count: `count` takes the Fermat quartic over F_p in closed
+form at p = 3 mod 4 and by the fibres of x -> x^4 at p = 1 mod 4, never by
+the Jacobi sums that rest on the same theory, and never by a scan.
 
 cm_sieve turns the prediction around: scanning a one-parameter family mod
 several primes for members whose counts fit a target q-series with SOME
@@ -120,10 +121,9 @@ def verify_modularity(p_range, cache=None, jobs: int = 1) -> ModularityReport:
         _check_odd_prime(p)
         check_scan_budget(p)
     series = eta4_pow6_expansion(primes[-1]) if primes else None
-    fermat = fermat_quartic().to_quartic()  # the fibre route, same hash
     return ModularityReport(tuple(
-        ModularityEntry(p, fermat_count_prediction(p, series),
-                        count_many([fermat], FieldCtx(p), cache, jobs)[0])
+        ModularityEntry(p, fermat_count_prediction(p, series), count_many(
+            [fermat_quartic()], FieldCtx(p), cache, jobs)[0])
         for p in primes))
 
 

@@ -1,12 +1,12 @@
 """Exact point counts over finite fields for the surface models used here:
 quartics in P^3, double covers of P^2 branched over a sextic, and diagonal
-quartics, which count without a scan (Jacobi sums at q = 1 mod 4, a
-closed form at q = 3 mod 4 or p = 2) unless p > 2 divides a coefficient.
-Over F_p, any other quartic whose only monomials mod p are a_i x_i^4 (p
-divides some a_i, or it is a plain `Quartic`, like the Fermat quartic of
-the modularity check) counts in O(p) by the fibres of x -> x^4, in Python
-integers: never a scan, never a Jacobi sum.  `_route` picks the count and
-the one price for each level F_{p^r}.
+quartics.  A quartic whose only monomials mod p are a_i x_i^4, whichever
+class holds it (a `DiagonalQuartic`, or a plain `Quartic` such as the
+Fermat quartic of the modularity check), counts without a scan: in closed
+form at p = 2, or at q = 3 mod 4 with p prime to each a_i; else over F_p by
+the fibres of x -> x^4, O(p) in Python integers; else by Jacobi sums when p
+is prime to each a_i; it is scanned only at r > 1 with p | a_i.  `_route`
+picks the count and the one price for each level F_{p^r}.
 
 Models carry integer coefficients in a fixed sorted monomial order, so the
 canonical serialization (and the cache hash derived from it) is stable.
@@ -41,12 +41,12 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 from .cache import CountRecord
 from .errors import InconsistencyError, UnsupportedError, UsageError
-from .ff import (CyclotomicInt, FieldCtx, MultChar, check_scan_budget,
-                 isprime, jacobi_sum)
+from .ff import (CyclotomicInt, FieldCtx, MultChar, check_bytes,
+                 check_scan_budget, isprime, jacobi_sum)
 
 FEASIBILITY_CAP = 300_000_000  # `_route` price units, about 1 ns each
 _POOL_PRICE = 12_000_000  # workers from this price on: see count_many
@@ -338,20 +338,18 @@ def count_double_sextic(surface: DoubleSextic, ctx: FieldCtx, jobs: int = 1) -> 
 
 # --- closed forms for diagonal quartics: Jacobi sums, quadrics, planes -------
 
-def count_diagonal_quartic_jacobi(surface: DiagonalQuartic, ctx: FieldCtx):
-    """(count, Frobenius eigenvalues on H^2) for a diagonal quartic via
-    Jacobi sums in Z[i].  Needs q = 1 mod 4 (so the quartic character
-    exists over F_q) and characteristic prime to 4 and to the
-    coefficients."""
-    if not isinstance(surface, DiagonalQuartic):
-        raise UsageError("fast path applies to diagonal quartics only")
+def count_diagonal_quartic_jacobi(surface, ctx: FieldCtx):
+    """(count, Frobenius eigenvalues on H^2) for a quartic whose only
+    monomials mod p are a_i x_i^4, via Jacobi sums in Z[i].  Needs q = 1
+    mod 4 (so the quartic character exists over F_q) and characteristic
+    prime to 4 and to the a_i."""
     if not _fast_path_ok(surface, ctx.p, ctx.r):
-        raise UnsupportedError("Jacobi fast path needs q = 1 mod 4 and p "
-                               "odd and prime to every coefficient")
+        raise UnsupportedError("Jacobi fast path needs a diagonal quartic, "
+                               "q = 1 mod 4 and p odd and prime to each a_i")
     p, q = ctx.p, ctx.q
     chi = MultChar(ctx, 4, 1)
     l_minus1 = chi.log(p - 1)  # -1 and a mod p are packed as in F_p
-    l_a = [chi.log(a % p) for a in surface.a]
+    l_a = [chi.log(a) for a in _diagonal_shape(surface, p)]
 
     @lru_cache(maxsize=None)
     def pair_sum(a, b):  # J(chi^a, chi^b) in O(q); 6 distinct pairs occur
@@ -383,24 +381,24 @@ def count_diagonal_quartic_jacobi(surface: DiagonalQuartic, ctx: FieldCtx):
     return count, [CyclotomicInt.integer(4, q)] + eigs
 
 
-def count_diagonal_quartic_quadric(surface: DiagonalQuartic, ctx: FieldCtx,
+def count_diagonal_quartic_quadric(surface, ctx: FieldCtx,
                                    jobs: int = 1) -> int:
-    """#X(F_q) for a diagonal quartic where gcd(4, q - 1) < 4 (supersingular
-    then: Shioda and Katsura, "On Fermat varieties", 1979).  At p = 2,
-    sum a_i x_i^4 = (sum a_i x_i)^4: a plane, or P^3 if every a_i is even.
-    At q = 3 mod 4, p prime to every a_i, squaring permutes the squares (a
-    group of odd order), so x^4 and y^2 take each value equally often: X
-    has the q^2 + q + 1 + eta(a0 a1 a2 a3) q points of sum a_i y_i^2 = 0,
-    eta the Legendre symbol mod p: r is odd, so (q - 1)/(p - 1) is odd
-    and F_p has the same squares in F_q as in itself."""
+    """#X(F_q) for a quartic whose only monomials mod p are a_i x_i^4, where
+    gcd(4, q - 1) < 4 (supersingular then: Shioda and Katsura, "On Fermat
+    varieties", 1979).  At p = 2, sum a_i x_i^4 = (sum a_i x_i)^4: a
+    plane, or P^3 if every a_i is even.  At q = 3 mod 4, p prime to every
+    a_i, squaring permutes the squares (a group of odd order), so x^4 and
+    y^2 take each value equally often: X has the q^2 + q + 1 + eta(a0 a1
+    a2 a3) q points of sum a_i y_i^2 = 0, eta the Legendre symbol mod p: r
+    is odd, so (q - 1)/(p - 1) is odd and F_p has the same squares in F_q
+    as in itself."""
     if not _quadric_path_ok(surface, ctx.p, ctx.r):
         raise UnsupportedError("the closed form needs a diagonal quartic and "
                                "p = 2, or q = 3 mod 4 and p prime to each a_i")
-    q = ctx.q
+    q, a = ctx.q, _diagonal_shape(surface, ctx.p)
     if ctx.p == 2:
-        return q * q + q + 1 + q ** 3 * all(a % 2 == 0 for a in surface.a)
-    a0, a1, a2, a3 = surface.a
-    eta = 1 if pow(a0 * a1 * a2 * a3, (ctx.p - 1) // 2, ctx.p) == 1 else -1
+        return q * q + q + 1 + q ** 3 * (not any(a))
+    eta = 1 if pow(prod(a), (ctx.p - 1) // 2, ctx.p) == 1 else -1
     return q * q + q + 1 + eta * q
 
 
@@ -426,9 +424,11 @@ def count_diagonal_quartic_fibres(surface, ctx: FieldCtx, jobs: int = 1) -> int:
     H23(-w) points: scaling (x0, x1) by s takes w to s^4 w, so H01 and H23
     are constant on the classes of F_p^* mod fourth powers, d = gcd(4,
     p - 1) of them, R one w from each.  #X = (N - 1)/(p - 1).  O(p) in
-    Python integers: no numpy and no field tables."""
+    Python integers: no numpy and no field tables; refused by `check_bytes`
+    past 64 bytes a p (tracemalloc read at most 62 over F_1009 to F_10^6,
+    the most at p = 3 mod 4, where half of F_p^* are fourth powers)."""
     p = ctx.p
-    check_scan_budget(p)
+    check_bytes(f"fibres of x -> x^4 over F_{p}", 64 * p)
     a = _diagonal_shape(surface, p)
     if ctx.r > 1 or a is None:
         raise UnsupportedError("the fibre count needs r = 1 and a quartic "
@@ -448,9 +448,10 @@ def count_diagonal_quartic_fibres(surface, ctx: FieldCtx, jobs: int = 1) -> int:
         h1 = [0] * p
         for v, k in powers.items():
             h1[c1 * v % p] += k
-        h0 = [(c0 * v % p, k) for v, k in powers.items()]
-        # h1[w - u] is h1[(w - u) mod p]: negative indices wrap
-        return lambda w: sum(k * h1[w - u] for u, k in h0)
+        # h1[w - u], u = c0 v mod p, is h1[(w - u) mod p]: negative
+        # indices wrap
+        return lambda w: sum(k * h1[w - c0 * v % p]
+                             for v, k in powers.items())
 
     h01, h23 = fibres(a[0], a[1]), fibres(a[2], a[3])
     n = h01(0) * h23(0) + (p - 1) // d * sum(
@@ -463,13 +464,18 @@ def count_diagonal_quartic_fibres(surface, ctx: FieldCtx, jobs: int = 1) -> int:
 # --- towers ------------------------------------------------------------------
 
 def _fast_path_ok(surface, p, r) -> bool:
-    return (isinstance(surface, DiagonalQuartic) and p != 2
-            and all(a % p for a in surface.a) and (p ** r) % 4 == 1)
+    a = _diagonal_shape(surface, p)
+    return a is not None and p != 2 and all(a) and p ** r % 4 == 1
 
 
 def _quadric_path_ok(surface, p, r) -> bool:
-    return isinstance(surface, DiagonalQuartic) and (
-        p == 2 or (p ** r) % 4 == 3 and all(a % p for a in surface.a))
+    a = _diagonal_shape(surface, p)
+    return a is not None and (p == 2 or p ** r % 4 == 3 and all(a))
+
+
+def _count_by_jacobi(surface, ctx, jobs=1):
+    """The count alone, in the form `_route` hands counts out."""
+    return count_diagonal_quartic_jacobi(surface, ctx)[0]
 
 
 def _scan_price(q, r):
@@ -480,28 +486,30 @@ def _scan_price(q, r):
 def _route(surface, p, r):
     """(count(surface, ctx, jobs), price) for the level F_{p^r}: the one
     price that refuses work and hands out workers, a unit about 1 ns (2-core
-    x86, in-process, a fresh `FieldCtx` each).  A scan over F_p, 3 q^3,
-    ran at 1.3 to 1.8 ns a unit over F_101 to F_251; over F_{p^r}, r > 1,
-    10 q^3 for the table gathers plus 2 q^2 for the tables, at 1.2 to 2.0
-    over F_64 to F_343; a double sextic, 10 q^2, at 0.7 to 1.2 over F_1009
-    to F_4001 and 4.4 to 10 over F_{5^4} to F_{5^5}; Jacobi sums, 5000 q,
-    at 4.2 to 7.2 us an element of F_169 to F_{3^10}; the closed form,
-    1000 r^3, builds F_{2^r}, r <= 200, in 700 r^3 ns or less; the fibre
-    count, 300 p, at 0.6 to 1.7 ns a unit over F_101 to F_5791, takes the
-    other quartics whose only monomials mod p are a_i x_i^4 at r = 1: a
-    `DiagonalQuartic` with p | a_i, or a `Quartic` of that shape, such as
-    the Fermat quartic of the modularity check.  Counts are module globals
-    read at call time."""
+    x86, in-process, a fresh `FieldCtx` each).  A quartic goes by its
+    monomials mod p, `_diagonal_shape`, never by its class: when its only
+    monomials mod p are a_i x_i^4, (1) by the closed form at p = 2, or at
+    q = 3 mod 4 with every a_i nonzero mod p; else (2) by the fibre count
+    at r = 1; else (3) by Jacobi sums when every a_i is nonzero mod p
+    (left: r > 1, q = 1 mod 4); else, like any other quartic, (4) by the
+    scan.  Prices: the closed form, 1000 r^3, builds F_{2^r}, r <= 200, in
+    700 r^3 ns or less; the fibre count, 300 p, ran at 0.60 to 1.21 ns a
+    unit over F_101 to F_1000033 (best of 3); Jacobi sums, 5000 q, at 4.2
+    to 7.2 us an element of F_169 to F_{3^10}; a scan over F_p, 3 q^3, at
+    1.3 to 1.8 ns a unit over F_101 to F_251; over F_{p^r}, r > 1, 10 q^3
+    for the table gathers plus 2 q^2 for the tables, at 1.2 to 2.0 over
+    F_64 to F_343; a double sextic, 10 q^2, at 0.7 to 1.2 over F_1009 to
+    F_4001 and 4.4 to 10 over F_{5^4} to F_{5^5}.  Counts are module
+    globals read at call time."""
     q = p ** r
     if isinstance(surface, DoubleSextic):
         return count_double_sextic, 10 * q * q
-    if _fast_path_ok(surface, p, r):
-        return (lambda s, ctx, jobs: count_diagonal_quartic_jacobi(s, ctx)[0],
-                5000 * q)
     if _quadric_path_ok(surface, p, r):
         return count_diagonal_quartic_quadric, 1000 * r ** 3
     if r == 1 and _diagonal_shape(surface, p) is not None:
         return count_diagonal_quartic_fibres, 300 * p
+    if _fast_path_ok(surface, p, r):
+        return _count_by_jacobi, 5000 * q
     return count_quartic, _scan_price(q, r)
 
 

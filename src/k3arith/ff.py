@@ -21,6 +21,9 @@ machines:
   multiplication from the discrete logs, addition digit by digit in base
   p.  They are built on first request.  `check_scan_budget` is the one
   q x q budget, for these tables and for the scans of `count` alike.
+- `check_bytes` is the one byte guard, against TABLE_BYTES: the q x q
+  budget, the discrete-log list and the fibre count of `count` all refuse
+  through it, before they build anything.
 - chi(0) = 0 for every multiplicative character.
 - Character values and Jacobi sums live exactly in Z[zeta_m]; no floats
   anywhere in this module.
@@ -34,10 +37,19 @@ from operator import index
 from . import _intpoly
 from .errors import DomainError, UnsupportedError, UsageError
 
-TABLE_BYTES = 256 * 2 ** 20  # cap on one q x q array: see check_scan_budget
+TABLE_BYTES = 256 * 2 ** 20  # the cap of check_bytes
 _INT64_LIMIT = 2 ** 63  # int64 Horner keeps every partial value below it
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981  # Sorenson-Webster, 13 bases
+
+
+def check_bytes(what: str, nbytes: int) -> None:
+    """The one byte guard: refuse with UsageError, before it is built,
+    whatever would take more than TABLE_BYTES (one q x q array, the
+    discrete logs, the fibre count's histograms)."""
+    if nbytes > TABLE_BYTES:
+        raise UsageError(f"{what} need {nbytes / 2 ** 20:.0f} MiB "
+                         f"(cap {TABLE_BYTES // 2 ** 20} MiB)")
 
 
 def check_scan_budget(q: int) -> None:
@@ -45,10 +57,7 @@ def check_scan_budget(q: int) -> None:
     built, when one q x q int64 array (8 q^2 bytes, as much as the two int32
     tables of r > 1) would pass TABLE_BYTES.  The cap bounds one array, not
     one count: a dense quartic scan peaks at seven, a double sextic at none."""
-    if 8 * q * q > TABLE_BYTES:
-        raise UsageError(f"q x q scan arrays over F_{q} need "
-                         f"{8 * q * q / 2 ** 20:.0f} MiB "
-                         f"(cap {TABLE_BYTES // 2 ** 20} MiB)")
+    check_bytes(f"q x q scan arrays over F_{q}", 8 * q * q)
 
 
 def isprime(n) -> bool:
@@ -319,14 +328,11 @@ class FieldCtx:
     def dlog_table(self):
         """dlog[a] = k with g^k = a for packed a != 0; dlog[0] = None.
         One walk over the powers of g: O(q) multiplications and memory.
-        Refused before the walk when the list would pass TABLE_BYTES at
-        40 bytes an entry (tracemalloc read about 40 at q = 5^6, 17^4 and
-        3^12), that is for q > 6710886."""
+        Refused by `check_bytes` before the walk when the list would pass
+        TABLE_BYTES at 40 bytes an entry (tracemalloc read about 40 at
+        q = 5^6, 17^4 and 3^12), that is for q > 6710886."""
         if self._dlog is None:
-            if 40 * self.q > TABLE_BYTES:
-                raise UsageError(f"discrete logs of F_{self.q} need "
-                                 f"{40 * self.q // 2 ** 20} MiB "
-                                 f"(cap {TABLE_BYTES // 2 ** 20} MiB)")
+            check_bytes(f"discrete logs of F_{self.q}", 40 * self.q)
             g = self.from_packed(self.primitive_root()).vec
             table = [None] * self.q
             acc = self.one.vec

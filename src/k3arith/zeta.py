@@ -9,9 +9,10 @@ c_m mirrors them onto the tail.  The sign eps is pinned by the root
 magnitude test, and the completion refuses to guess when both signs
 survive.
 
-Everything is exact, in integers (a Fraction only for the Artin-Tate value
-at T = 1/q), the |alpha| = q test included: a Sturm count on the trace
-polynomial decides it.  Partial data is a first-class state: a
+Everything is exact.  Traces and P2 are integers; Fractions appear only
+in the Artin-Tate value at T = 1/q and in the |alpha| = q test, a Sturm
+count on the trace polynomial whose chain divides over Q
+(`_intpoly.divmod_poly`).  Partial data is a first-class state: a
 FrobeniusPoly of degree below 22 still yields a Picard bound, with the
 missing degrees counted as slack.
 """

@@ -8,8 +8,9 @@ the routes that agreed on it when it was made:
 - "scan": the stratum scan, `count_quartic` or `count_double_sextic`;
 - "brute": `brute_count` of bench/checks.py, which builds its own field
   (another modulus for r > 1) and evaluates every monomial at every point;
-- "jacobi" and "closed_form": the diagonal quartic's Jacobi sums and its
-  count as a plane or a quadric;
+- "jacobi" and "closed_form": the Jacobi sums of a quartic whose only
+  monomials mod p are a_i x_i^4, a `DiagonalQuartic` or a plain
+  `Quartic`, and its count as a plane or a quadric;
 - "pencil": the one scan of the Dwork pencil over F_p, tallied by member;
 - "fibre": the count over F_p of a quartic whose only monomials mod p are
   a_i x_i^4, by the fibres of x -> x^4.
@@ -100,6 +101,17 @@ def candidates():
         yield "diagonal", list(a), p, 1, ("fibre", "brute")
     for a, p in (((1, 2, 3, 211), 211), ((101, 7, 202, -5), 101)):
         yield "diagonal", list(a), p, 1, ("fibre", "scan")
+    # plain quartics of diagonal shape over extensions, counted as the
+    # diagonal quartics they are; then r = 1 past the scan budget
+    for p, r in ((3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (13, 2),
+                 (3, 5)):
+        route = "jacobi" if p ** r % 4 == 1 else "closed_form"
+        for a in ((1, 1, 1, 1), _dense(rng, p, 4)):
+            yield ("quartic", _quartic(dict(zip(DIAGONAL, a))), p, r,
+                   (route, "scan"))
+    for p in (5801, 10009):
+        for a in ((1, 1, 1, 1), _dense(rng, p, 4)):
+            yield "diagonal", list(a), p, 1, ("fibre", "jacobi")
 
 
 @lru_cache(maxsize=None)

@@ -206,8 +206,8 @@ def test_jacobi_rejects_bad_fields():
     with pytest.raises(UnsupportedError):
         count_diagonal_quartic_jacobi(DiagonalQuartic((5, 1, 1, 1)),
                                       FieldCtx(5))
-    with pytest.raises(UsageError):
-        count_diagonal_quartic_jacobi(dwork_pencil.member(0), FieldCtx(5))
+    with pytest.raises(UnsupportedError):  # not of diagonal shape
+        count_diagonal_quartic_jacobi(dwork_pencil.member(1), FieldCtx(5))
 
 
 # --- towers and records -----------------------------------------------------------

@@ -4,20 +4,26 @@ counted over F_p by the fibres of x -> x^4.
 It must equal the scan kernel on every such quartic over F_p, p <= 79
 (p = 2, zero coefficients and p | a_i among them), and the eta(4 tau)^6
 prediction for the Fermat quartic at every odd prime below 2000.  It
-refuses extension fields, other shapes, and every prime the scan budget
-refuses (its routes and price are pinned in test_count_route_prices.py).
+refuses extension fields and other shapes.  It never builds a q x q array,
+so the scan budget does not bound it: F_5801, past that budget, counts
+(as it did by Jacobi sums), and only the byte guard `ff.check_bytes`, at
+64 bytes a p, refuses, at the first prime past it, before anything is
+built (its routes and price are pinned in test_count_route_prices.py).
 The modularity check counts by it and builds one eta expansion, through
 its largest prime.
 """
+
+import tracemalloc
 
 import pytest
 
 from k3arith import cmmod
 from k3arith.cmmod import eta4_pow6_expansion, fermat_count_prediction
 from k3arith.count import (DiagonalQuartic, count_diagonal_quartic_fibres,
-                           count_quartic, dwork_pencil, fermat_quartic)
+                           count_quartic, count_tower, dwork_pencil,
+                           fermat_quartic)
 from k3arith.errors import UnsupportedError, UsageError
-from k3arith.ff import FieldCtx, isprime
+from k3arith.ff import TABLE_BYTES, FieldCtx, isprime
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -54,16 +60,26 @@ def test_fibres_meet_the_prediction_at_every_odd_prime_below_2000():
             fermat_count_prediction(p, series)), p
 
 
-def test_fibres_refuse_extensions_other_shapes_and_the_scan_budget():
+def test_fibres_refuse_extensions_other_shapes_and_past_the_byte_guard():
     with pytest.raises(UnsupportedError, match="fibre count"):
         count_diagonal_quartic_fibres(FERMAT, FieldCtx(3, 2))
     with pytest.raises(UnsupportedError, match="fibre count"):
         count_diagonal_quartic_fibres(dwork_pencil.member(1), FieldCtx(13))
-    past = next(p for p in range(5792, 6000) if isprime(p))
-    with pytest.raises(UsageError, match="MiB"):
-        count_diagonal_quartic_fibres(FERMAT, FieldCtx(past))
-    assert count_diagonal_quartic_fibres(FERMAT, FieldCtx(5791)) == (
-        fermat_count_prediction(5791))
+    # past the scan budget, not past the byte guard
+    assert count_diagonal_quartic_fibres(FERMAT, FieldCtx(5801)) == (
+        fermat_count_prediction(5801))
+    assert [rec.count for rec in count_tower(fermat_quartic(), 5801, 1)] == [
+        fermat_count_prediction(5801)]
+    past = next(p for p in range(TABLE_BYTES // 64 + 1, 10 ** 7)
+                if isprime(p))
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match=f"F_{past} need 256 MiB"):
+            count_diagonal_quartic_fibres(FERMAT, FieldCtx(past))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_modularity_builds_one_eta_expansion(monkeypatch):

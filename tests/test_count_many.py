@@ -105,7 +105,7 @@ def fake_pool(monkeypatch):
 def test_pool_never_exceeds_the_cpus(monkeypatch, fake_pool):
     monkeypatch.setattr(count.os, "cpu_count", lambda: 3)
     huge = 10 ** 6  # only ever handed to the fake pool
-    quartic = fermat_quartic().to_quartic()
+    quartic = dwork_pencil.member(1)  # not diagonal: F_169 is scanned
     tower = count_tower(quartic, 13, 2, jobs=huge)
     assert fake_pool == [3]  # the dominant stratum over F_169 (F_13 is small)
     assert tower == count_tower(quartic, 13, 2)
@@ -131,8 +131,8 @@ def test_modularity_never_counts_by_jacobi_sums(monkeypatch):
         raise AssertionError("modularity check took the Jacobi route")
 
     monkeypatch.setattr(count, "count_diagonal_quartic_jacobi", boom)
-    report = verify_modularity([5, 13, 17])  # all 1 mod 4
-    assert report.all_agree and len(report.entries) == 3
+    report = verify_modularity([5, 13, 17, 3, 7, 11])  # 1 and 3 mod 4
+    assert report.all_agree and len(report.entries) == 6
 
 
 def test_sieve_and_modularity_reuse_one_cache_file(tmp_path, capsys):

@@ -119,10 +119,11 @@ def test_the_gate_reads_one_price_per_pencil(pools):
 
 def test_jacobi_price_is_linear_in_q():
     fermat = fermat_quartic()
+    # the levels r = 1 take the closed form or the fibre count
     prices = {p ** r: _route(fermat, p, r)[1]
-              for p, r in ((5, 1), (13, 1), (5, 2), (3, 4), (17, 2), (5, 6))}
-    assert all(price == prices[5] * q // 5 for q, price in prices.items())
-    assert _route(DiagonalQuartic((1, 2, 3, 4)), 5 ** 4, 1)[1] == 5000 * 625
+              for p, r in ((5, 2), (13, 2), (3, 4), (17, 2), (5, 6))}
+    assert all(price == prices[25] * q // 25 for q, price in prices.items())
+    assert _route(DiagonalQuartic((1, 2, 3, 4)), 5, 4)[1] == 5000 * 625
 
 
 def test_counts_are_equal_at_one_and_two_jobs(monkeypatch):

@@ -53,6 +53,10 @@ FROZEN_COSTS = [
     # quartic towers at r > 1 once a scan there is priced at 10 q^3
     (QUARTIC, 17, 2, 241557471),
     (QUARTIC, 7, 3, 404953689),  # refused: 0.5 s of scan at 1 job
+    # the Fermat quartic as a plain Quartic: priced as the DiagonalQuartic
+    (FERMAT.to_quartic(), 5, 4, 3876500),
+    (FERMAT.to_quartic(), 3, 8, 37396000),
+    (FERMAT.to_quartic(), 2, 32, 278784000),
 ]
 
 # The price each row above was first frozen at is part of its test id, so
@@ -61,12 +65,13 @@ FROZEN_COSTS = [
 # sums are O(q)); a scan at r = 1 no longer pays 2 q^2 for operation tables
 # it never builds, and one at r > 1 pays 10 q^3, its measured cost, not
 # 3 q^3.  (FERMAT, 3, 8) is admitted now; (FERMAT, 5, 7) stays refused.
-# DIAG5's level F_5 takes the fibre count, 300 p, not a 3 q^3 scan.
+# DIAG5's level F_5 takes the fibre count, 300 p, not a 3 q^3 scan, and so
+# does every level r = 1 of FERMAT at p = 1 mod 4, not Jacobi sums at 5000 p.
 REPRICED = {
-    (FERMAT, 5, 3): 775000,
+    (FERMAT, 5, 3): 751500,
     (FERMAT, 3, 4): 478000,
-    (FERMAT, 13, 2): 910000,
-    (FERMAT, 5, 7): 488275000,
+    (FERMAT, 13, 2): 848900,
+    (FERMAT, 5, 7): 488251500,
     (DIAG5, 5, 3): 19721500,
     (DIAG5, 3, 5): 603000,
     (QUARTIC, 101, 1): 3090903,
@@ -96,11 +101,12 @@ def test_route_picks_each_count():
     fibres, plain = count.count_diagonal_quartic_fibres, FERMAT.to_quartic()
     assert _route(DIAG5, 5, 1) == (fibres, 300 * 5)
     assert _route(plain, 13, 1) == (fibres, 300 * 13)
-    assert _route(plain, 13, 2) == (count.count_quartic,
-                                    10 * 169 ** 3 + 2 * 169 ** 2)
-    assert _route(count.dwork_pencil.member(13), 13, 1)[0] is fibres
     jacobi, price = _route(FERMAT, 3, 2)
     assert price == 5000 * 9
+    assert _route(plain, 13, 2) == (jacobi, 5000 * 169)  # by shape, not class
+    assert _route(count.dwork_pencil.member(13), 13, 1)[0] is fibres
+    assert _route(count.dwork_pencil.member(1), 13, 2) == (
+        count.count_quartic, 10 * 169 ** 3 + 2 * 169 ** 2)
     ctx = FieldCtx(3, 2)
     assert jacobi(FERMAT, ctx, 1) == count_diagonal_quartic_jacobi(FERMAT, ctx)[0]
 
