@@ -1,15 +1,15 @@
 """Append-only persistent store for point counts.
 
-One JSON record per line: {"surface": hex-hash, "p": P, "r": R,
-"count": N}, with N serialized as a decimal string when it exceeds 53-bit
-JSON safety.  Loading deduplicates identical records and rejects
-conflicting counts for the same key as corruption; a file it cannot read
-or a line that is not UTF-8 or not a record raises DataError, naming the
-path and the line.  Meta events share the stream: {"meta": "verify",
-"verified": true} marks the store as having passed a verification pass;
-until then the cache serves counts but is not authoritative.
-`as_records` hands the counts out as CountRecord values, defined here so
-that reading a count file never loads the counting layer.
+One JSON record per line: {"surface": hex-hash, "p": P, "r": R, "count": N},
+with N serialized as a decimal string when it exceeds 53-bit JSON safety.
+Loading deduplicates identical records and rejects conflicting counts for
+the same key as corruption; a file it cannot read or write, or a line that
+is not UTF-8 or not a record, raises DataError naming the path and the line.
+Meta events share the stream: {"meta": "verify", "verified": true} marks the
+store as having passed a verification pass; until then the cache serves
+counts but is not authoritative.  `as_records` hands the counts out as
+CountRecord values, defined here so that reading a count file never loads
+the counting layer.
 
 Each record is one os.write of its whole line on an O_APPEND descriptor,
 opened at the first append, so several processes may share a file as long
@@ -113,14 +113,18 @@ class CountCache:
     def _append(self, obj) -> None:
         if self.path is None:
             return
-        if self._fd is None:
-            os.makedirs(os.path.dirname(self.path) or os.curdir, exist_ok=True)
-            self._fd = os.open(self.path,
-                               os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-            weakref.finalize(self, os.close, self._fd)
         line = (json.dumps(obj, sort_keys=True) + "\n").encode()
-        if os.write(self._fd, line) != len(line):
-            raise OSError(f"{self.path}: short write of a count record")
+        try:
+            if self._fd is None:
+                os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+                self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND
+                                   | os.O_CREAT, 0o666)
+                weakref.finalize(self, os.close, self._fd)
+            if os.write(self._fd, line) != len(line):
+                raise OSError(0, "short write of a count record")
+        except OSError as exc:
+            raise DataError(
+                f"cannot write {self.path}: {exc.strerror}") from exc
 
     def lookup(self, surface: str, p: int, r: int):
         """Stored count or None; tallies hit/miss statistics."""

@@ -408,12 +408,12 @@ def main(argv=None) -> int:
         cache = (_open_cache(args.cache or os.environ.get("K3_CACHE") or None)
                  if hasattr(args, "cache") else CountCache())
         results, ok = args.func(args, cache)
-    except (UsageError, DomainError, UnsupportedError) as exc:
-        print(f"k3: usage error: {exc}", file=sys.stderr)
-        return 2
-    except K3ArithError as exc:
-        print(f"k3: verification failure: {exc}", file=sys.stderr)
-        return 1
+    except K3ArithError as exc:  # input faults and refused files: errors.py
+        usage = (isinstance(exc, (UsageError, DomainError, UnsupportedError))
+                 or isinstance(exc.__cause__, OSError))
+        print(f"k3: {'usage error' if usage else 'verification failure'}: "
+              f"{exc}", file=sys.stderr)
+        return 2 if usage else 1
     elapsed = time.perf_counter() - started
 
     report = {

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the toolkit.
 
 The CLI maps these onto exit codes by class: UsageError, DomainError and
-UnsupportedError (the input is at fault) -> 2; everything else that
-reaches the top level -> 1 (mathematical verification failure).
+UnsupportedError (the input is at fault) or one raised from an OSError -> 2;
+everything else that reaches the top level -> 1 (verification failure).
 """
 
 

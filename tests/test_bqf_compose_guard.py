@@ -1,9 +1,11 @@
 """Gauss composition refuses a composite that is not integral.
 
-Dirichlet's closed form divides by e = gcd(a1, a2, (b1 + b2)/2) and by
-4A; with a wrong Bezout triple from `_egcd` the divisions do not come
-out exact.  The check is a plain comparison, not an `assert`, so it also
-holds under `python -O`.
+The kernel `_compose_abc` divides a1 and a2 by g = gcd(a1, a2) and
+inverts a2/g mod a1/g; with a wrong gcd that inverse does not exist, and
+the kernel raises InconsistencyError instead of a bare ValueError.  The
+check is a plain comparison, not an `assert`, so it also holds under
+`python -O`.  (A wrong Bezout triple from `_egcd`, which leaves the last
+division inexact, is tested in tests/test_bqf_kernel.py.)
 """
 
 import pytest
@@ -17,8 +19,7 @@ def test_compose_rejects_inconsistent_bezout_triple(monkeypatch):
     f = BinaryQuadraticForm(2, 1, 3)
     g = BinaryQuadraticForm(2, -1, 3)
     assert compose(f, g) == BinaryQuadraticForm(1, 1, 6)
-    # gcd(2, 2) is 2, not 1, and 1 * 2 + 0 * 2 = 2 != 1: A = 4, B = -2,
-    # and B^2 - d = 27 is not divisible by 4A = 16
-    monkeypatch.setattr(bqf, "_egcd", lambda a, b: (1, 1, 0))
+    # gcd(2, 2) is 2, not 1: a2/g = 2 has no inverse mod a1/g = 2
+    monkeypatch.setattr(bqf, "gcd", lambda *args: 1)
     with pytest.raises(InconsistencyError):
         compose(f, g)

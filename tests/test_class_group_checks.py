@@ -1,10 +1,10 @@
 """class_group checks the group axioms of the table it builds.
 
 Composition is a theorem, so these checks never fire on the real
-`compose`.  Each test swaps in a `compose` that reads a perturbed copy of
-the true table of Cl(-47), a cyclic group of order 5, so every product is
-still a reduced form of discriminant -47, and expects the check for the
-one axiom the perturbation breaks.
+composition kernel `_compose_abc`.  Each test swaps in a kernel that
+reads a perturbed copy of the true table of Cl(-47), a cyclic group of
+order 5, so every product is still a reduced form of discriminant -47,
+and expects the check for the one axiom the perturbation breaks.
 """
 
 import pytest
@@ -16,13 +16,14 @@ D = -47
 
 
 def _patch(monkeypatch, edit):
-    """Make bqf.compose read the table of Cl(D) after edit(table, group)."""
+    """Make bqf._compose_abc read Cl(D)'s table after edit(table, group)."""
     grp = bqf.class_group(D)
     table = [list(row) for row in grp.table]
     edit(table, grp)
-    idx = {f: i for i, f in enumerate(grp.forms)}
+    idx = {f.astuple(): i for i, f in enumerate(grp.forms)}
     monkeypatch.setattr(
-        bqf, "compose", lambda f, g: grp.forms[table[idx[f]][idx[g]]])
+        bqf, "_compose_abc",
+        lambda *t: grp.forms[table[idx[t[:3]]][idx[t[3:]]]].astuple())
 
 
 def _set(table, i, j, k):
@@ -39,8 +40,7 @@ def test_the_true_table_passes(monkeypatch):
 
 
 def test_closure(monkeypatch):
-    monkeypatch.setattr(bqf, "compose",
-                        lambda f, g: bqf.BinaryQuadraticForm(1, 1, 1))
+    monkeypatch.setattr(bqf, "_compose_abc", lambda *t: (1, 1, 1))
     with pytest.raises(InconsistencyError, match="left the reduced set"):
         bqf.class_group(D)
 

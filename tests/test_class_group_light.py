@@ -20,9 +20,10 @@ from k3arith import bqf
 from k3arith.errors import InconsistencyError
 
 def _patch(monkeypatch, grp, table):
-    idx = {f: i for i, f in enumerate(grp.forms)}
+    idx = {f.astuple(): i for i, f in enumerate(grp.forms)}
     monkeypatch.setattr(
-        bqf, "compose", lambda f, g: grp.forms[table[idx[f]][idx[g]]])
+        bqf, "_compose_abc",
+        lambda *t: grp.forms[table[idx[t[:3]]][idx[t[3:]]]].astuple())
 
 
 def _faults(table):

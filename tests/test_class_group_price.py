@@ -30,22 +30,22 @@ def test_table_is_priced_before_any_composition(monkeypatch):
     # h(-299999) = 780: 50k enumeration steps pass a cap of 50k, while
     # 780 * 781 / 2 + 780^2 = 912990 do not
     monkeypatch.setattr(bqf, "CLASS_GROUP_STEPS", 50_000)
-    monkeypatch.setattr(bqf, "compose", _never)
+    monkeypatch.setattr(bqf, "_compose_abc", _never)
     with pytest.raises(UsageError, match=r"needs about 9\.1e\+05 "
                                          r"compositions and table cells"):
         bqf.class_group(-299999)
 
 
 def test_largest_benchmark_discriminant_is_admitted(monkeypatch):
-    # the benchmark draws |d| up to 3 * 10^5; reaching compose means both
-    # prices passed
+    # the benchmark draws |d| up to 3 * 10^5; reaching the composition
+    # kernel means both prices passed
     class Admitted(Exception):
         pass
 
-    def stop(f, g):
+    def stop(*abc):
         raise Admitted
 
-    monkeypatch.setattr(bqf, "compose", stop)
+    monkeypatch.setattr(bqf, "_compose_abc", stop)
     with pytest.raises(Admitted):
         bqf.class_group(-299999)
 

@@ -73,8 +73,7 @@ def test_leftover_options_before_the_subcommand_under_the_top_usage(capsys):
 
 def test_class_group_self_check_is_a_verification_failure(capsys,
                                                           monkeypatch):
-    monkeypatch.setattr(bqf, "compose",
-                        lambda f, g: bqf.BinaryQuadraticForm(1, 1, 1))
+    monkeypatch.setattr(bqf, "_compose_abc", lambda *t: (1, 1, 1))
     code, err = _run(capsys, "bqf", "classgroup", "--d", "-47")
     assert code == 1
     assert err == ("k3: verification failure: composition left the "
