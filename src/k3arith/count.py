@@ -5,8 +5,9 @@ class holds it (a `DiagonalQuartic`, or a plain `Quartic` such as the
 Fermat quartic of the modularity check), counts without a scan: in closed
 form at p = 2, or at q = 3 mod 4 with p prime to each a_i; else over F_p by
 the fibres of x -> x^4, O(p) in Python integers; else by Jacobi sums when p
-is prime to each a_i; it is scanned only at r > 1 with p | a_i.  `_route`
-picks the count and the one price for each level F_{p^r}.
+is prime to each a_i; it is scanned only at r > 1 with p | a_i.  With e x0
+x1 x2 x3 too, e nonzero (a Dwork member), it counts by fibres on the torus
+at r = 1, p = 1 mod 4.  `_route` picks the count and price of each level.
 
 Models carry integer coefficients in a fixed sorted monomial order, so the
 canonical serialization (and the cache hash derived from it) is stable.
@@ -38,9 +39,10 @@ CM sieve alike.
 import json
 import hashlib
 import os
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import product
+from itertools import chain, product
 from math import gcd, prod
 
 from .cache import CountRecord
@@ -402,17 +404,26 @@ def count_diagonal_quartic_quadric(surface, ctx: FieldCtx,
     return q * q + q + 1 + eta * q
 
 
-def _diagonal_shape(surface, p):
-    """[a0, a1, a2, a3] mod p when the quartic's only monomials mod p are
-    a_i x_i^4, else None."""
+def _torus_shape(surface, p):
+    """(a, e) when the quartic's only monomials mod p are a_i x_i^4 and
+    e x0 x1 x2 x3, a = [a0, a1, a2, a3] and e mod p, else None."""
     if isinstance(surface, DoubleSextic):
         return None
-    a = [0] * 4
-    for e, c in surface.to_quartic().items(p):
-        if 4 not in e:
+    a, e = [0] * 4, 0
+    for x, c in surface.to_quartic().items(p):
+        if x == (1, 1, 1, 1):
+            e = c
+        elif 4 in x:
+            a[x.index(4)] = c
+        else:
             return None
-        a[e.index(4)] = c
-    return a
+    return a, e
+
+
+def _diagonal_shape(surface, p):
+    """The a of `_torus_shape` when e = 0, else None: a_i x_i^4 alone."""
+    a, e = _torus_shape(surface, p) or (None, 1)
+    return None if e else a
 
 
 def count_diagonal_quartic_fibres(surface, ctx: FieldCtx, jobs: int = 1) -> int:
@@ -461,6 +472,48 @@ def count_diagonal_quartic_fibres(surface, ctx: FieldCtx, jobs: int = 1) -> int:
     return (n - 1) // (p - 1)
 
 
+@lru_cache(maxsize=4)  # the members of a pencil share (a, p)
+def _torus_tally(a, p):
+    """(#D(F_p), W), W(w) = #{u in U^3 : S(u)^4/(u1 u2 u3) = w}, U the fourth
+    powers, S(u) = a0 + a1 u1 + a2 u2 + a3 u3: rows (c + a3 u3)^4/u3 of the
+    pairs (u1, u2), c = S - a3 u3, tallied by v = u1 u2 and scaled by 1/v."""
+    a0, a1, a2, a3 = a
+    us = {pow(x, 4, p) for x in range(1, p // 2 + 1)}
+    inv = {u: pow(u, -1, p) for u in us}
+    res = list(range(p))  # one int object per residue, shared by the rows
+    by_v = defaultdict(list)  # v -> c over the pairs (u1, u2)
+    for u1 in us:
+        for u2 in us:
+            by_v[u1 * u2 % p].append(res[(a0 + a1 * u1 + a2 * u2) % p])
+    rows = [tuple([res[(c + a3 * u) ** 4 * inv[u] % p] for u in us])
+            for c in res]
+    w = Counter()
+    for v, cs in by_v.items():
+        tally = Counter(chain.from_iterable(map(rows.__getitem__, cs)))
+        for x, n in tally.items():
+            w[x * inv[v] % p] += n
+    return count_diagonal_quartic_fibres(DiagonalQuartic(a), FieldCtx(p)), w
+
+
+def count_torus_fibres(surface, ctx: FieldCtx, jobs: int = 1) -> int:
+    """#X(F_p), p = 1 mod 4, X: D + e x0 x1 x2 x3 = 0, D = sum a_i x_i^4, e
+    nonzero mod p, as in the Dwork pencil (Candelas, de la Ossa and
+    Rodriguez-Villegas, "Calabi-Yau manifolds over finite fields, I").  Off
+    the torus X and D agree; on it, x0 = 1, u_i = x_i^4, the 64 preimages of u
+    have t = x1 x2 x3 run over the fourth roots of u1 u2 u3, 16 times each,
+    on X iff t = -S(u)/e: #X = #D - 64 W[0] + 16 W[e^4] (`_torus_tally`),
+    O(m^3), m = (p - 1)/4, no numpy or tables; refused by `check_bytes` past
+    16 B a p m (tracemalloc: 10.4 to 12.2 over F_401 to F_3001), p >= 8209."""
+    p = ctx.p
+    a, e = _torus_shape(surface, p) or (None, 0)
+    if ctx.r > 1 or p % 4 != 1 or not e:
+        raise UnsupportedError("the torus count needs r = 1, p = 1 mod 4 and "
+                               "monomials a_i x_i^4, e x0 x1 x2 x3, e != 0")
+    check_bytes(f"fibres on the torus over F_{p}", 4 * p * (p - 1))
+    n_d, w = _torus_tally(tuple(a), p)
+    return n_d - 64 * w[0] + 16 * w[pow(e, 4, p)]
+
+
 # --- towers ------------------------------------------------------------------
 
 def _fast_path_ok(surface, p, r) -> bool:
@@ -487,20 +540,22 @@ def _route(surface, p, r):
     """(count(surface, ctx, jobs), price) for the level F_{p^r}: the one
     price that refuses work and hands out workers, a unit about 1 ns (2-core
     x86, in-process, a fresh `FieldCtx` each).  A quartic goes by its
-    monomials mod p, `_diagonal_shape`, never by its class: when its only
+    monomials mod p, `_torus_shape`, never by its class: when its only
     monomials mod p are a_i x_i^4, (1) by the closed form at p = 2, or at
     q = 3 mod 4 with every a_i nonzero mod p; else (2) by the fibre count
-    at r = 1; else (3) by Jacobi sums when every a_i is nonzero mod p
-    (left: r > 1, q = 1 mod 4); else, like any other quartic, (4) by the
-    scan.  Prices: the closed form, 1000 r^3, builds F_{2^r}, r <= 200, in
-    700 r^3 ns or less; the fibre count, 300 p, ran at 0.60 to 1.21 ns a
-    unit over F_101 to F_1000033 (best of 3); Jacobi sums, 5000 q, at 4.2
-    to 7.2 us an element of F_169 to F_{3^10}; a scan over F_p, 3 q^3, at
-    1.3 to 1.8 ns a unit over F_101 to F_251; over F_{p^r}, r > 1, 10 q^3
-    for the table gathers plus 2 q^2 for the tables, at 1.2 to 2.0 over
-    F_64 to F_343; a double sextic, 10 q^2, at 0.7 to 1.2 over F_1009 to
-    F_4001 and 4.4 to 10 over F_{5^4} to F_{5^5}.  Counts are module
-    globals read at call time."""
+    at r = 1; with e x0 x1 x2 x3 too, e nonzero, (3) by the torus count at
+    r = 1, p = 1 mod 4; else (4) by Jacobi sums when every a_i is nonzero
+    mod p (left: r > 1, q = 1 mod 4); else, like any other quartic, (5) by
+    the scan.  Prices: the closed form, 1000 r^3, builds F_{2^r}, r <= 200,
+    in 700 r^3 ns or less; the fibre count, 300 p, ran at 0.60 to 1.21 ns a
+    unit over F_101 to F_1000033 (best of 3); the torus count, 25 m^3 + 10
+    p^2, m = (p - 1)/4, below 3 p^3, at 0.8 to 1.6 over F_97 to F_1009
+    (best of 5); Jacobi sums, 5000 q, at 4.2 to 7.2 us an element of F_169
+    to F_{3^10}; a scan over F_p, 3 q^3, at 1.3 to 1.8 ns a unit over F_101
+    to F_251; over F_{p^r}, r > 1, 10 q^3 for the table gathers plus 2 q^2
+    for the tables, at 1.2 to 2.0 over F_64 to F_343; a double sextic, 10
+    q^2, at 0.7 to 1.2 over F_1009 to F_4001 and 4.4 to 10 over F_{5^4} to
+    F_{5^5}.  Counts are module globals read at call time."""
     q = p ** r
     if isinstance(surface, DoubleSextic):
         return count_double_sextic, 10 * q * q
@@ -508,6 +563,8 @@ def _route(surface, p, r):
         return count_diagonal_quartic_quadric, 1000 * r ** 3
     if r == 1 and _diagonal_shape(surface, p) is not None:
         return count_diagonal_quartic_fibres, 300 * p
+    if r == 1 and p % 4 == 1 and _torus_shape(surface, p):
+        return count_torus_fibres, 25 * ((p - 1) // 4) ** 3 + 10 * p * p
     if _fast_path_ok(surface, p, r):
         return _count_by_jacobi, 5000 * q
     return count_quartic, _scan_price(q, r)
@@ -520,9 +577,9 @@ def _tower_cost(surface, p, r_max) -> int:
 def _count_pencil(surfaces, ctx, jobs):
     """Counts of at least 5 quartics over F_p whose coefficient vectors mod
     p lie on one line F + mu G, by one scan, priced as 4 member scans
-    (`_scan_price`); else None.  That scan cost 3.0 to 4.8 member scans at
-    p = 53, 101 and 211, Dwork or dense G (best of 3, in-process, 2-core
-    x86 machine), so fewer members count alone."""
+    (`_scan_price`), replacing member scans only; else None.  It cost 3.0
+    to 4.8 member scans at p = 53, 101 and 211, Dwork or dense G (best of
+    3, in-process, 2-core x86 machine), so fewer members count alone."""
     p = ctx.p
     if (ctx.r > 1 or len(surfaces) < 5
             or not all(isinstance(s, Quartic) for s in surfaces)):
@@ -547,8 +604,9 @@ def _count_pencil(surfaces, ctx, jobs):
 
 def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):
     """#X(F_q) for each surface, in order: read from the cache, else made
-    and recorded in surface order: by one scan for a pencil's members
-    (`_count_pencil`), else one after another by `_route`.  The one place
+    and recorded in surface order: by one scan for the members of a pencil
+    `_route` sends to `count_quartic`, read at call time (`_count_pencil`),
+    else one after another by `_route`.  The one place
     that hands out `jobs`: a count, or a pencil's one scan, gets them only
     when its own `_route` price reaches _POOL_PRICE.  A dense quartic took
     18.0 ms at 1 job and at 2 over F_151 (price 1.0e7), 24.0 and 21.3
@@ -559,16 +617,18 @@ def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):
     hashes = [s.surface_hash() for s in surfaces]
     counts = [None if cache is None else cache.lookup(h, p, r) for h in hashes]
     todo = [i for i, n in enumerate(counts) if n is None]
-    pending = [surfaces[i] for i in todo]
-    made = _count_pencil(pending, ctx, jobs)
-    if made is None:
-        routes = [_route(s, p, r) for s in pending]
-        made = [count(s, ctx, jobs if price >= _POOL_PRICE else 1)
-                for s, (count, price) in zip(pending, routes)]
-    for i, n in zip(todo, made):
-        counts[i] = n
+    routes = {i: _route(surfaces[i], p, r) for i in todo}
+    scans = [i for i in todo if routes[i][0] is count_quartic]
+    made = dict(zip(scans, _count_pencil([surfaces[i] for i in scans], ctx,
+                                         jobs) or ()))
+    for i, (count, price) in routes.items():
+        if i not in made:
+            made[i] = count(surfaces[i], ctx,
+                            jobs if price >= _POOL_PRICE else 1)
+    for i in todo:
+        counts[i] = made[i]
         if cache is not None:
-            cache.record(hashes[i], p, r, n)
+            cache.record(hashes[i], p, r, made[i])
     return counts
 
 

@@ -22,7 +22,7 @@ machines:
   p.  They are built on first request.  `check_scan_budget` is the one
   q x q budget, for these tables and for the scans of `count` alike.
 - `check_bytes` is the one byte guard, against TABLE_BYTES: the q x q
-  budget, the discrete-log list and the fibre count of `count` all refuse
+  budget, the discrete-log list and the fibre counts of `count` all refuse
   through it, before they build anything.
 - chi(0) = 0 for every multiplicative character.
 - Character values and Jacobi sums live exactly in Z[zeta_m]; no floats
@@ -46,7 +46,7 @@ _MR_EXACT_BELOW = 3317044064679887385961981  # Sorenson-Webster, 13 bases
 def check_bytes(what: str, nbytes: int) -> None:
     """The one byte guard: refuse with UsageError, before it is built,
     whatever would take more than TABLE_BYTES (one q x q array, the
-    discrete logs, the fibre count's histograms)."""
+    discrete logs, the fibre counts' histograms and rows)."""
     if nbytes > TABLE_BYTES:
         raise UsageError(f"{what} need {nbytes / 2 ** 20:.0f} MiB "
                          f"(cap {TABLE_BYTES // 2 ** 20} MiB)")

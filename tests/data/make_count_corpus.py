@@ -13,7 +13,10 @@ the routes that agreed on it when it was made:
   `Quartic`, and its count as a plane or a quadric;
 - "pencil": the one scan of the Dwork pencil over F_p, tallied by member;
 - "fibre": the count over F_p of a quartic whose only monomials mod p are
-  a_i x_i^4, by the fibres of x -> x^4.
+  a_i x_i^4, by the fibres of x -> x^4;
+- "torus": the count over F_p, p = 1 mod 4, of a quartic whose only
+  monomials mod p are a_i x_i^4 and e x0 x1 x2 x3, e nonzero mod p, by the
+  fibres of x -> x^4 on the torus.
 
 Records are only ever added: a candidate already on file is recounted by
 its routes and must agree with the file; a new one is appended.  Run from
@@ -112,6 +115,16 @@ def candidates():
     for p in (5801, 10009):
         for a in ((1, 1, 1, 1), _dense(rng, p, 4)):
             yield "diagonal", list(a), p, 1, ("fibre", "jacobi")
+    # the shape of the Dwork pencil with general a_i at p = 1 mod 4: a
+    # dense a, then p | a_0, p | a_1 and a_2, and every a_i = 0 mod p
+    for p in (13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101):
+        d, e = _dense(rng, p, 4), _dense(rng, p, 1)[0]
+        for a in (d, [p] + d[1:], [d[0], -p, 2 * p, d[3]], [0, p, 0, -p]):
+            coeffs = _quartic({**dict(zip(DIAGONAL, a)), (1, 1, 1, 1): e})
+            yield "quartic", coeffs, p, 1, ("torus", "scan")
+    # every Dwork member over F_31: at p = 3 mod 4 the pencil still scans
+    for lam in range(31):
+        yield "quartic", dwork_member(lam), 31, 1, ("pencil", "scan")
 
 
 @lru_cache(maxsize=None)
@@ -134,6 +147,8 @@ def by_route(route, model, coeffs, p, r):
         return count.count_diagonal_quartic_quadric(surface, ctx)
     if route == "fibre":
         return count.count_diagonal_quartic_fibres(surface, ctx)
+    if route == "torus":
+        return count.count_torus_fibres(surface, ctx)
     if route == "pencil":
         lam = -coeffs[count.QUARTIC_EXPONENTS.index((1, 1, 1, 1))] % p
         return _pencil(p)[lam]

@@ -1,8 +1,10 @@
 """Composition of forms with coefficients of hundreds of digits.
 
-With a1 = F1500 and a2 = F1501 (consecutive Fibonacci numbers, about 314
-digits each) the Euclidean algorithm takes about 1500 steps, past
-Python's default recursion limit, so `_egcd` must not recurse.
+a1 = F1500 and a2 = F1501 are consecutive Fibonacci numbers, about 314
+digits each.  They are coprime, so the composition kernel inverts a2 mod
+a1 by `pow` and never calls `_egcd`.  The Euclidean walk of about 1500
+steps that such a pair makes, past Python's default recursion limit, is
+checked in tests/test_bqf_kernel.py::test_egcd_step_of_1500_euclidean_steps.
 """
 
 import json

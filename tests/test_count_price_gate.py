@@ -108,8 +108,9 @@ def test_a_direct_count_obeys_jobs_over_any_field(pools):
 
 def test_the_gate_reads_one_price_per_pencil(pools):
     """A pencil is priced as its one scan (4 member scans), not as the sum
-    over its members: 12 p^3 reaches the gate from p = 101 on."""
-    for p, pool in ((97, []), (101, [2])):
+    over its members: 12 p^3 reaches the gate between p = 83 and p = 103,
+    both 3 mod 4, where the Dwork pencil still scans."""
+    for p, pool in ((83, []), (103, [2])):
         members = [dwork_pencil.member(lam) for lam in range(p)
                    if dwork_pencil.is_smooth_member(lam, p)]
         pools.clear()

@@ -4,8 +4,8 @@ loads only the layers of k3arith its subcommand calls.
 Each check runs in a fresh interpreter, because the test session itself
 has long since imported both.  `import k3arith.cli` must load neither,
 nor the process-pool machinery; jobs that do no point counting must not
-load them either, nor must the modularity check, and a count by the scan
-kernel loads numpy but not sympy.
+load them either, nor must the modularity check or the CM sieve at
+p = 1 mod 4, and a count by the scan kernel loads numpy but not sympy.
 `import k3arith` loads no submodule, building the parser loads no layer,
 and a job loads the layer it runs: a class-group job never loads the
 counting layer, a count never loads the class-group layer.
@@ -66,6 +66,8 @@ def test_import_loads_no_heavy_module():
     ("kuwata", "--n", "3", "--relation", "not-isogenous"),
     ("picard", "--p2", "1,-6,25", "--q", "5"),
     ("picard", "--p2", FERMAT_F5_P2, "--q", "5", "--artin-tate", "--rho", "8"),
+    # the Dwork members over F_p, p = 1 mod 4, count by the torus, unscanned
+    ("sieve", "--primes", "5,13,17", "--lift"),
 ])
 def test_small_jobs_load_no_heavy_module(argv):
     assert _loaded_after(_run_k3(*argv)) == []
