@@ -15,8 +15,8 @@ so only residues surviving every prime matter; lift_parameter CRT-combines
 those and rationally reconstructs a small-height parameter, and
 sieve_survivors runs that analysis over a whole sieve.  Both count
 through `count.count_many`, with one field context per prime; the sieve
-hands it every smooth member at once, which take one torus tally per
-prime at p = 1 mod 4 and one pencil scan at p = 3 mod 4.
+hands it every smooth member at once, and they take one torus tally per
+prime, at p = 1 and 3 mod 4 alike, never a scan.
 """
 
 import warnings

@@ -7,7 +7,7 @@ form at p = 2, or at q = 3 mod 4 with p prime to each a_i; else over F_p by
 the fibres of x -> x^4, O(p) in Python integers; else by Jacobi sums when p
 is prime to each a_i; it is scanned only at r > 1 with p | a_i.  With e x0
 x1 x2 x3 too, e nonzero (a Dwork member), it counts by fibres on the torus
-at r = 1, p = 1 mod 4.  `_route` picks the count and price of each level.
+at r = 1, whatever p.  `_route` picks the count and price of each level.
 
 Models carry integer coefficients in a fixed sorted monomial order, so the
 canonical serialization (and the cache hash derived from it) is stable.
@@ -27,13 +27,12 @@ the leading variable are evaluated as numpy grids over the other (at most
 two) variables, and Horner's rule in the leading variable runs over blocks
 of its values.  Every block's tally is a function of (values, shape):
 `_zeros` counts common zeros (quartics, the smoothness scan), `_chi_sum`
-sums the quadratic character (double sextics), and `_pencil_tally` puts a
-pencil F + mu G's points under their member mu = -F/G.  Only a scan takes
+sums the quadratic character (double sextics).  Only a scan takes
 workers: its dominant stratum can be chunked over its leading coordinate
 across worker processes (`pool_map`); chunk subtotals are exact, added in
 chunk order, so the worker count never changes the result.  `count_many`
 is the one cache-through count, for towers, the modularity check and the
-CM sieve alike.
+CM sieve alike, one surface after another.
 """
 
 import json
@@ -51,7 +50,7 @@ from .ff import (CyclotomicInt, FieldCtx, MultChar, check_bytes,
                  check_scan_budget, isprime, jacobi_sum)
 
 FEASIBILITY_CAP = 300_000_000  # `_route` price units, about 1 ns each
-_POOL_PRICE = 12_000_000  # workers from this price on: see count_many
+_POOL_PRICE = 12_000_000  # `_route` price from which a count gets workers
 
 
 @lru_cache(maxsize=None)
@@ -223,21 +222,6 @@ def _chi_sum(chi, vals, shape):
     """The sum of the table chi over vals[0], broadcast to the grid shape."""
     import numpy as np
     return int(np.broadcast_to(chi[vals[0]], shape).sum())
-
-
-def _pencil_tally(ninv, vals, shape):
-    """Histogram over mu in F_p of the points on F + mu G, vals = (F, G),
-    ninv[a] = -1/a mod p and ninv[0] = 0: a point with G != 0 lies on the
-    member mu = -F/G, one with F = G = 0 on all, any other on none."""
-    import numpy as np
-    f, g = vals
-    mu = ninv[np.broadcast_to(g, shape)]
-    mu *= f
-    mu %= len(ninv)
-    hist = np.bincount(np.ravel(mu), minlength=len(ninv))
-    hist[0] -= _zeros([g], shape)
-    hist += _zeros([f, g], shape)
-    return hist
 
 
 def _affine_scan(polys, k, ctx, tally=_zeros, lo=0, hi=None):
@@ -474,9 +458,10 @@ def count_diagonal_quartic_fibres(surface, ctx: FieldCtx, jobs: int = 1) -> int:
 
 @lru_cache(maxsize=4)  # the members of a pencil share (a, p)
 def _torus_tally(a, p):
-    """(#D(F_p), W), W(w) = #{u in U^3 : S(u)^4/(u1 u2 u3) = w}, U the fourth
-    powers, S(u) = a0 + a1 u1 + a2 u2 + a3 u3: rows (c + a3 u3)^4/u3 of the
-    pairs (u1, u2), c = S - a3 u3, tallied by v = u1 u2 and scaled by 1/v."""
+    """(#D(F_p), W), W(w) = #{u in U^3 : S(u)^4/(u1 u2 u3) = w}, U the nonzero
+    fourth powers, S(u) = a0 + a1 u1 + a2 u2 + a3 u3: rows (c + a3 u3)^4/u3 of
+    the pairs (u1, u2), c = S - a3 u3, tallied by v = u1 u2 and scaled by
+    1/v.  U is read off the x <= p/2, as (-x)^4 = x^4."""
     a0, a1, a2, a3 = a
     us = {pow(x, 4, p) for x in range(1, p // 2 + 1)}
     inv = {u: pow(u, -1, p) for u in us}
@@ -496,22 +481,26 @@ def _torus_tally(a, p):
 
 
 def count_torus_fibres(surface, ctx: FieldCtx, jobs: int = 1) -> int:
-    """#X(F_p), p = 1 mod 4, X: D + e x0 x1 x2 x3 = 0, D = sum a_i x_i^4, e
-    nonzero mod p, as in the Dwork pencil (Candelas, de la Ossa and
-    Rodriguez-Villegas, "Calabi-Yau manifolds over finite fields, I").  Off
-    the torus X and D agree; on it, x0 = 1, u_i = x_i^4, the 64 preimages of u
-    have t = x1 x2 x3 run over the fourth roots of u1 u2 u3, 16 times each,
-    on X iff t = -S(u)/e: #X = #D - 64 W[0] + 16 W[e^4] (`_torus_tally`),
-    O(m^3), m = (p - 1)/4, no numpy or tables; refused by `check_bytes` past
-    16 B a p m (tracemalloc: 10.4 to 12.2 over F_401 to F_3001), p >= 8209."""
+    """#X(F_p), X: D + e x0 x1 x2 x3 = 0, D = sum a_i x_i^4, e nonzero mod p,
+    as in the Dwork pencil (Candelas, de la Ossa and Rodriguez-Villegas,
+    "Calabi-Yau manifolds over finite fields, I"), at every p.  Off the
+    torus X and D agree; on it, x0 = 1, u_i = x_i^4 in U, the m = (p - 1)/d
+    nonzero fourth powers, d = gcd(4, p - 1) (U is the squares at p = 3 mod
+    4, {1} at p = 2): the d^3 preimages of u have t = x1 x2 x3 run over the
+    d fourth roots of u1 u2 u3, d^2 times each, on X iff t = -S(u)/e:
+    #X = #D - d^3 W[0] + d^2 W[e^4] (`_torus_tally`), O(m^3), no numpy or
+    tables; refused by `check_bytes` past 16 B a p m (tracemalloc: 10.4 to
+    12.2 over F_401 to F_3001 at d = 4, 12.8 to 14.8 over F_211 to F_1019
+    at d = 2), from p = 5807 at p = 3 mod 4 and p = 8209 at p = 1 mod 4."""
     p = ctx.p
     a, e = _torus_shape(surface, p) or (None, 0)
-    if ctx.r > 1 or p % 4 != 1 or not e:
-        raise UnsupportedError("the torus count needs r = 1, p = 1 mod 4 and "
-                               "monomials a_i x_i^4, e x0 x1 x2 x3, e != 0")
-    check_bytes(f"fibres on the torus over F_{p}", 4 * p * (p - 1))
+    if ctx.r > 1 or not e:
+        raise UnsupportedError("the torus count needs r = 1 and monomials "
+                               "a_i x_i^4, e x0 x1 x2 x3, e != 0")
+    d = gcd(4, p - 1)
+    check_bytes(f"fibres on the torus over F_{p}", 16 * p * (p - 1) // d)
     n_d, w = _torus_tally(tuple(a), p)
-    return n_d - 64 * w[0] + 16 * w[pow(e, 4, p)]
+    return n_d - d ** 3 * w[0] + d * d * w[pow(e, 4, p)]
 
 
 # --- towers ------------------------------------------------------------------
@@ -544,13 +533,14 @@ def _route(surface, p, r):
     monomials mod p are a_i x_i^4, (1) by the closed form at p = 2, or at
     q = 3 mod 4 with every a_i nonzero mod p; else (2) by the fibre count
     at r = 1; with e x0 x1 x2 x3 too, e nonzero, (3) by the torus count at
-    r = 1, p = 1 mod 4; else (4) by Jacobi sums when every a_i is nonzero
-    mod p (left: r > 1, q = 1 mod 4); else, like any other quartic, (5) by
-    the scan.  Prices: the closed form, 1000 r^3, builds F_{2^r}, r <= 200,
-    in 700 r^3 ns or less; the fibre count, 300 p, ran at 0.60 to 1.21 ns a
-    unit over F_101 to F_1000033 (best of 3); the torus count, 25 m^3 + 10
-    p^2, m = (p - 1)/4, below 3 p^3, at 0.8 to 1.6 over F_97 to F_1009
-    (best of 5); Jacobi sums, 5000 q, at 4.2 to 7.2 us an element of F_169
+    r = 1; else (4) by Jacobi sums when every a_i is nonzero mod p (left:
+    r > 1, q = 1 mod 4); else, like any other quartic, (5) by the scan.
+    Prices: the closed form, 1000 r^3, builds F_{2^r}, r <= 200, in 700 r^3
+    ns or less; the fibre count, 300 p, ran at 0.60 to 1.21 ns a unit over
+    F_101 to F_1000033 (best of 3); the torus count, 25 m^3 + 10 p^2,
+    m = (p - 1)/gcd(4, p - 1), at 0.8 to 1.6 over F_97 to F_1009 at p = 1
+    mod 4 (best of 5) and 0.68 to 0.82 over F_211 to F_1019 at p = 3 mod 4
+    (median of 5); Jacobi sums, 5000 q, at 4.2 to 7.2 us an element of F_169
     to F_{3^10}; a scan over F_p, 3 q^3, at 1.3 to 1.8 ns a unit over F_101
     to F_251; over F_{p^r}, r > 1, 10 q^3 for the table gathers plus 2 q^2
     for the tables, at 1.2 to 2.0 over F_64 to F_343; a double sextic, 10
@@ -563,8 +553,9 @@ def _route(surface, p, r):
         return count_diagonal_quartic_quadric, 1000 * r ** 3
     if r == 1 and _diagonal_shape(surface, p) is not None:
         return count_diagonal_quartic_fibres, 300 * p
-    if r == 1 and p % 4 == 1 and _torus_shape(surface, p):
-        return count_torus_fibres, 25 * ((p - 1) // 4) ** 3 + 10 * p * p
+    if r == 1 and _torus_shape(surface, p):
+        m = (p - 1) // gcd(4, p - 1)
+        return count_torus_fibres, 25 * m ** 3 + 10 * p * p
     if _fast_path_ok(surface, p, r):
         return _count_by_jacobi, 5000 * q
     return count_quartic, _scan_price(q, r)
@@ -574,41 +565,11 @@ def _tower_cost(surface, p, r_max) -> int:
     return sum(_route(surface, p, r)[1] for r in range(1, r_max + 1))
 
 
-def _count_pencil(surfaces, ctx, jobs):
-    """Counts of at least 5 quartics over F_p whose coefficient vectors mod
-    p lie on one line F + mu G, by one scan, priced as 4 member scans
-    (`_scan_price`), replacing member scans only; else None.  It cost 3.0
-    to 4.8 member scans at p = 53, 101 and 211, Dwork or dense G (best of
-    3, in-process, 2-core x86 machine), so fewer members count alone."""
-    p = ctx.p
-    if (ctx.r > 1 or len(surfaces) < 5
-            or not all(isinstance(s, Quartic) for s in surfaces)):
-        return None
-    vecs = [[c % p for c in s.coeffs] for s in surfaces]
-    diffs = [[(a - b) % p for a, b in zip(v, vecs[0])] for v in vecs]
-    g = next((d for d in diffs if any(d)), None)
-    if g is None:
-        return None
-    k = next(i for i, c in enumerate(g) if c)
-    mus = [d[k] * pow(g[k], -1, p) % p for d in diffs]
-    if any(d != [mu * c % p for c in g] for d, mu in zip(diffs, mus)):
-        return None
-    import numpy as np
-    ninv = np.array([0] + [p - pow(a, -1, p) for a in range(1, p)])
-    polys = [Quartic(tuple(v)).items(p) for v in (vecs[0], g)]
-    jobs = jobs if 4 * _scan_price(p, 1) >= _POOL_PRICE else 1
-    hist = _projective_scan(polys, 3, ctx, partial(_pencil_tally, ninv),
-                            jobs)
-    return [int(hist[mu]) for mu in mus]
-
-
 def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):
-    """#X(F_q) for each surface, in order: read from the cache, else made
-    and recorded in surface order: by one scan for the members of a pencil
-    `_route` sends to `count_quartic`, read at call time (`_count_pencil`),
-    else one after another by `_route`.  The one place
-    that hands out `jobs`: a count, or a pencil's one scan, gets them only
-    when its own `_route` price reaches _POOL_PRICE.  A dense quartic took
+    """#X(F_q) for each surface, in order: read from the cache, else made by
+    its `_route` count, read at call time, and recorded, one surface after
+    another.  The one place that hands out `jobs`: a count gets them only
+    when its `_route` price reaches _POOL_PRICE.  A dense quartic took
     18.0 ms at 1 job and at 2 over F_151 (price 1.0e7), 24.0 and 21.3
     over F_167 (1.4e7)."""
     if jobs < 1:
@@ -616,19 +577,13 @@ def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):
     p, r = ctx.p, ctx.r
     hashes = [s.surface_hash() for s in surfaces]
     counts = [None if cache is None else cache.lookup(h, p, r) for h in hashes]
-    todo = [i for i, n in enumerate(counts) if n is None]
-    routes = {i: _route(surfaces[i], p, r) for i in todo}
-    scans = [i for i in todo if routes[i][0] is count_quartic]
-    made = dict(zip(scans, _count_pencil([surfaces[i] for i in scans], ctx,
-                                         jobs) or ()))
-    for i, (count, price) in routes.items():
-        if i not in made:
-            made[i] = count(surfaces[i], ctx,
-                            jobs if price >= _POOL_PRICE else 1)
-    for i in todo:
-        counts[i] = made[i]
-        if cache is not None:
-            cache.record(hashes[i], p, r, made[i])
+    for i, surface in enumerate(surfaces):
+        if counts[i] is None:
+            count, price = _route(surface, p, r)
+            counts[i] = count(surface, ctx,
+                              jobs if price >= _POOL_PRICE else 1)
+            if cache is not None:
+                cache.record(hashes[i], p, r, counts[i])
     return counts
 
 

@@ -11,12 +11,13 @@ the routes that agreed on it when it was made:
 - "jacobi" and "closed_form": the Jacobi sums of a quartic whose only
   monomials mod p are a_i x_i^4, a `DiagonalQuartic` or a plain
   `Quartic`, and its count as a plane or a quadric;
-- "pencil": the one scan of the Dwork pencil over F_p, tallied by member;
+- "pencil": the one scan of the Dwork pencil over F_p, tallied by member,
+  a route of earlier versions that only records on file name;
 - "fibre": the count over F_p of a quartic whose only monomials mod p are
   a_i x_i^4, by the fibres of x -> x^4;
-- "torus": the count over F_p, p = 1 mod 4, of a quartic whose only
-  monomials mod p are a_i x_i^4 and e x0 x1 x2 x3, e nonzero mod p, by the
-  fibres of x -> x^4 on the torus.
+- "torus": the count over F_p of a quartic whose only monomials mod p
+  are a_i x_i^4 and e x0 x1 x2 x3, e nonzero mod p, by the fibres of
+  x -> x^4 on the torus.
 
 Records are only ever added: a candidate already on file is recounted by
 its routes and must agree with the file; a new one is appended.  Run from
@@ -29,7 +30,6 @@ import json
 import os
 import random
 import sys
-from functools import lru_cache
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, os.pardir, os.pardir, "bench"))
@@ -61,6 +61,12 @@ def _quartic(d):
     return list(count.Quartic.from_dict(d).coeffs)
 
 
+def _dwork_routes(lam):
+    """The Fermat member lam = 0 has no x0 x1 x2 x3 term: fibres, not the
+    torus."""
+    return ("torus" if lam else "fibre", "scan")
+
+
 def candidates():
     """(model, coeffs, p, r, routes) in a fixed order; append only."""
     rng = random.Random(2026)
@@ -90,7 +96,7 @@ def candidates():
                    ("jacobi" if fast else "closed_form", "scan"))
     for p in (29, 53):
         for lam in range(p):
-            yield "quartic", dwork_member(lam), p, 1, ("pencil", "scan")
+            yield "quartic", dwork_member(lam), p, 1, _dwork_routes(lam)
     # quartics of diagonal shape over F_p: the Fermat quartic and a twist
     # as plain quartics, then diagonal quartics with p | a_i
     for p in (101, 211, 401, 1009):
@@ -122,15 +128,9 @@ def candidates():
         for a in (d, [p] + d[1:], [d[0], -p, 2 * p, d[3]], [0, p, 0, -p]):
             coeffs = _quartic({**dict(zip(DIAGONAL, a)), (1, 1, 1, 1): e})
             yield "quartic", coeffs, p, 1, ("torus", "scan")
-    # every Dwork member over F_31: at p = 3 mod 4 the pencil still scans
+    # every Dwork member over F_31, p = 3 mod 4
     for lam in range(31):
-        yield "quartic", dwork_member(lam), 31, 1, ("pencil", "scan")
-
-
-@lru_cache(maxsize=None)
-def _pencil(p):
-    members = [count.Quartic(tuple(dwork_member(lam))) for lam in range(p)]
-    return count._count_pencil(members, FieldCtx(p), 1)
+        yield "quartic", dwork_member(lam), 31, 1, _dwork_routes(lam)
 
 
 def by_route(route, model, coeffs, p, r):
@@ -149,9 +149,6 @@ def by_route(route, model, coeffs, p, r):
         return count.count_diagonal_quartic_fibres(surface, ctx)
     if route == "torus":
         return count.count_torus_fibres(surface, ctx)
-    if route == "pencil":
-        lam = -coeffs[count.QUARTIC_EXPONENTS.index((1, 1, 1, 1))] % p
-        return _pencil(p)[lam]
     raise ValueError(route)
 
 

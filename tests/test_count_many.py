@@ -15,7 +15,7 @@ from k3arith import count
 from k3arith.cache import CountCache
 from k3arith.cli import main
 from k3arith.cmmod import verify_modularity
-from k3arith.count import (count_many, count_quartic, count_tower,
+from k3arith.count import (Quartic, count_many, count_quartic, count_tower,
                            dwork_pencil, fermat_quartic)
 from k3arith.errors import UsageError
 from k3arith.ff import FieldCtx
@@ -110,11 +110,11 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, fake_pool):
     assert fake_pool == [3]  # the dominant stratum over F_169 (F_13 is small)
     assert tower == count_tower(quartic, 13, 2)
     fake_pool.clear()
-    members = [dwork_pencil.member(lam) for lam in range(127)
-               if dwork_pencil.is_smooth_member(lam, 127)]
-    assert count_many(members, FieldCtx(127), jobs=huge) == count_many(
-        members, FieldCtx(127))
-    assert fake_pool == [3]  # several pending counts: one pool
+    # dense quartics over F_167, each priced past the gate: one pool each
+    dense = [Quartic(tuple(range(c, c + 35))) for c in (1, 2)]
+    assert count_many(dense, FieldCtx(167), jobs=huge) == count_many(
+        dense, FieldCtx(167))
+    assert fake_pool == [3, 3]
 
 
 @pytest.mark.parametrize("cpus", [None, 1])

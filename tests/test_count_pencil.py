@@ -1,21 +1,16 @@
-"""The pencil route of `count.count_many`: at least 5 pending quartics over
-F_p that `_route` sends to the scan, and whose coefficient vectors mod p
-lie on one line F + mu G, count by one scan of the pair (F, G), tallied as
-a histogram over mu.  The Dwork pencil scans only at p = 3 mod 4: at p = 1
-mod 4 its members count by the torus route (`count_torus_fibres`), so the
-tests that need a Dwork pencil that scans take p = 11 or 19.  Every count
-here is checked against `count_quartic`, member by member; the cache, the
-record order and the sieve's candidates against the per-member route."""
-
-import json
+"""`count.count_many` over the members of a pencil F + mu G: each pending
+member counts alone, by its own `_route`, and every count equals
+`count_quartic`'s, member by member.  The CM sieve hands `count_many` the
+smooth members of the Dwork pencil; at every odd p they count by the torus
+route (`count_torus_fibres`), one tally for the whole prime, never by a
+scan."""
 
 import pytest
 
 from k3arith import count
-from k3arith.cache import CountCache
 from k3arith.cmmod import H_BOUND, cm_sieve, eta4_pow6_expansion
-from k3arith.count import (QUARTIC_EXPONENTS, DiagonalQuartic, Quartic,
-                           count_many, count_quartic, dwork_pencil)
+from k3arith.count import (QUARTIC_EXPONENTS, Quartic, count_many,
+                           count_quartic, dwork_pencil)
 from k3arith.ff import FieldCtx
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -39,22 +34,6 @@ def _each(surfaces, ctx):
     return [count_quartic(s, ctx) for s in surfaces]
 
 
-@pytest.fixture
-def per_member(monkeypatch):
-    """Switches the pencil route off, so count_many counts member by
-    member."""
-    def off():
-        monkeypatch.setattr(count, "_count_pencil", lambda *args: None)
-    return off
-
-
-@pytest.fixture
-def no_pencil_scan(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("counted by a pencil scan")
-    monkeypatch.setattr(count, "_pencil_tally", boom)
-
-
 def _coeffs(density):
     return st.lists(st.integers(-40, 40), min_size=N, max_size=N).map(
         lambda c: tuple(x * (i % density == 0) for i, x in enumerate(c)))
@@ -76,56 +55,6 @@ def test_pencil_counts_equal_member_counts(p, f, g, data):
     assert count_many(members, ctx) == _each(members, ctx)
 
 
-def test_pending_members_of_a_pencil_take_one_scan(monkeypatch):
-    # the Fermat member mu = 0 counts in closed form, the other 10 by a scan
-    members = _members(DWORK_F, DWORK_G, range(11))
-    want = _each(members, FieldCtx(11))
-    scans = []
-    scan = count._projective_scan
-
-    def spy(*args, **kwargs):
-        scans.append(args[1])
-        return scan(*args, **kwargs)
-
-    monkeypatch.setattr(count, "_projective_scan", spy)
-    assert count_many(members, FieldCtx(11)) == want
-    assert scans == [3]
-
-
-@pytest.mark.parametrize("warm", [0, 2])
-def test_cache_through_equals_the_per_member_route(tmp_path, per_member,
-                                                   warm):
-    """Same counts, file bytes, record order and stats, from a cold cache
-    (warm = 0) and from one holding every other member (warm = 2).  At
-    p = 19 = 3 mod 4 the members scan, all but the Fermat member mu = 19,
-    which counts in closed form, so the pencil's counts are recorded among
-    one made by another route."""
-    p = 19
-    members = _members(DWORK_F, DWORK_G, range(2, p + 2))
-    ctx = FieldCtx(p)
-    runs = []
-    for route in ("pencil", "per member"):
-        if route == "per member":
-            per_member()
-        path = tmp_path / f"{route}.jsonl"
-        cache = CountCache(path)
-        for m in members[::warm] if warm else []:
-            cache.record(m.surface_hash(), p, 1, count_quartic(m, ctx))
-        cache = CountCache(path)
-        counts = count_many(members, ctx, cache)
-        runs.append((counts, path.read_bytes(), cache.stats))
-    assert runs[0] == runs[1]
-    counts, blob, stats = runs[0]
-    assert counts == _each(members, ctx)
-    cached = len(members[::warm]) if warm else 0
-    assert (stats["hits"], stats["misses"]) == (cached,
-                                                len(members) - cached)
-    appended = [json.loads(line)["surface"]
-                for line in blob.decode().splitlines()[cached:]]
-    todo = [m for i, m in enumerate(members) if not warm or i % warm]
-    assert appended == [m.surface_hash() for m in todo]
-
-
 def test_one_and_two_jobs_give_equal_counts():
     members = _members(DWORK_F, X0_ONLY, range(11))
     ctx = FieldCtx(11)
@@ -133,10 +62,11 @@ def test_one_and_two_jobs_give_equal_counts():
         _each(members, ctx))
 
 
-@pytest.mark.parametrize("p", [13, 17])
+@pytest.mark.parametrize("p", [11, 13, 17, 19])
 def test_cm_sieve_never_counts_member_by_member(monkeypatch, p):
-    """At p = 1 mod 4 the sieve never scans: its Dwork members count by
-    the torus route, which builds one tally for the whole prime."""
+    """At p = 1 and 3 mod 4 alike the sieve never scans: its Dwork members
+    count by the torus route, which builds one tally for the whole
+    prime."""
     target = eta4_pow6_expansion(p)
     want = []
     for lam in range(p):
@@ -154,39 +84,3 @@ def test_cm_sieve_never_counts_member_by_member(monkeypatch, p):
     got = cm_sieve(dwork_pencil, target, [p])
     assert [(c.p, c.lam, c.h, c.count) for c in got] == want
     assert count._torus_tally.cache_info().misses == 1
-
-
-def test_no_pencil_scan_off_a_line(no_pencil_scan):
-    f, g = DWORK_F, X0_ONLY
-    members = _members(f, g, range(5))
-    members[2] = Quartic(tuple(a + 1 for a in members[2].coeffs))
-    assert count_many(members, FieldCtx(7)) == _each(members, FieldCtx(7))
-
-
-def test_no_pencil_scan_below_five_pending(tmp_path, no_pencil_scan):
-    members = _members(DWORK_F, DWORK_G, range(9))
-    ctx = FieldCtx(13)
-    assert count_many(members[:4], ctx) == _each(members[:4], ctx)
-    cache = CountCache(tmp_path / "counts.jsonl")
-    for m in members[:5]:  # 5 cached, 4 pending
-        cache.record(m.surface_hash(), 13, 1, count_quartic(m, ctx))
-    assert count_many(members, ctx, cache) == _each(members, ctx)
-
-
-def test_no_pencil_scan_of_diagonal_quartics(no_pencil_scan):
-    # the Jacobi route at 13 = 1 mod 4, the closed form at 11 = 3 mod 4
-    for p in (13, 11):
-        members = [DiagonalQuartic((1, 2, 3, c)) for c in range(1, 7)]
-        want = _each(members, FieldCtx(p))
-        assert count_many(members, FieldCtx(p)) == want
-
-
-def test_no_pencil_scan_over_extensions(no_pencil_scan):
-    members = _members(DWORK_F, DWORK_G, range(6))
-    ctx = FieldCtx(3, 2)
-    assert count_many(members, ctx) == _each(members, ctx)
-
-
-def test_identical_members_count_one_by_one(no_pencil_scan):
-    members = [dwork_pencil.member(3)] * 5
-    assert count_many(members, FieldCtx(7)) == _each(members, FieldCtx(7))

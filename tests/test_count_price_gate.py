@@ -3,9 +3,8 @@ workers.
 
 `is_smooth_quartic` prices its scan of five polynomials as five quartic
 scans and refuses past FEASIBILITY_CAP before it scans; `count_many` gives
-`jobs` to a scan or a pool only when the pending work's price reaches
-_POOL_PRICE, so small scans at `jobs = 2` start no pool and a dense quartic
-over F_251 starts one; the Jacobi sums are priced in O(q); and counts are
+`jobs` to a count only when its own price reaches _POOL_PRICE, so small
+scans at `jobs = 2` start no pool and a dense quartic over F_251 starts one; the Jacobi sums are priced in O(q); and counts are
 equal at one and two jobs.
 """
 
@@ -104,18 +103,6 @@ def test_a_direct_count_obeys_jobs_over_any_field(pools):
     for p in (3, 7):
         count.count_quartic(DENSE, FieldCtx(p), jobs=2)
     assert pools == [2, 2]
-
-
-def test_the_gate_reads_one_price_per_pencil(pools):
-    """A pencil is priced as its one scan (4 member scans), not as the sum
-    over its members: 12 p^3 reaches the gate between p = 83 and p = 103,
-    both 3 mod 4, where the Dwork pencil still scans."""
-    for p, pool in ((83, []), (103, [2])):
-        members = [dwork_pencil.member(lam) for lam in range(p)
-                   if dwork_pencil.is_smooth_member(lam, p)]
-        pools.clear()
-        count_many(members, FieldCtx(p), jobs=2)
-        assert pools == pool, p
 
 
 def test_jacobi_price_is_linear_in_q():

@@ -4,9 +4,9 @@ loads only the layers of k3arith its subcommand calls.
 Each check runs in a fresh interpreter, because the test session itself
 has long since imported both.  `import k3arith.cli` must load neither,
 nor the process-pool machinery; jobs that do no point counting must not
-load them either, nor must the modularity check or the CM sieve at
-p = 1 mod 4, and a count by the scan kernel loads numpy but not sympy.
-`import k3arith` loads no submodule, building the parser loads no layer,
+load them either, nor must the modularity check or the CM sieve, and a
+count by the scan kernel loads numpy but not sympy.  `import k3arith`
+loads no submodule, building the parser loads no layer,
 and a job loads the layer it runs: a class-group job never loads the
 counting layer, a count never loads the class-group layer.
 """
@@ -66,8 +66,9 @@ def test_import_loads_no_heavy_module():
     ("kuwata", "--n", "3", "--relation", "not-isogenous"),
     ("picard", "--p2", "1,-6,25", "--q", "5"),
     ("picard", "--p2", FERMAT_F5_P2, "--q", "5", "--artin-tate", "--rho", "8"),
-    # the Dwork members over F_p, p = 1 mod 4, count by the torus, unscanned
+    # the Dwork members count by the torus, unscanned, at p = 1 and 3 mod 4
     ("sieve", "--primes", "5,13,17", "--lift"),
+    ("sieve", "--primes", "211,223,227"),
 ])
 def test_small_jobs_load_no_heavy_module(argv):
     assert _loaded_after(_run_k3(*argv)) == []
@@ -87,10 +88,12 @@ def test_zeta_from_counts_loads_no_heavy_module(tmp_path):
 
 
 def test_count_loads_numpy_but_not_sympy():
-    # the Dwork member lam = 1 is not diagonal, so the scan kernel counts it
-    dwork = dwork_pencil.member(1).coeffs
+    # the Dwork member lam = 1 plus x0^3 x1 has neither the diagonal nor
+    # the torus shape, so the scan kernel counts it
+    coeffs = list(dwork_pencil.member(1).coeffs)
+    coeffs[monomial_exponents(4, 4).index((3, 1, 0, 0))] += 1
     argv = ("count", "--model", "quartic", "--coeffs",
-            ",".join(map(str, dwork)), "--p", "7")
+            ",".join(map(str, coeffs)), "--p", "7")
     assert _loaded_after(_run_k3(*argv)) == ["numpy"]
 
 
