@@ -90,22 +90,15 @@ def _form_arg(text: str):
 
 
 def _primes_arg(text: str):
-    """Either a comma list "3,5,7" or an inclusive range "3..37".  A list
-    whose largest entry, or a range whose largest prime, is past the scan
-    budget is refused before any series is built or the range enumerated."""
-    from . import ff
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            lo, hi = max(2, int(lo)), int(hi)
-        except ValueError:
-            raise UsageError(f"bad prime range {text!r}")
-        top = next((n for n in range(hi, lo - 1, -1) if ff.isprime(n)), 0)
-        ff.check_scan_budget(top)
-        return [n for n in range(lo, hi + 1) if ff.isprime(n)]
-    primes = _csv_ints(text)
-    ff.check_scan_budget(max([0, *primes]))
-    return primes
+    """A comma list "3,5,7", or the primes of an inclusive range "3..37"."""
+    if ".." not in text:
+        return _csv_ints(text)
+    try:
+        lo, hi = map(int, text.split("..", 1))
+    except ValueError:
+        raise UsageError(f"bad prime range {text!r}")
+    from . import cmmod
+    return cmmod.primes_between(lo, hi)
 
 
 def _open_cache(path=None):

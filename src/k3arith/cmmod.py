@@ -13,22 +13,20 @@ several primes for members whose counts fit a target q-series with SOME
 bounded h.  A single prime admits spurious matches (h is free per prime),
 so only residues surviving every prime matter; lift_parameter CRT-combines
 those and rationally reconstructs a small-height parameter, and
-sieve_survivors runs that analysis over a whole sieve.  Both count
-through `count.count_many`, with one field context per prime; the sieve
-hands it every smooth member at once, and they take one torus tally per
-prime, at p = 1 and 3 mod 4 alike, never a scan.
+sieve_survivors runs that analysis over a whole sieve.  Both price the
+whole batch by `count.check_price` before any series or count, then
+count through `count.count_many`, one field context per prime; the
+sieve's smooth members share one torus tally per prime, never a scan.
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, prod
 
-from ._intpoly import euler_product
-from .count import count_many, fermat_quartic
+from .count import check_price, count_many, fermat_quartic
 from .errors import DomainError, UsageError
-from .ff import FieldCtx, check_scan_budget, isprime
+from .ff import FieldCtx, check_bytes, isprime
 
 H_BOUND = 20  # |trace of Frob on NS| <= rank NS = 20 for a singular K3
 SMALL_INT_BOUND = 20  # window |c| <= 20 of the common small integers
@@ -53,16 +51,24 @@ class QSeries:
         return self.coeffs[n - 1]
 
 
-@lru_cache(maxsize=None)
 def eta4_pow6_expansion(n_max: int) -> QSeries:
-    """eta(4 tau)^6 through q^n_max: b_{4m+1} = [x^m] prod_k (1 - x^k)^6,
-    all other coefficients zero."""
+    """eta(4 tau)^6 through q^n_max: b_{4m+1} = [x^m] prod_k (1 - x^k)^6, the
+    square of Jacobi's sum_j (-1)^j (2j + 1) x^{j(j+1)/2} (Hardy and Wright,
+    Thm. 357), all other coefficients zero; refused by `check_bytes`."""
     if n_max < 1:
         raise UsageError("need at least one coefficient")
-    b = [0] * n_max
-    for m, c in enumerate(euler_product(6, (n_max - 1) // 4)):
-        b[4 * m] = c  # index 4m holds b_{4m+1}
+    check_bytes(f"eta(4 tau)^6 through q^{n_max}", 24 * n_max)
+    n, b = (n_max - 1) // 4, [0] * n_max
+    for j, k in product(range(isqrt(2 * n) + 1), repeat=2):
+        if (m := (j * j + j + k * k + k) // 2) <= n:  # b_{4m+1} at index 4m
+            b[4 * m] += (-1) ** (j + k) * (2 * j + 1) * (2 * k + 1)
     return QSeries(tuple(b), weight=3, level=16)
+
+
+def primes_between(lo: int, hi: int):
+    """The primes in lo..hi, priced from its bounds: 1000 units an integer."""
+    check_price(f"the primes in {lo}..{hi}", total=1000 * (hi - lo))
+    return [n for n in range(max(2, lo), hi + 1) if isprime(n)]
 
 
 def _check_odd_prime(p: int) -> None:
@@ -119,7 +125,7 @@ def verify_modularity(p_range, cache=None, jobs: int = 1) -> ModularityReport:
     primes = sorted(set(p_range))
     for p in primes:  # whole range vetted before any series or count
         _check_odd_prime(p)
-        check_scan_budget(p)
+    check_price("the counts", ((fermat_quartic(), p) for p in primes))
     series = eta4_pow6_expansion(primes[-1]) if primes else None
     return ModularityReport(tuple(
         ModularityEntry(p, fermat_count_prediction(p, series), count_many(
@@ -146,12 +152,14 @@ def cm_sieve(family, target: QSeries, primes, cache=None, jobs: int = 1):
     plist = sorted(set(primes))
     for p in plist:
         _check_odd_prime(p)
-        check_scan_budget(p)
         if not family.good_reduction(p):
             raise DomainError(f"family has bad reduction at {p}")
         if p > target.n_max:
             raise UsageError(f"target series stops at b_{target.n_max}, "
                              f"below prime {p}")
+    check_price("the counts", ((family.member(lam), p) for p in plist
+                               for lam in range(p)
+                               if family.is_smooth_member(lam, p)))
     out = []
     for p in plist:
         b_p = target.b(p)

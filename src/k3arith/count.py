@@ -50,6 +50,7 @@ from .ff import (CyclotomicInt, FieldCtx, MultChar, check_bytes,
                  check_scan_budget, isprime, jacobi_sum)
 
 FEASIBILITY_CAP = 300_000_000  # `_route` price units, about 1 ns each
+BATCH_CAP = 2_000_000_000  # `check_price` units, about 2 s of torus tallies
 _POOL_PRICE = 12_000_000  # `_route` price from which a count gets workers
 
 
@@ -563,6 +564,24 @@ def _route(surface, p, r):
 
 def _tower_cost(surface, p, r_max) -> int:
     return sum(_route(surface, p, r)[1] for r in range(1, r_max + 1))
+
+
+def check_price(what, counts=(), total=0):
+    """Refuse with UsageError once total and the `_route` prices of the
+    (surface, p) counts over F_p pass BATCH_CAP, before any is made."""
+    tallies = set()
+    for surface, p in counts:
+        count, price = _route(surface, p, 1)
+        if count is count_torus_fibres:  # members sharing a tally pay once
+            tally = (tuple(_torus_shape(surface, p)[0]), p)
+            price *= tally not in tallies
+            tallies.add(tally)
+        if (total := total + price) > BATCH_CAP:
+            break  # a long batch is not walked past the cap
+    if total > BATCH_CAP:
+        from decimal import Decimal  # a price past float range
+        raise UsageError(f"{what} need about {Decimal(total):.1e} price "
+                         f"units (cap {Decimal(BATCH_CAP):.1e})")
 
 
 def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):

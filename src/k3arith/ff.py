@@ -22,8 +22,8 @@ machines:
   p.  They are built on first request.  `check_scan_budget` is the one
   q x q budget, for these tables and for the scans of `count` alike.
 - `check_bytes` is the one byte guard, against TABLE_BYTES: the q x q
-  budget, the discrete-log list and the fibre counts of `count` all refuse
-  through it, before they build anything.
+  budget, the discrete-log list, the fibre counts of `count` and the eta
+  series of `cmmod` all refuse through it, before they build anything.
 - chi(0) = 0 for every multiplicative character.
 - Character values and Jacobi sums live exactly in Z[zeta_m]; no floats
   anywhere in this module.
@@ -46,17 +46,17 @@ _MR_EXACT_BELOW = 3317044064679887385961981  # Sorenson-Webster, 13 bases
 def check_bytes(what: str, nbytes: int) -> None:
     """The one byte guard: refuse with UsageError, before it is built,
     whatever would take more than TABLE_BYTES (one q x q array, the
-    discrete logs, the fibre counts' histograms and rows)."""
+    discrete logs, the fibre counts' histograms and rows, an eta series)."""
     if nbytes > TABLE_BYTES:
         raise UsageError(f"{what} need {nbytes / 2 ** 20:.0f} MiB "
                          f"(cap {TABLE_BYTES // 2 ** 20} MiB)")
 
 
 def check_scan_budget(q: int) -> None:
-    """Refuse F_q with UsageError, before any table, log or array of F_q is
-    built, when one q x q int64 array (8 q^2 bytes, as much as the two int32
-    tables of r > 1) would pass TABLE_BYTES.  The cap bounds one array, not
-    one count: a dense quartic scan peaks at seven, a double sextic at none."""
+    """Refuse F_q with UsageError, for the packed tables and the scans of
+    `count` alone, before they build anything, when one q x q int64 array (8
+    q^2 bytes, as much as the two int32 tables of r > 1) would pass
+    TABLE_BYTES: one array, not one count (a dense quartic scan holds 7)."""
     check_bytes(f"q x q scan arrays over F_{q}", 8 * q * q)
 
 

@@ -8,8 +8,10 @@ Python-int Horner.  The int64 route is also compared with the gathers from
 against independent routes with the tables (and, for the quartic scans,
 the discrete logs) refused.  The scans keep the q x q budget of the
 tables: an int64 coefficient grid costs as many bytes, so a prime above
-5792 is refused before any grid is built, a double sextic before its
-discrete logs, and a `--primes` range before it is enumerated.
+5792 is refused before any grid is built, and a double sextic before its
+discrete logs.  The modularity check and the sieve never scan: a
+`--primes` range is priced from its bounds before it is enumerated, and
+the batch by `count.check_price` before any grid, series or count.
 """
 
 import itertools
@@ -19,6 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from k3arith import cmmod
 from k3arith import count as count_mod
 from k3arith import ff as ff_mod
 from k3arith.cli import _primes_arg, main
@@ -173,6 +176,7 @@ def test_over_budget_sextic_is_refused_before_its_logs(monkeypatch, p, r):
 @pytest.mark.parametrize("sub", ["modularity", "sieve"])
 def test_prime_range_past_the_budget_is_refused_before_enumeration(
         capsys, monkeypatch, sub):
+    # priced from its bounds, one isprime an integer: no integer is tested
     tested = []
     isprime = ff_mod.isprime
 
@@ -180,11 +184,12 @@ def test_prime_range_past_the_budget_is_refused_before_enumeration(
         tested.append(n)
         return isprime(n)
     monkeypatch.setattr(ff_mod, "isprime", counting_isprime)
+    monkeypatch.setattr(cmmod, "isprime", counting_isprime)
     assert main([sub, "--primes", "6000..20000000"]) == 2
     assert capsys.readouterr().err == (
-        "k3: usage error: q x q scan arrays over F_19999999 need "
-        "3051757507 MiB (cap 256 MiB)\n")
-    assert tested == [20000000, 19999999]  # the top prime, nothing more
+        "k3: usage error: the primes in 6000..20000000 need about 2.0e+10 "
+        "price units (cap 2.0e+9)\n")
+    assert tested == []
 
 
 def test_prime_range_below_the_budget_is_enumerated():
@@ -193,18 +198,22 @@ def test_prime_range_below_the_budget_is_enumerated():
     assert _primes_arg("-5..7") == [2, 3, 5, 7]
 
 
-@pytest.mark.parametrize("argv", [
-    ("modularity", "--primes", "5801"),
-    ("sieve", "--primes", "5801"),
-    ("count", "--model", "quartic", "--coeffs", ",".join(["1"] * 35),
-     "--p", "5801", "--force"),
-])
+@pytest.mark.parametrize("argv, err", [
+    (("modularity", "--primes", "10000121"),
+     "the counts need about 3.0e+9 price units (cap 2.0e+9)"),
+    (("sieve", "--primes", "5801"),
+     "the counts need about 7.7e+10 price units (cap 2.0e+9)"),
+    (("count", "--model", "quartic", "--coeffs", ",".join(["1"] * 35),
+      "--p", "5801", "--force"),
+     "q x q scan arrays over F_5801 need 257 MiB (cap 256 MiB)"),
+], ids=["argv0", "argv1", "argv2"])
 def test_scans_beyond_the_budget_exit_2_before_any_grid(capsys, monkeypatch,
-                                                        argv):
+                                                        argv, err):
+    # the modularity check and the sieve are refused by the price of the
+    # counts that would take them (fibres, a torus tally), the scan by
+    # the q x q budget; none builds a coefficient grid
     def refuse(*args):
         raise AssertionError("a coefficient grid was built")
     monkeypatch.setattr(count_mod, "_values", refuse)
     assert main(list(argv)) == 2
-    assert capsys.readouterr().err == (
-        "k3: usage error: q x q scan arrays over F_5801 need 257 MiB "
-        "(cap 256 MiB)\n")
+    assert capsys.readouterr().err == f"k3: usage error: {err}\n"

@@ -1,9 +1,11 @@
 """One owner for the q x q scan budget, one arithmetic per scan.
 
-`ff.check_scan_budget` is the only budget rule: the packed tables, the
-stratum scans, the `--primes` parser, the modularity check and the CM
-sieve all call it, so an over-budget prime is refused before any eta
-series, table or grid is built.  A double sextic reads its quadratic
+`ff.check_scan_budget` is the only q x q budget rule, called by the packed
+tables and the scans of `count` alone, so an over-budget field is refused
+before any table or grid is built.  The modularity check and the CM sieve
+never scan: they vet each prime by the count that takes it, the whole
+batch priced by `count.check_price` before any series or count, and the
+`--primes` parser only parses.  A double sextic reads its quadratic
 character off the squares `FieldCtx.horner` computes, not off the
 discrete logs.  Report integers follow the count cache's 2^53 rule.
 """
@@ -24,8 +26,8 @@ from k3arith.count import DoubleSextic, count_double_sextic, dwork_pencil
 from k3arith.errors import UsageError
 from k3arith.ff import FieldCtx
 
-BUDGET_100003 = ("q x q scan arrays over F_100003 need 76299 MiB "
-                 "(cap 256 MiB)")
+OVER_CAP = {"modularity": "5,10000121", "sieve": "5,4001"}  # 1 mod 4 tops
+PRICES = {"modularity": "3.0e+9", "sieve": "2.5e+10"}
 
 
 def _refuse(name):
@@ -84,16 +86,29 @@ def test_packed_tables_speak_the_scan_budget():
 @pytest.mark.parametrize("sub", ["modularity", "sieve"])
 def test_over_budget_prime_list_exits_2_before_any_series(capsys, monkeypatch,
                                                           sub):
-    monkeypatch.setattr(cmmod, "euler_product", _refuse("euler_product"))
-    assert main([sub, "--primes", "100003"]) == 2
-    assert capsys.readouterr().err == f"k3: usage error: {BUDGET_100003}\n"
+    # the batch price, not the q x q budget: the Fermat quartic by fibres
+    # at 10000121 (300 p), the Dwork pencil by one torus tally at 4001; the
+    # sieve's target series is its argument, built before cm_sieve prices
+    monkeypatch.setattr(cmmod, "count_many", _refuse("count_many"))
+    if sub == "modularity":
+        monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
+                            _refuse("eta4_pow6_expansion"))
+    assert main([sub, "--primes", OVER_CAP[sub]]) == 2
+    assert capsys.readouterr().err == (
+        f"k3: usage error: the counts need about {PRICES[sub]} price units "
+        f"(cap 2.0e+9)\n")
 
 
-def test_a_lone_non_prime_past_the_budget_gets_the_budget_message(capsys):
+def test_a_lone_non_prime_past_the_budget_gets_the_budget_message(
+        capsys, monkeypatch):
+    # no budget is left to name: a non-prime fails the odd-prime check,
+    # which comes before the price, any series and any count
+    monkeypatch.setattr(cmmod, "count_many", _refuse("count_many"))
+    monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
+                        _refuse("eta4_pow6_expansion"))
     assert main(["modularity", "--primes", "6000"]) == 2
     assert capsys.readouterr().err == (
-        "k3: usage error: q x q scan arrays over F_6000 need 275 MiB "
-        "(cap 256 MiB)\n")
+        "k3: usage error: 6000 is not an odd prime\n")
 
 
 def test_prime_lists_below_the_budget_pass_unchanged():
@@ -102,17 +117,19 @@ def test_prime_lists_below_the_budget_pass_unchanged():
 
 
 def test_verify_modularity_vets_the_budget_before_any_series(monkeypatch):
-    monkeypatch.setattr(cmmod, "euler_product", _refuse("euler_product"))
+    monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
+                        _refuse("eta4_pow6_expansion"))
     monkeypatch.setattr(cmmod, "count_many", _refuse("count_many"))
-    with pytest.raises(UsageError, match="F_100003 need 76299 MiB"):
-        cmmod.verify_modularity([5, 100003])
+    with pytest.raises(UsageError, match=r"about 3\.0e\+9 price units"):
+        cmmod.verify_modularity([5, 10000121])
 
 
 def test_cm_sieve_vets_the_budget_before_any_count(monkeypatch):
-    target = cmmod.eta4_pow6_expansion(13)
+    target = cmmod.eta4_pow6_expansion(4001)
     monkeypatch.setattr(cmmod, "count_many", _refuse("count_many"))
-    with pytest.raises(UsageError, match="F_100003 need 76299 MiB"):
-        cmmod.cm_sieve(dwork_pencil, target, [5, 100003])
+    monkeypatch.setattr(count_mod, "_torus_tally", _refuse("_torus_tally"))
+    with pytest.raises(UsageError, match=r"about 2\.5e\+10 price units"):
+        cmmod.cm_sieve(dwork_pencil, target, [5, 4001])
 
 
 @pytest.mark.parametrize("n", [2 ** 53 - 1, 2 ** 53, -2 ** 53, 10 ** 30, 0])
