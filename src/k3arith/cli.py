@@ -260,8 +260,7 @@ def _cmd_sieve(args, cache):
     primes = _primes_arg(args.primes)
     if not primes:
         raise UsageError("no primes supplied")
-    target = cmmod.eta4_pow6_expansion(max(primes))
-    candidates = cmmod.cm_sieve(count.dwork_pencil, target, primes,
+    candidates = cmmod.cm_sieve(count.dwork_pencil, None, primes,
                                 cache=cache, jobs=args.jobs)
     found = cmmod.sieve_survivors(candidates, primes,
                                   args.height if args.lift else None)

@@ -67,8 +67,9 @@ def eta4_pow6_expansion(n_max: int) -> QSeries:
 
 def primes_between(lo: int, hi: int):
     """The primes in lo..hi, priced from its bounds: 1000 units an integer."""
+    lo = max(2, lo)
     check_price(f"the primes in {lo}..{hi}", total=1000 * (hi - lo))
-    return [n for n in range(max(2, lo), hi + 1) if isprime(n)]
+    return [n for n in range(lo, hi + 1) if isprime(n)]
 
 
 def _check_odd_prime(p: int) -> None:
@@ -143,34 +144,39 @@ class SieveCandidate:
     count: int
 
 
-def cm_sieve(family, target: QSeries, primes, cache=None, jobs: int = 1):
-    """Scan the family mod each prime for smooth members matching the
-    target: accept (p, lam) iff p | (N - 1 - p^2 - b_p) with quotient h
-    bounded by |h| <= 20.  Candidates come back sorted by (p, lam); only
-    residues appearing at EVERY prime are meaningful (h is free per
-    prime, so single-prime matches are often spurious)."""
+def cm_sieve(family, target, primes, cache=None, jobs: int = 1):
+    """Scan the family mod each prime for smooth members matching the target
+    (None: eta(4 tau)^6 through the largest prime, built once the batch is
+    priced): accept (p, lam) iff p | (N - 1 - p^2 - b_p) with |h| <= 20 for
+    the quotient h.  Candidates come back sorted by (p, lam); only residues
+    at EVERY prime are meaningful (h is free per prime)."""
     plist = sorted(set(primes))
     for p in plist:
         _check_odd_prime(p)
         if not family.good_reduction(p):
             raise DomainError(f"family has bad reduction at {p}")
-        if p > target.n_max:
+        if target is not None and p > target.n_max:
             raise UsageError(f"target series stops at b_{target.n_max}, "
                              f"below prime {p}")
-    check_price("the counts", ((family.member(lam), p) for p in plist
-                               for lam in range(p)
+    smooth = {p: [] for p in plist}  # p -> (lam, member), made as priced
+
+    def made(p, lam):  # once, lazily, so the price may stop past the cap
+        smooth[p].append((lam, family.member(lam)))
+        return smooth[p][-1][1], p
+    check_price("the counts", (made(p, lam) for p in plist for lam in range(p)
                                if family.is_smooth_member(lam, p)))
+    if target is None and plist:
+        target = eta4_pow6_expansion(plist[-1])
     out = []
     for p in plist:
         b_p = target.b(p)
-        lams = [lam for lam in range(p) if family.is_smooth_member(lam, p)]
-        if not lams:
+        if not smooth[p]:
             warnings.warn(f"every residue mod {p} is singular; "
                           f"prime contributes nothing")
             continue
-        counts = count_many([family.member(lam) for lam in lams],
+        counts = count_many([member for _, member in smooth[p]],
                             FieldCtx(p), cache, jobs)
-        for lam, n in zip(lams, counts):
+        for (lam, _), n in zip(smooth[p], counts):
             t = n - 1 - p * p - b_p
             if t % p == 0 and abs(t // p) <= H_BOUND:
                 out.append(SieveCandidate(p, lam, t // p, n))

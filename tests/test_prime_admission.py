@@ -64,16 +64,35 @@ def test_modularity_admits_primes_past_the_old_scan_budget(capsys, p):
     assert json.loads(capsys.readouterr().out)["results"]["all_agree"]
 
 
-@pytest.mark.parametrize("p, price", [("4001", "2.5e+10"),
+@pytest.mark.parametrize("p, price", [("1019", "3.3e+9"),
+                                      ("4001", "2.5e+10"),
                                       ("5791", "6.1e+11")])
 def test_sieve_is_refused_by_price_before_any_count(capsys, monkeypatch, p,
                                                     price):
+    # 1019 ran in about 2.7 s under the scan budget; the target series too
+    # is built only once the batch is priced
     monkeypatch.setattr(cmmod, "count_many", _refuse("count_many"))
     monkeypatch.setattr(count_mod, "_torus_tally", _refuse("_torus_tally"))
+    monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
+                        _refuse("eta4_pow6_expansion"))
     assert main(["sieve", "--primes", p]) == 2
     assert capsys.readouterr().err == (
         f"k3: usage error: the counts need about {price} price units "
         f"(cap 2.0e+9)\n")
+
+
+def test_the_sieve_makes_each_member_once(monkeypatch):
+    made = []
+
+    class Counted(type(dwork_pencil)):
+        def member(self, lam):
+            made.append(lam)
+            return super().member(lam)
+    monkeypatch.setattr(count_mod, "_torus_tally", _refuse("_torus_tally"))
+    monkeypatch.setattr(cmmod, "count_many", lambda ss, ctx, *a: [0] * len(ss))
+    cmmod.cm_sieve(Counted(), None, [13, 17])
+    assert made == [lam for p in (13, 17) for lam in range(p)
+                    if dwork_pencil.is_smooth_member(lam, p)]
 
 
 def test_modularity_range_is_refused_before_it_is_listed(capsys,
@@ -107,14 +126,17 @@ def test_the_price_stops_at_the_first_count_past_the_cap():
     assert walked == [1]
 
 
-def test_the_cap_admits_sieve_1009_1013_and_refuses_4001():
-    # priced, not counted: 8.25e8 of torus tallies runs, 2.5e10 does not
+@pytest.mark.parametrize("admitted, refused", [
+    ([1009, 1013], [4001]), ([859], [863]), ([1709], [1721])])
+def test_the_cap_admits_a_sieve_batch_and_refuses_the_next(admitted, refused):
+    # priced, not counted: 8.25e8 of torus tallies runs, 2.5e10 does not;
+    # a lone prime is admitted to 859 at p = 3 mod 4, to 1709 at p = 1 mod 4
     def batch(primes):
         return ((dwork_pencil.member(lam), p) for p in primes
                 for lam in range(p) if dwork_pencil.is_smooth_member(lam, p))
-    check_price("the counts", batch([1009, 1013]))
-    with pytest.raises(UsageError, match=r"about 2\.5e\+10"):
-        check_price("the counts", batch([4001]))
+    check_price("the counts", batch(admitted))
+    with pytest.raises(UsageError, match="the counts need"):
+        check_price("the counts", batch(refused))
 
 
 @pytest.mark.parametrize("argv", [("modularity", "--primes", "3..37"),

@@ -193,9 +193,12 @@ def test_prime_range_past_the_budget_is_refused_before_enumeration(
 
 
 def test_prime_range_below_the_budget_is_enumerated():
-    # no prime lies between 5791 (in budget) and 5801 (past it)
+    # a range under the batch cap is listed whole: 5791 is the last prime
+    # below 5801
     assert _primes_arg("5770..5800") == [5779, 5783, 5791]
     assert _primes_arg("-5..7") == [2, 3, 5, 7]
+    # priced from 2, where the listing starts, not from the bound as given
+    assert _primes_arg("-3000000..7") == [2, 3, 5, 7]
 
 
 @pytest.mark.parametrize("argv, err", [

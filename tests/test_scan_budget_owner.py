@@ -87,12 +87,10 @@ def test_packed_tables_speak_the_scan_budget():
 def test_over_budget_prime_list_exits_2_before_any_series(capsys, monkeypatch,
                                                           sub):
     # the batch price, not the q x q budget: the Fermat quartic by fibres
-    # at 10000121 (300 p), the Dwork pencil by one torus tally at 4001; the
-    # sieve's target series is its argument, built before cm_sieve prices
+    # at 10000121 (300 p), the Dwork pencil by one torus tally at 4001
     monkeypatch.setattr(cmmod, "count_many", _refuse("count_many"))
-    if sub == "modularity":
-        monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
-                            _refuse("eta4_pow6_expansion"))
+    monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
+                        _refuse("eta4_pow6_expansion"))
     assert main([sub, "--primes", OVER_CAP[sub]]) == 2
     assert capsys.readouterr().err == (
         f"k3: usage error: the counts need about {PRICES[sub]} price units "
