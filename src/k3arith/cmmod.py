@@ -8,25 +8,26 @@ an elementary count: `count` takes the Fermat quartic over F_p in closed
 form at p = 3 mod 4 and by the fibres of x -> x^4 at p = 1 mod 4, never by
 the Jacobi sums that rest on the same theory, and never by a scan.
 
-cm_sieve turns the prediction around: scanning a one-parameter family mod
-several primes for members whose counts fit a target q-series with SOME
-bounded h.  A single prime admits spurious matches (h is free per prime),
-so only residues surviving every prime matter; lift_parameter CRT-combines
-those and rationally reconstructs a small-height parameter, and
-sieve_survivors runs that analysis over a whole sieve.  Both price the
-whole batch by `count.check_price` before any series or count, then
-count through `count.count_many`, one field context per prime; the
-sieve's smooth members share one torus tally per prime, never a scan.
+cm_sieve turns the prediction around: it counts the smooth members of a
+one-parameter family mod several primes and keeps those whose counts fit
+a target q-series with SOME bounded h.  A single prime admits spurious
+matches (h is free per prime), so only residues surviving every prime
+matter; lift_parameter CRT-combines those and rationally reconstructs a
+small-height parameter, and sieve_survivors runs that analysis over a
+whole sieve.  Both hand their whole batch to one `count.count_many` walk,
+which prices every count, and the eta series each builds, before any is
+made; the sieve's smooth members share one torus tally per prime, never
+a scan.
 """
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, tee
 from math import gcd, isqrt, prod
 
 from .count import check_price, count_many, fermat_quartic
 from .errors import DomainError, UsageError
-from .ff import FieldCtx, check_bytes, isprime
+from .ff import check_bytes, isprime
 
 H_BOUND = 20  # |trace of Frob on NS| <= rank NS = 20 for a singular K3
 SMALL_INT_BOUND = 20  # window |c| <= 20 of the common small integers
@@ -65,10 +66,16 @@ def eta4_pow6_expansion(n_max: int) -> QSeries:
     return QSeries(tuple(b), weight=3, level=16)
 
 
+def _eta_price(n_max: int) -> int:
+    """eta4_pow6_expansion's price, 200 `count._route` units a coefficient
+    (84 to 195 ns from n = 10^4 to 10^7, in-process, 2-core AMD EPYC)."""
+    return 200 * n_max
+
+
 def primes_between(lo: int, hi: int):
     """The primes in lo..hi, priced from its bounds: 1000 units an integer."""
     lo = max(2, lo)
-    check_price(f"the primes in {lo}..{hi}", total=1000 * (hi - lo))
+    check_price(f"the primes in {lo}..{hi}", 1000 * (hi - lo))
     return [n for n in range(lo, hi + 1) if isprime(n)]
 
 
@@ -126,12 +133,12 @@ def verify_modularity(p_range, cache=None, jobs: int = 1) -> ModularityReport:
     primes = sorted(set(p_range))
     for p in primes:  # whole range vetted before any series or count
         _check_odd_prime(p)
-    check_price("the counts", ((fermat_quartic(), p) for p in primes))
+    counts = count_many(((fermat_quartic(), p, 1) for p in primes), cache,
+                        jobs, total=_eta_price(max(primes, default=0)))
     series = eta4_pow6_expansion(primes[-1]) if primes else None
     return ModularityReport(tuple(
-        ModularityEntry(p, fermat_count_prediction(p, series), count_many(
-            [fermat_quartic()], FieldCtx(p), cache, jobs)[0])
-        for p in primes))
+        ModularityEntry(p, fermat_count_prediction(p, series), n)
+        for p, n in zip(primes, counts)))
 
 
 @dataclass(frozen=True)
@@ -145,11 +152,11 @@ class SieveCandidate:
 
 
 def cm_sieve(family, target, primes, cache=None, jobs: int = 1):
-    """Scan the family mod each prime for smooth members matching the target
-    (None: eta(4 tau)^6 through the largest prime, built once the batch is
-    priced): accept (p, lam) iff p | (N - 1 - p^2 - b_p) with |h| <= 20 for
-    the quotient h.  Candidates come back sorted by (p, lam); only residues
-    at EVERY prime are meaningful (h is free per prime)."""
+    """Count the smooth members of the family mod each prime and keep those
+    matching the target (None: eta(4 tau)^6 through the largest prime, built
+    once the batch is priced): accept (p, lam) iff p | (N - 1 - p^2 - b_p) with
+    |h| <= 20 for the quotient h.  Candidates come in (p, lam) order; only
+    residues at EVERY prime are meaningful (h is free per prime)."""
     plist = sorted(set(primes))
     for p in plist:
         _check_odd_prime(p)
@@ -158,29 +165,24 @@ def cm_sieve(family, target, primes, cache=None, jobs: int = 1):
         if target is not None and p > target.n_max:
             raise UsageError(f"target series stops at b_{target.n_max}, "
                              f"below prime {p}")
-    smooth = {p: [] for p in plist}  # p -> (lam, member), made as priced
-
-    def made(p, lam):  # once, lazily, so the price may stop past the cap
-        smooth[p].append((lam, family.member(lam)))
-        return smooth[p][-1][1], p
-    check_price("the counts", (made(p, lam) for p in plist for lam in range(p)
-                               if family.is_smooth_member(lam, p)))
+    top = max(plist, default=0)
+    # each member made once, lazily, so the walk stops at the cap
+    walk, pairs = tee((p, lam) for p in plist for lam in range(p)
+                      if family.is_smooth_member(lam, p))
+    counts = count_many(((family.member(lam), p, 1) for p, lam in walk),
+                        cache, jobs, total=0 if target else _eta_price(top))
     if target is None and plist:
-        target = eta4_pow6_expansion(plist[-1])
-    out = []
+        target = eta4_pow6_expansion(top)
+    out, seen = [], set()
+    for (p, lam), n in zip(pairs, counts):
+        seen.add(p)
+        t = n - 1 - p * p - target.b(p)
+        if t % p == 0 and abs(t // p) <= H_BOUND:
+            out.append(SieveCandidate(p, lam, t // p, n))
     for p in plist:
-        b_p = target.b(p)
-        if not smooth[p]:
+        if p not in seen:
             warnings.warn(f"every residue mod {p} is singular; "
                           f"prime contributes nothing")
-            continue
-        counts = count_many([member for _, member in smooth[p]],
-                            FieldCtx(p), cache, jobs)
-        for (lam, _), n in zip(smooth[p], counts):
-            t = n - 1 - p * p - b_p
-            if t % p == 0 and abs(t // p) <= H_BOUND:
-                out.append(SieveCandidate(p, lam, t // p, n))
-    out.sort(key=lambda cand: (cand.p, cand.lam))
     return out
 
 

@@ -31,8 +31,8 @@ sums the quadratic character (double sextics).  Only a scan takes
 workers: its dominant stratum can be chunked over its leading coordinate
 across worker processes (`pool_map`); chunk subtotals are exact, added in
 chunk order, so the worker count never changes the result.  `count_many`
-is the one cache-through count, for towers, the modularity check and the
-CM sieve alike, one surface after another.
+is the one walk behind towers, the modularity check and the CM sieve: it
+routes each (surface, p, r) key once, pricing a capped batch first.
 """
 
 import json
@@ -50,7 +50,7 @@ from .ff import (CyclotomicInt, FieldCtx, MultChar, check_bytes,
                  check_scan_budget, isprime, jacobi_sum)
 
 FEASIBILITY_CAP = 300_000_000  # `_route` price units, about 1 ns each
-BATCH_CAP = 2_000_000_000  # `check_price` units, about 2 s of torus tallies
+BATCH_CAP = 2_000_000_000  # `_route` price units, about 2 s of torus tallies
 _POOL_PRICE = 12_000_000  # `_route` price from which a count gets workers
 
 
@@ -301,8 +301,8 @@ def is_smooth_quartic(surface, ctx: FieldCtx) -> bool:
     first over an extension needs a re-run at larger r.  Priced as five
     quartic scans (`_scan_price`)."""
     p, q, f = ctx.p, ctx.q, surface.to_quartic()
-    if 5 * _scan_price(q, ctx.r) > FEASIBILITY_CAP:
-        raise UsageError(f"rational-point smoothness scan infeasible at q = {q}")
+    check_price(f"the smoothness scans at q = {q}", 5 * _scan_price(q, ctx.r),
+                FEASIBILITY_CAP)
     f_items = f.items(p)
     polys = [f_items] + [_partial_items(f_items, i, p) for i in range(4)]
     return _projective_scan(polys, 3, ctx) == 0
@@ -379,10 +379,10 @@ def count_diagonal_quartic_quadric(surface, ctx: FieldCtx,
     a2 a3) q points of sum a_i y_i^2 = 0, eta the Legendre symbol mod p: r
     is odd, so (q - 1)/(p - 1) is odd and F_p has the same squares in F_q
     as in itself."""
-    if not _quadric_path_ok(surface, ctx.p, ctx.r):
+    q, a = ctx.q, _diagonal_shape(surface, ctx.p)
+    if a is None or not (ctx.p == 2 or q % 4 == 3 and all(a)):
         raise UnsupportedError("the closed form needs a diagonal quartic and "
                                "p = 2, or q = 3 mod 4 and p prime to each a_i")
-    q, a = ctx.q, _diagonal_shape(surface, ctx.p)
     if ctx.p == 2:
         return q * q + q + 1 + q ** 3 * (not any(a))
     eta = 1 if pow(prod(a), (ctx.p - 1) // 2, ctx.p) == 1 else -1
@@ -511,11 +511,6 @@ def _fast_path_ok(surface, p, r) -> bool:
     return a is not None and p != 2 and all(a) and p ** r % 4 == 1
 
 
-def _quadric_path_ok(surface, p, r) -> bool:
-    a = _diagonal_shape(surface, p)
-    return a is not None and (p == 2 or p ** r % 4 == 3 and all(a))
-
-
 def _count_by_jacobi(surface, ctx, jobs=1):
     """The count alone, in the form `_route` hands counts out."""
     return count_diagonal_quartic_jacobi(surface, ctx)[0]
@@ -530,12 +525,12 @@ def _route(surface, p, r):
     """(count(surface, ctx, jobs), price) for the level F_{p^r}: the one
     price that refuses work and hands out workers, a unit about 1 ns (2-core
     x86, in-process, a fresh `FieldCtx` each).  A quartic goes by its
-    monomials mod p, `_torus_shape`, never by its class: when its only
-    monomials mod p are a_i x_i^4, (1) by the closed form at p = 2, or at
-    q = 3 mod 4 with every a_i nonzero mod p; else (2) by the fibre count
-    at r = 1; with e x0 x1 x2 x3 too, e nonzero, (3) by the torus count at
-    r = 1; else (4) by Jacobi sums when every a_i is nonzero mod p (left:
-    r > 1, q = 1 mod 4); else, like any other quartic, (5) by the scan.
+    monomials mod p, `_torus_shape` read once, never by its class: when
+    its only monomials mod p are a_i x_i^4, (1) by the closed form at
+    p = 2, or at q = 3 mod 4 with every a_i nonzero mod p; else (2) by the
+    fibre count at r = 1; else (3) by Jacobi sums when every a_i is nonzero
+    mod p (left: r > 1, q = 1 mod 4); with e x0 x1 x2 x3 too, e nonzero,
+    (4) by the torus count at r = 1; else (5) by the scan, as any quartic.
     Prices: the closed form, 1000 r^3, builds F_{2^r}, r <= 200, in 700 r^3
     ns or less; the fibre count, 300 p, ran at 0.60 to 1.21 ns a unit over
     F_101 to F_1000033 (best of 3); the torus count, 25 m^3 + 10 p^2,
@@ -550,81 +545,83 @@ def _route(surface, p, r):
     q = p ** r
     if isinstance(surface, DoubleSextic):
         return count_double_sextic, 10 * q * q
-    if _quadric_path_ok(surface, p, r):
-        return count_diagonal_quartic_quadric, 1000 * r ** 3
-    if r == 1 and _diagonal_shape(surface, p) is not None:
-        return count_diagonal_quartic_fibres, 300 * p
-    if r == 1 and _torus_shape(surface, p):
+    a, e = _torus_shape(surface, p) or (None, 0)
+    if a is not None and not e:
+        if p == 2 or q % 4 == 3 and all(a):
+            return count_diagonal_quartic_quadric, 1000 * r ** 3
+        if r == 1:
+            return count_diagonal_quartic_fibres, 300 * p
+        if all(a):  # left: r > 1, p odd, q = 1 mod 4
+            return _count_by_jacobi, 5000 * q
+    elif a is not None and r == 1:
         m = (p - 1) // gcd(4, p - 1)
         return count_torus_fibres, 25 * m ** 3 + 10 * p * p
-    if _fast_path_ok(surface, p, r):
-        return _count_by_jacobi, 5000 * q
     return count_quartic, _scan_price(q, r)
 
 
-def _tower_cost(surface, p, r_max) -> int:
-    return sum(_route(surface, p, r)[1] for r in range(1, r_max + 1))
-
-
-def check_price(what, counts=(), total=0):
-    """Refuse with UsageError once total and the `_route` prices of the
-    (surface, p) counts over F_p pass BATCH_CAP, before any is made."""
-    tallies = set()
-    for surface, p in counts:
-        count, price = _route(surface, p, 1)
-        if count is count_torus_fibres:  # members sharing a tally pay once
-            tally = (tuple(_torus_shape(surface, p)[0]), p)
-            price *= tally not in tallies
-            tallies.add(tally)
-        if (total := total + price) > BATCH_CAP:
-            break  # a long batch is not walked past the cap
-    if total > BATCH_CAP:
+def check_price(what, units, cap=BATCH_CAP):
+    """The one price guard, the counterpart of `ff.check_bytes`: refuse
+    with UsageError, before the work starts, what is priced past cap units
+    of `_route` (about 1 ns each)."""
+    if units > cap:
         from decimal import Decimal  # a price past float range
-        raise UsageError(f"{what} need about {Decimal(total):.1e} price "
-                         f"units (cap {Decimal(BATCH_CAP):.1e})")
+        raise UsageError(f"{what} need about {Decimal(units):.1e} price "
+                         f"units (cap {Decimal(cap):.1e})")
 
 
-def count_many(surfaces, ctx: FieldCtx, cache=None, jobs: int = 1):
-    """#X(F_q) for each surface, in order: read from the cache, else made by
-    its `_route` count, read at call time, and recorded, one surface after
-    another.  The one place that hands out `jobs`: a count gets them only
-    when its `_route` price reaches _POOL_PRICE.  A dense quartic took
-    18.0 ms at 1 job and at 2 over F_151 (price 1.0e7), 24.0 and 21.3
+def count_many(keys, cache=None, jobs: int = 1, cap=BATCH_CAP, total=0,
+               what="the counts"):
+    """#X(F_{p^r}) for each (surface, p, r) key, in order, each routed by
+    `_route` once.  Under a cap, the running price from total (the Dwork
+    members over one F_p pay once for the tally they share) is refused by
+    `check_price` at the first key past cap, before any count; with cap
+    None each key is counted as it is drawn, so a forced tower ends at its
+    first refused count.  Misses count on one `FieldCtx` per run of equal
+    (p, r) and are recorded.  The one place that hands out `jobs`: a count
+    gets them only when its price reaches _POOL_PRICE.  A dense quartic
+    took 18.0 ms at 1 job and at 2 over F_151 (price 1.0e7), 24.0 and 21.3
     over F_167 (1.4e7)."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
-    p, r = ctx.p, ctx.r
-    hashes = [s.surface_hash() for s in surfaces]
-    counts = [None if cache is None else cache.lookup(h, p, r) for h in hashes]
-    for i, surface in enumerate(surfaces):
-        if counts[i] is None:
+    def walk(total, tallies):
+        for surface, p, r in keys:
             count, price = _route(surface, p, r)
-            counts[i] = count(surface, ctx,
-                              jobs if price >= _POOL_PRICE else 1)
+            if cap is not None:
+                if count is count_torus_fibres:  # one tally per shape and p
+                    tally = (tuple(_torus_shape(surface, p)[0]), p)
+                    price *= tally not in tallies
+                    tallies.add(tally)
+                total += price
+                check_price(what, total, cap)
+            yield surface, p, r, count, jobs if price >= _POOL_PRICE else 1
+    routed = walk(total, set())
+    if cap is not None:
+        routed = list(routed)  # every key priced before any count
+    counts, ctx = [], None
+    for surface, p, r, count, workers in routed:
+        h = surface.surface_hash()
+        n = None if cache is None else cache.lookup(h, p, r)
+        if n is None:
+            ctx = ctx if ctx and (ctx.p, ctx.r) == (p, r) else FieldCtx(p, r)
+            n = count(surface, ctx, workers)
             if cache is not None:
-                cache.record(hashes[i], p, r, counts[i])
+                cache.record(h, p, r, n)
+        counts.append(n)
     return counts
 
 
 def count_tower(surface, p: int, r_max: int, cache=None, jobs: int = 1,
                 force: bool = False):
-    """Counts #X(F_{p^r}) for r = 1..r_max through `count_many`, one level
-    at a time.  Unless force is set, refuses the tower at the first level
-    where the running sum of `_route` prices passes the feasibility cap."""
+    """Counts #X(F_{p^r}) for r = 1..r_max by one `count_many` walk over
+    the levels, refused at the first level where the running price passes
+    FEASIBILITY_CAP, or under force at the first count that refuses."""
     if r_max < 1:
         raise UsageError("r_max must be at least 1")
     if not isprime(p):
         raise UsageError(f"p = {p} is not prime")
-    est = 0
-    for r in [] if force else range(1, r_max + 1):
-        est += _route(surface, p, r)[1]
-        if est > FEASIBILITY_CAP:
-            from decimal import Decimal  # a price past float range
-            raise UsageError(
-                f"tower needs about {Decimal(est):.1e} field operations by "
-                f"r = {r} (cap {Decimal(FEASIBILITY_CAP):.1e}); pass "
-                f"force=True (k3 count --force) to override")
+    counts = count_many(((surface, p, r) for r in range(1, r_max + 1)), cache,
+                        jobs, None if force else FEASIBILITY_CAP,
+                        what="the tower's levels (force=True, k3 count "
+                        "--force, lifts the cap)")
     h = surface.surface_hash()
-    return [CountRecord(h, p, r, count_many([surface], FieldCtx(p, r), cache,
-                                            jobs)[0])
-            for r in range(1, r_max + 1)]
+    return [CountRecord(h, p, r, n) for r, n in enumerate(counts, 1)]

@@ -1,10 +1,10 @@
 """Every count in tests/data/count_corpus.ldjson, each made by two
 independent routes (tests/data/make_count_corpus.py), recounted through
-today's route: `count_many` over each field, one surface after another,
-each by its own `_route`.  Records whose second route was the (since
-deleted) pencil scan keep a case of their own, so each case names the
-routes that made its counts.  A changed count is a failure, never an edit
-of the file: records are only ever added."""
+today's route: one uncapped `count_many` walk over each field's
+(surface, p, r) keys, each key by its own `_route`.  Records whose second
+route was the (since deleted) pencil scan keep a case of their own, so
+each case names the routes that made its counts.  A changed count is a
+failure, never an edit of the file: records are only ever added."""
 
 import json
 import os
@@ -13,7 +13,6 @@ from collections import defaultdict
 import pytest
 
 from k3arith.count import DiagonalQuartic, DoubleSextic, Quartic, count_many
-from k3arith.ff import FieldCtx
 
 PATH = os.path.join(os.path.dirname(__file__), "data", "count_corpus.ldjson")
 MODELS = {"quartic": Quartic, "double_sextic": DoubleSextic,
@@ -41,6 +40,6 @@ def _id(key):
 def test_todays_route_reproduces_the_corpus(key):
     p, r, _ = key
     recs = GROUPS[key]
-    surfaces = [MODELS[rec["model"]](tuple(rec["coeffs"])) for rec in recs]
-    assert count_many(surfaces, FieldCtx(p, r)) == [
-        rec["count"] for rec in recs]
+    keys = [(MODELS[rec["model"]](tuple(rec["coeffs"])), p, r)
+            for rec in recs]
+    assert count_many(keys, cap=None) == [rec["count"] for rec in recs]

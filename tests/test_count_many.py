@@ -1,9 +1,11 @@
-"""`count.count_many`, the one cache-through count behind towers, the
-modularity check and the CM sieve: equal counts, appended records and
-cache statistics at one and two workers from a half-warm cache; the
-`jobs` contract and the worker ceiling of `pool_map`; and a CLI pass whose
-cache file and `cache` blocks are frozen from the earlier implementation,
-which wrote the lookup, count and record steps out three times."""
+"""`count.count_many`, the one walk that routes, prices and counts the
+(surface, p, r) keys of towers, the modularity check and the CM sieve:
+equal counts, appended records and cache statistics at one and two
+workers from a half-warm cache; a batch past the cap refused before any
+count or record; each key routed once, priced or forced; the `jobs`
+contract and the worker ceiling of `pool_map`; and a CLI pass whose cache
+file and `cache` blocks are frozen from the earlier implementation, which
+wrote the lookup, count and record steps out three times."""
 
 import concurrent.futures
 import hashlib
@@ -14,7 +16,7 @@ import pytest
 from k3arith import count
 from k3arith.cache import CountCache
 from k3arith.cli import main
-from k3arith.cmmod import verify_modularity
+from k3arith.cmmod import cm_sieve, verify_modularity
 from k3arith.count import (Quartic, count_many, count_quartic, count_tower,
                            dwork_pencil, fermat_quartic)
 from k3arith.errors import UsageError
@@ -23,6 +25,8 @@ from k3arith.ff import FieldCtx
 P = 13
 MEMBERS = [dwork_pencil.member(lam) for lam in range(P)
            if dwork_pencil.is_smooth_member(lam, P)]
+KEYS = [(member, P, 1) for member in MEMBERS]
+DENSE = Quartic(tuple(range(1, 36)))
 
 
 def _half_warm(path):
@@ -39,7 +43,7 @@ def test_equal_at_one_and_two_jobs_from_a_half_warm_cache(tmp_path):
     for jobs in (1, 2):
         path = tmp_path / f"jobs{jobs}.jsonl"
         cache = _half_warm(path)
-        counts = count_many(MEMBERS, FieldCtx(P), cache, jobs)
+        counts = count_many(KEYS, cache, jobs)
         runs.append((counts, path.read_bytes(), cache.stats))
     assert runs[0] == runs[1]
     counts, _, stats = runs[0]
@@ -52,15 +56,58 @@ def test_equal_at_one_and_two_jobs_from_a_half_warm_cache(tmp_path):
 
 
 def test_without_a_cache_every_count_is_made():
-    assert count_many([], FieldCtx(5)) == []
-    assert count_many(MEMBERS[:3], FieldCtx(P)) == [
+    assert count_many([]) == []
+    assert count_many(KEYS[:3]) == [
         count_quartic(m, FieldCtx(P)) for m in MEMBERS[:3]]
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return refuse
+
+
+def test_a_batch_past_the_cap_is_refused_before_any_count(tmp_path,
+                                                          monkeypatch):
+    # one dense quartic over F_1009 is priced at 3 * 1009^3, about 3.1e9
+    for name in ("count_quartic", "count_torus_fibres", "_torus_tally"):
+        monkeypatch.setattr(count, name, _refuse(name))
+    monkeypatch.setattr(CountCache, "record", _refuse("record"))
+    path = tmp_path / "counts.jsonl"
+    cache = CountCache(path)
+    with pytest.raises(UsageError, match=r"^the counts need about 3\.1e\+9 "
+                                         r"price units \(cap 2\.0e\+9\)$"):
+        count_many(KEYS + [(DENSE, 1009, 1)], cache)
+    assert len(cache) == 0 and not path.exists()
+    assert (cache.hits, cache.misses) == (0, 0)  # nor any lookup
+
+
+def test_every_key_is_routed_once_priced_or_forced(monkeypatch):
+    routed = []
+    route = count._route
+
+    def spy(surface, p, r):
+        routed.append((p, r))
+        return route(surface, p, r)
+
+    monkeypatch.setattr(count, "_route", spy)
+    for cap in (count.BATCH_CAP, None):  # towers: test_tower_refusal_sizes
+        routed.clear()
+        count_many(KEYS + [(DENSE, 7, 2)], cap=cap)
+        assert routed == [(P, 1)] * len(MEMBERS) + [(7, 2)]
+    routed.clear()
+    cm_sieve(dwork_pencil, None, [5, P])
+    assert routed == [(p, 1) for p in (5, P) for lam in range(p)
+                      if dwork_pencil.is_smooth_member(lam, p)]
+    routed.clear()
+    verify_modularity([3, 5, P])
+    assert routed == [(3, 1), (5, 1), (P, 1)]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_jobs_below_one_are_refused(jobs):
     with pytest.raises(UsageError):
-        count_many(MEMBERS, FieldCtx(P), jobs=jobs)
+        count_many(KEYS, jobs=jobs)
     with pytest.raises(UsageError):
         count_tower(fermat_quartic(), 5, 1, jobs=jobs)
 
@@ -111,17 +158,15 @@ def test_pool_never_exceeds_the_cpus(monkeypatch, fake_pool):
     assert tower == count_tower(quartic, 13, 2)
     fake_pool.clear()
     # dense quartics over F_167, each priced past the gate: one pool each
-    dense = [Quartic(tuple(range(c, c + 35))) for c in (1, 2)]
-    assert count_many(dense, FieldCtx(167), jobs=huge) == count_many(
-        dense, FieldCtx(167))
+    dense = [(Quartic(tuple(range(c, c + 35))), 167, 1) for c in (1, 2)]
+    assert count_many(dense, jobs=huge) == count_many(dense)
     assert fake_pool == [3, 3]
 
 
 @pytest.mark.parametrize("cpus", [None, 1])
 def test_pool_runs_serially_below_two_workers(monkeypatch, fake_pool, cpus):
     monkeypatch.setattr(count.os, "cpu_count", lambda: cpus)
-    assert count_many(MEMBERS, FieldCtx(P), jobs=4) == count_many(
-        MEMBERS, FieldCtx(P))
+    assert count_many(KEYS, jobs=4) == count_many(KEYS)
     assert count.pool_map(abs, [-1, -2, -3], 8) == [1, 2, 3]
     assert fake_pool == []
 

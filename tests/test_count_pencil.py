@@ -51,15 +51,15 @@ def test_pencil_counts_equal_member_counts(p, f, g, data):
         mus = data.draw(st.lists(st.integers(-2 * p, 2 * p),
                                  min_size=5, max_size=p))
     members = _members(f, g, mus)
-    ctx = FieldCtx(p)
-    assert count_many(members, ctx) == _each(members, ctx)
+    assert count_many([(m, p, 1) for m in members]) == _each(members,
+                                                              FieldCtx(p))
 
 
 def test_one_and_two_jobs_give_equal_counts():
     members = _members(DWORK_F, X0_ONLY, range(11))
-    ctx = FieldCtx(11)
-    assert count_many(members, ctx, jobs=2) == count_many(members, ctx) == (
-        _each(members, ctx))
+    keys = [(m, 11, 1) for m in members]
+    assert count_many(keys, jobs=2) == count_many(keys) == (
+        _each(members, FieldCtx(11)))
 
 
 @pytest.mark.parametrize("p", [11, 13, 17, 19])

@@ -2,7 +2,8 @@
 `hecke_h`.
 
 `count._route` picks the count for one level F_{p^r} and prices it;
-`_tower_cost` sums those prices against FEASIBILITY_CAP.  The table below
+`count_tower`'s one `count_many` walk sums those prices against
+FEASIBILITY_CAP.  The table below
 was frozen from the if-chain `_route` replaced, so the set of refused
 towers cannot move unnoticed.  `hecke_h` reads chi_{-1}(p) and chi_2(p)
 off p mod 8; `ff.quadratic_character` is the reference.
@@ -14,8 +15,8 @@ from k3arith import count
 from k3arith.cmmod import cm_sieve, eta4_pow6_expansion, hecke_h
 from k3arith.count import (FEASIBILITY_CAP, QUARTIC_EXPONENTS,
                            SEXTIC_EXPONENTS, DiagonalQuartic, DoubleSextic,
-                           Quartic, _route, _tower_cost,
-                           count_diagonal_quartic_jacobi, count_tower,
+                           Quartic, _route, count_diagonal_quartic_jacobi,
+                           count_tower,
                            fermat_quartic)
 from k3arith.errors import DomainError, UnsupportedError, UsageError
 from k3arith.ff import FieldCtx, isprime, quadratic_character
@@ -25,7 +26,7 @@ QUARTIC = Quartic((1,) * len(QUARTIC_EXPONENTS))
 FERMAT = fermat_quartic()
 DIAG5 = DiagonalQuartic((1, 1, 1, 5))  # 5 | a coefficient: no fast path at 5
 
-# (surface, p, r_max, _tower_cost) as the if-chain priced them
+# (surface, p, r_max, tower cost) as the if-chain priced them
 FROZEN_COSTS = [
     (SEXTIC, 3, 4, 73800),
     (SEXTIC, 7, 4, 58849000),
@@ -84,12 +85,17 @@ REPRICED = {
 }
 
 
+def _tower_cost(surface, p, r_max):
+    """The sum of the level prices a tower's walk adds up."""
+    return sum(_route(surface, p, r)[1] for r in range(1, r_max + 1))
+
+
 @pytest.mark.parametrize("surface, p, r_max, cost", FROZEN_COSTS)
 def test_tower_cost_frozen(surface, p, r_max, cost):
     cost = REPRICED.get((surface, p, r_max), cost)
     assert _tower_cost(surface, p, r_max) == cost
     if cost > FEASIBILITY_CAP:
-        with pytest.raises(UsageError, match="field operations"):
+        with pytest.raises(UsageError, match="price units"):
             count_tower(surface, p, r_max)
 
 

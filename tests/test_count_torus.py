@@ -132,7 +132,7 @@ def test_count_many_scans_only_what_routes_to_the_scan(monkeypatch):
         return scan(*args, **kwargs)
 
     monkeypatch.setattr(count, "_projective_scan", spy)
-    assert count_many(members, ctx) == want
+    assert count_many([(s, 13, 1) for s in members]) == want
     assert scans == [1] * 6  # one scan of one polynomial a member
 
 

@@ -78,7 +78,7 @@ def test_cli_refuses_a_tower_to_f_2_1000_naming_force(capsys):
             "--p", "2", "--r", "1000"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "field operations" in err and "--force" in err
+    assert "price units" in err and "--force" in err
 
 
 def test_diagonal_tower_at_q_3_mod_4_leaves_numpy_out():

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 import sympy
 
-from k3arith.count import (FEASIBILITY_CAP, DoubleSextic, Quartic,
-                           _tower_cost, count_double_sextic)
+from k3arith.count import (FEASIBILITY_CAP, DoubleSextic, Quartic, _route,
+                           count_double_sextic)
 from k3arith.errors import UsageError
 from k3arith.ff import TABLE_BYTES, FieldCtx
 
@@ -55,7 +55,8 @@ def test_table_budget_admits_every_feasible_tower():
             if p ** r > 6000:
                 break
             for model in models:
-                if _tower_cost(model, p, r) <= FEASIBILITY_CAP:
+                if sum(_route(model, p, k)[1]
+                       for k in range(1, r + 1)) <= FEASIBILITY_CAP:
                     largest = max(largest, p ** r)
     assert largest > 5000  # sextics over prime fields reach past 5000
     assert 8 * largest ** 2 <= TABLE_BYTES

@@ -113,8 +113,8 @@ def test_counts_agree_at_one_two_and_many_jobs(monkeypatch):
     monkeypatch.setattr(count.os, "cpu_count", lambda: 2)  # real processes
     target = eta4_pow6_expansion(13)
     runs = [(count_tower(DENSE, 3, 2, jobs=jobs),
-             count_many(MEMBERS, FieldCtx(P), jobs=jobs),
-             count_many([DENSE], FieldCtx(P), jobs=jobs),
+             count_many([(m, P, 1) for m in MEMBERS], jobs=jobs),
+             count_many([(DENSE, P, 1)], jobs=jobs),
              cm_sieve(dwork_pencil, target, [5, 13], jobs=jobs))
             for jobs in (1, 2, 1000)]
     assert runs[0] == runs[1] == runs[2]

@@ -2,11 +2,12 @@
 
 The modularity check and the CM sieve take every odd prime of good
 reduction whose counts fit: each count's own `check_bytes` refuses what
-does not fit in memory, and `count.check_price` refuses a batch whose
-`_route` prices sum past BATCH_CAP, before any series or count.  The Dwork
-members over one F_p share one `_torus_tally` and pay for it once, and a
-`--primes` range is priced from its bounds before it is listed.  The eta
-series is the square of Jacobi's series for prod (1 - x^k)^3, O(n).
+does not fit in memory, and the `count.count_many` walk refuses a batch
+whose `_route` prices, with the price of the eta series it needs, sum past
+BATCH_CAP, before any series or count.  The Dwork members over one F_p
+share one `_torus_tally` and pay for it once, and a `--primes` range is
+priced from its bounds before it is listed.  The eta series is the square
+of Jacobi's series for prod (1 - x^k)^3, O(n).
 """
 
 import itertools
@@ -22,7 +23,7 @@ from k3arith import _intpoly, cmmod
 from k3arith import count as count_mod
 from k3arith import ff
 from k3arith.cli import main
-from k3arith.count import BATCH_CAP, _route, check_price, dwork_pencil
+from k3arith.count import BATCH_CAP, _route, count_many, dwork_pencil
 from k3arith.errors import UsageError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -32,6 +33,10 @@ def _refuse(name):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{name} was called")
     return refuse
+
+
+def _zero(surface, ctx, jobs=1):
+    return 0
 
 
 def test_eta_series_matches_the_euler_product_on_every_prefix():
@@ -66,12 +71,15 @@ def test_modularity_admits_primes_past_the_old_scan_budget(capsys, p):
 
 @pytest.mark.parametrize("p, price", [("1019", "3.3e+9"),
                                       ("4001", "2.5e+10"),
-                                      ("5791", "6.1e+11")])
+                                      ("5791", "6.1e+11"),
+                                      ("5,10000121", "2.0e+9")])
 def test_sieve_is_refused_by_price_before_any_count(capsys, monkeypatch, p,
                                                     price):
     # 1019 ran in about 2.7 s under the scan budget; the target series too
-    # is built only once the batch is priced
-    monkeypatch.setattr(cmmod, "count_many", _refuse("count_many"))
+    # is built only once the batch is priced (through 10000121 its price
+    # alone passes the cap), and every count runs in a field that
+    # `count_many` builds
+    monkeypatch.setattr(count_mod, "FieldCtx", _refuse("FieldCtx"))
     monkeypatch.setattr(count_mod, "_torus_tally", _refuse("_torus_tally"))
     monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
                         _refuse("eta4_pow6_expansion"))
@@ -89,7 +97,7 @@ def test_the_sieve_makes_each_member_once(monkeypatch):
             made.append(lam)
             return super().member(lam)
     monkeypatch.setattr(count_mod, "_torus_tally", _refuse("_torus_tally"))
-    monkeypatch.setattr(cmmod, "count_many", lambda ss, ctx, *a: [0] * len(ss))
+    monkeypatch.setattr(count_mod, "count_torus_fibres", _zero)
     cmmod.cm_sieve(Counted(), None, [13, 17])
     assert made == [lam for p in (13, 17) for lam in range(p)
                     if dwork_pencil.is_smooth_member(lam, p)]
@@ -105,13 +113,14 @@ def test_modularity_range_is_refused_before_it_is_listed(capsys,
         "price units (cap 2.0e+9)\n")
 
 
-def test_dwork_members_over_one_prime_pay_for_one_tally():
-    members = [(dwork_pencil.member(lam), 1009) for lam in range(1, 1009)
+def test_dwork_members_over_one_prime_pay_for_one_tally(monkeypatch):
+    monkeypatch.setattr(count_mod, "count_torus_fibres", _zero)  # priced
+    members = [(dwork_pencil.member(lam), 1009, 1) for lam in range(1, 1009)
                if dwork_pencil.is_smooth_member(lam, 1009)]
     tally = _route(members[0][0], 1009, 1)[1]
-    check_price("the counts", members, BATCH_CAP - tally)
+    assert count_many(members, total=BATCH_CAP - tally) == [0] * len(members)
     with pytest.raises(UsageError, match="the counts need"):
-        check_price("the counts", members, BATCH_CAP - tally + 1)
+        count_many(members, total=BATCH_CAP - tally + 1)
 
 
 def test_the_price_stops_at_the_first_count_past_the_cap():
@@ -120,23 +129,23 @@ def test_the_price_stops_at_the_first_count_past_the_cap():
     def members():  # endless: only the cap can stop the walk
         for lam in itertools.count(1):
             walked.append(lam)
-            yield dwork_pencil.member(lam), 4001
+            yield dwork_pencil.member(lam), 4001, 1
     with pytest.raises(UsageError, match=r"about 2\.5e\+10"):
-        check_price("the counts", members())
+        count_many(members())
     assert walked == [1]
 
 
 @pytest.mark.parametrize("admitted, refused", [
     ([1009, 1013], [4001]), ([859], [863]), ([1709], [1721])])
-def test_the_cap_admits_a_sieve_batch_and_refuses_the_next(admitted, refused):
+def test_the_cap_admits_a_sieve_batch_and_refuses_the_next(monkeypatch,
+                                                           admitted, refused):
     # priced, not counted: 8.25e8 of torus tallies runs, 2.5e10 does not;
-    # a lone prime is admitted to 859 at p = 3 mod 4, to 1709 at p = 1 mod 4
-    def batch(primes):
-        return ((dwork_pencil.member(lam), p) for p in primes
-                for lam in range(p) if dwork_pencil.is_smooth_member(lam, p))
-    check_price("the counts", batch(admitted))
+    # a lone prime is admitted to 859 at p = 3 mod 4, to 1709 at p = 1 mod
+    # 4, with the price of its eta series
+    monkeypatch.setattr(count_mod, "count_torus_fibres", _zero)
+    cmmod.cm_sieve(dwork_pencil, None, admitted)
     with pytest.raises(UsageError, match="the counts need"):
-        check_price("the counts", batch(refused))
+        cmmod.cm_sieve(dwork_pencil, None, refused)
 
 
 @pytest.mark.parametrize("argv", [("modularity", "--primes", "3..37"),

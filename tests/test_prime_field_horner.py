@@ -11,7 +11,8 @@ tables: an int64 coefficient grid costs as many bytes, so a prime above
 5792 is refused before any grid is built, and a double sextic before its
 discrete logs.  The modularity check and the sieve never scan: a
 `--primes` range is priced from its bounds before it is enumerated, and
-the batch by `count.check_price` before any grid, series or count.
+the batch, with its eta series, by the `count.count_many` walk before any
+grid, series or count.
 """
 
 import itertools
@@ -202,8 +203,8 @@ def test_prime_range_below_the_budget_is_enumerated():
 
 
 @pytest.mark.parametrize("argv, err", [
-    (("modularity", "--primes", "10000121"),
-     "the counts need about 3.0e+9 price units (cap 2.0e+9)"),
+    (("modularity", "--primes", "10000121"),  # 300 p, and 200 p of series
+     "the counts need about 5.0e+9 price units (cap 2.0e+9)"),
     (("sieve", "--primes", "5801"),
      "the counts need about 7.7e+10 price units (cap 2.0e+9)"),
     (("count", "--model", "quartic", "--coeffs", ",".join(["1"] * 35),

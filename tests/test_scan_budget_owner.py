@@ -4,10 +4,11 @@
 tables and the scans of `count` alone, so an over-budget field is refused
 before any table or grid is built.  The modularity check and the CM sieve
 never scan: they vet each prime by the count that takes it, the whole
-batch priced by `count.check_price` before any series or count, and the
-`--primes` parser only parses.  A double sextic reads its quadratic
-character off the squares `FieldCtx.horner` computes, not off the
-discrete logs.  Report integers follow the count cache's 2^53 rule.
+batch and its eta series priced by the `count.count_many` walk before any
+series or count, and the `--primes` parser only parses.  A double sextic
+reads its quadratic character off the squares `FieldCtx.horner` computes,
+not off the discrete logs.  Report integers follow the count cache's 2^53
+rule.
 """
 
 import itertools
@@ -27,7 +28,9 @@ from k3arith.errors import UsageError
 from k3arith.ff import FieldCtx
 
 OVER_CAP = {"modularity": "5,10000121", "sieve": "5,4001"}  # 1 mod 4 tops
-PRICES = {"modularity": "3.0e+9", "sieve": "2.5e+10"}
+# the series through 10000121 alone, 200 units a coefficient, passes the
+# cap at the modularity check's first count; the sieve's at its first tally
+PRICES = {"modularity": "2.0e+9", "sieve": "2.5e+10"}
 
 
 def _refuse(name):
@@ -86,9 +89,10 @@ def test_packed_tables_speak_the_scan_budget():
 @pytest.mark.parametrize("sub", ["modularity", "sieve"])
 def test_over_budget_prime_list_exits_2_before_any_series(capsys, monkeypatch,
                                                           sub):
-    # the batch price, not the q x q budget: the Fermat quartic by fibres
-    # at 10000121 (300 p), the Dwork pencil by one torus tally at 4001
-    monkeypatch.setattr(cmmod, "count_many", _refuse("count_many"))
+    # the batch price, not the q x q budget: the eta series and the Fermat
+    # quartic by fibres (300 p) at 10000121, the Dwork pencil by one torus
+    # tally at 4001; every count runs in a field `count_many` builds
+    monkeypatch.setattr(count_mod, "FieldCtx", _refuse("FieldCtx"))
     monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
                         _refuse("eta4_pow6_expansion"))
     assert main([sub, "--primes", OVER_CAP[sub]]) == 2
@@ -117,14 +121,14 @@ def test_prime_lists_below_the_budget_pass_unchanged():
 def test_verify_modularity_vets_the_budget_before_any_series(monkeypatch):
     monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
                         _refuse("eta4_pow6_expansion"))
-    monkeypatch.setattr(cmmod, "count_many", _refuse("count_many"))
-    with pytest.raises(UsageError, match=r"about 3\.0e\+9 price units"):
+    monkeypatch.setattr(count_mod, "FieldCtx", _refuse("FieldCtx"))
+    with pytest.raises(UsageError, match=r"about 2\.0e\+9 price units"):
         cmmod.verify_modularity([5, 10000121])
 
 
 def test_cm_sieve_vets_the_budget_before_any_count(monkeypatch):
     target = cmmod.eta4_pow6_expansion(4001)
-    monkeypatch.setattr(cmmod, "count_many", _refuse("count_many"))
+    monkeypatch.setattr(count_mod, "FieldCtx", _refuse("FieldCtx"))
     monkeypatch.setattr(count_mod, "_torus_tally", _refuse("_torus_tally"))
     with pytest.raises(UsageError, match=r"about 2\.5e\+10 price units"):
         cmmod.cm_sieve(dwork_pencil, target, [5, 4001])

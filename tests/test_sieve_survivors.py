@@ -12,14 +12,13 @@ from math import gcd
 
 import pytest
 
-from k3arith import cmmod
+from k3arith import cmmod, count
 from k3arith.cache import CountCache
 from k3arith.cli import main
 from k3arith.cmmod import (LIFT_BUDGET, SMALL_INT_BOUND, SieveCandidate,
                            cm_sieve, eta4_pow6_expansion, sieve_survivors)
 from k3arith.count import dwork_pencil
 from k3arith.errors import UsageError
-from k3arith.ff import FieldCtx
 
 GOLDEN = {
     ("--primes", "5,13,17", "--lift", "--height", "20"): {
@@ -181,15 +180,25 @@ def test_repeated_primes_raise(capsys):
 # --- field contexts of the sieve's member counts ------------------------------
 
 def test_one_field_context_per_prime(monkeypatch):
-    built = []
+    # every member over one prime is counted in the same field context:
+    # lam = 0 (the Fermat quartic) by fibres, the others on the torus,
+    # whose tally counts its DiagonalQuartic in a field of its own
+    used = {}
 
-    def counting_ctx(p):
-        built.append(p)
-        return FieldCtx(p)
+    def spy(name):
+        route = getattr(count, name)
 
-    monkeypatch.setattr(cmmod, "FieldCtx", counting_ctx)
+        def counted(surface, ctx, jobs=1):
+            if isinstance(surface, count.Quartic):
+                used.setdefault(ctx.p, []).append(ctx)
+            return route(surface, ctx, jobs)
+        monkeypatch.setattr(count, name, counted)
+
+    spy("count_torus_fibres")
+    spy("count_diagonal_quartic_fibres")
     cm_sieve(dwork_pencil, eta4_pow6_expansion(17), [17, 5, 13], jobs=1)
-    assert built == [5, 13, 17]
+    assert list(used) == [5, 13, 17]
+    assert all(ctx is ctxs[0] for ctxs in used.values() for ctx in ctxs)
 
 
 def test_member_counts_equal_at_one_and_two_jobs(tmp_path):

@@ -1,10 +1,12 @@
 """Towers past the cap are refused as usage errors at any size.
 
-`count_tower` sums `_route` prices only up to the first level past
-FEASIBILITY_CAP, sums none under force, and formats the price without a
+`count_tower` hands its levels to one `count_many` walk, which routes each
+level once, sums `_route` prices only up to the first level past
+FEASIBILITY_CAP, checks none under force, and formats the price without a
 float, so a tall tower or a level over a 111-digit prime exits 2 at once
-instead of overflowing a float (exit 1); `_tower_cost` is still the full
-sum.
+instead of overflowing a float (exit 1).  Under force the levels are
+counted as they are drawn, so a tall forced tower ends at its first count
+that refuses, not after routing every level.
 """
 
 import time
@@ -14,7 +16,7 @@ import pytest
 from k3arith import count
 from k3arith.cli import main
 from k3arith.count import (QUARTIC_EXPONENTS, SEXTIC_EXPONENTS, Quartic,
-                           _tower_cost, count_tower, fermat_quartic)
+                           count_tower, fermat_quartic)
 from k3arith.errors import UsageError
 from k3arith.ff import isprime
 
@@ -37,33 +39,61 @@ def test_cli_refuses_at_once_with_exit_2(capsys, argv):
     assert main(["count"] + argv) == 2
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert "field operations" in err and "--force" in err
+    assert "price units" in err and "--force" in err
 
 
 def test_the_price_is_written_past_float_range():
-    with pytest.raises(UsageError, match=r"about 3\.0e\+330 field operations"
-                                         r" by r = 1 \(cap 3\.0e\+8\)"):
+    with pytest.raises(UsageError, match=r"about 3\.0e\+330 price units "
+                                         r"\(cap 3\.0e\+8\)"):
         count_tower(Quartic((1,) * 35), BIG_PRIME, 1)
 
 
-def test_summing_stops_at_the_first_level_past_the_cap():
-    with pytest.raises(UsageError, match=r"about 4\.0e\+9 field operations "
-                                         r"by r = 6 "):
-        count_tower(Quartic((1,) * 35), 3, 10 ** 9)
-    assert _tower_cost(fermat_quartic(), 2, 1000) == 250500250000000
-
-
-def test_force_prices_no_level(monkeypatch):
-    priced = []
+def _route_spy(monkeypatch):
+    routed = []
     route = count._route
 
     def spy(surface, p, r):
-        priced.append(r)
+        routed.append(r)
         return route(surface, p, r)
 
     monkeypatch.setattr(count, "_route", spy)
+    return routed
+
+
+def test_summing_stops_at_the_first_level_past_the_cap(monkeypatch):
+    routed = _route_spy(monkeypatch)
+    with pytest.raises(UsageError, match=r"about 4\.0e\+9 price units "):
+        count_tower(Quartic((1,) * 35), 3, 10 ** 9)
+    assert routed == [1, 2, 3, 4, 5, 6]
+
+
+def test_force_prices_no_level(monkeypatch):
+    # each level is routed once, priced or forced; force checks no price
+    routed, priced = _route_spy(monkeypatch), []
+    check = count.check_price
+
+    def spy(what, units, cap):
+        priced.append(units)
+        return check(what, units, cap)
+
+    monkeypatch.setattr(count, "check_price", spy)
     count_tower(fermat_quartic(), 5, 2)
-    assert len(priced) > 2 and priced[-2:] == [1, 2]  # prices, then counts
+    assert routed == [1, 2] and len(priced) == 2
+    routed.clear()
     priced.clear()
     count_tower(fermat_quartic(), 5, 2, force=True)
-    assert priced == [1, 2]
+    assert routed == [1, 2] and priced == []
+
+
+def test_a_forced_tower_ends_at_its_first_refused_count(capsys, monkeypatch):
+    # F_79 is scanned, F_{79^2} refused by the scan's byte guard; the
+    # levels above it are never routed
+    start = time.perf_counter()
+    assert main(["count", "--model", "quartic", f"--coeffs={ONES}", "--p",
+                 "79", "--r", "10000000", "--force"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "F_6241" in capsys.readouterr().err
+    routed = _route_spy(monkeypatch)
+    with pytest.raises(UsageError, match="F_6241"):
+        count_tower(Quartic((1,) * 35), 79, 10 ** 7, force=True)
+    assert routed == [1, 2]
