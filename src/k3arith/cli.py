@@ -114,8 +114,9 @@ def _open_cache(path=None):
 # --- subcommand handlers: each returns (results dict, verified flag) ---------
 # The results hold plain library values; main encodes them once with _enc.
 
+# --model name -> its constructor in count
 _MODELS = {"quartic": "Quartic", "sextic": "DoubleSextic",
-           "diagonal": "DiagonalQuartic"}  # --model name -> class in count
+           "diagonal": "DiagonalQuartic"}
 
 
 def _cmd_count(args, cache):

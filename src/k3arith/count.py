@@ -1,13 +1,14 @@
-"""Exact point counts over finite fields for the surface models used here:
-quartics in P^3, double covers of P^2 branched over a sextic, and diagonal
-quartics.  A quartic whose only monomials mod p are a_i x_i^4, whichever
-class holds it (a `DiagonalQuartic`, or a plain `Quartic` such as the
-Fermat quartic of the modularity check), counts without a scan: in closed
-form at p = 2, or at q = 3 mod 4 with p prime to each a_i; else over F_p by
-the fibres of x -> x^4, O(p) in Python integers; else by Jacobi sums when p
-is prime to each a_i; it is scanned only at r > 1 with p | a_i.  With e x0
-x1 x2 x3 too, e nonzero (a Dwork member), it counts by fibres on the torus
-at r = 1, whatever p.  `_route` picks the count and price of each level.
+"""Exact point counts over finite fields for the two surface models used
+here: quartics in P^3 (`Quartic`; `DiagonalQuartic` and `fermat_quartic`
+build diagonal ones) and double covers of P^2 branched over a sextic
+(`DoubleSextic`).  Each scan refuses a surface of the other model.  A
+quartic whose only monomials mod p are a_i x_i^4 counts without a scan:
+in closed form at p = 2, or at q = 3 mod 4 with p prime to each a_i; else
+over F_p by the fibres of x -> x^4, O(p) in Python integers; else by
+Jacobi sums when p is prime to each a_i; it is scanned only at r > 1 with
+p | a_i.  With e x0 x1 x2 x3 too, e nonzero (a Dwork member), it counts by
+fibres on the torus at r = 1, whatever p.  `_route` picks the count and
+price of each level.
 
 Models carry integer coefficients in a fixed sorted monomial order, so the
 canonical serialization (and the cache hash derived from it) is stable.
@@ -116,29 +117,16 @@ class Quartic(_DenseModel):
     EXPONENTS = QUARTIC_EXPONENTS
     MODEL = "quartic"
 
-    def to_quartic(self) -> "Quartic":
-        return self
+
+def DiagonalQuartic(a) -> Quartic:
+    """The quartic a0 x0^4 + a1 x1^4 + a2 x2^4 + a3 x3^4 = 0 in P^3, named
+    like the model constructors `cli._MODELS` lists it beside."""
+    _check_coeffs(a, 4, "DiagonalQuartic")
+    return Quartic.from_dict({(4, 0, 0, 0): a[0], (0, 4, 0, 0): a[1],
+                              (0, 0, 4, 0): a[2], (0, 0, 0, 4): a[3]})
 
 
-@dataclass(frozen=True)
-class DiagonalQuartic:
-    """a0 x0^4 + a1 x1^4 + a2 x2^4 + a3 x3^4 = 0 in P^3."""
-    a: tuple
-
-    def __post_init__(self):
-        _check_coeffs(self.a, 4, "DiagonalQuartic")
-
-    def to_quartic(self) -> Quartic:
-        return Quartic.from_dict({
-            (4, 0, 0, 0): self.a[0], (0, 4, 0, 0): self.a[1],
-            (0, 0, 4, 0): self.a[2], (0, 0, 0, 4): self.a[3]})
-
-    def surface_hash(self) -> str:
-        # hash as the quartic it is, so fast and direct counts share records
-        return self.to_quartic().surface_hash()
-
-
-def fermat_quartic() -> DiagonalQuartic:
+def fermat_quartic() -> Quartic:
     return DiagonalQuartic((1, 1, 1, 1))
 
 
@@ -275,10 +263,19 @@ def _projective_scan(polys, n, ctx, tally=_zeros, jobs=1):
     return total
 
 
-def count_quartic(surface, ctx: FieldCtx, jobs: int = 1) -> int:
+def _model_items(surface, model, p):
+    """surface.items(p), refused with UsageError unless surface is the
+    model (`Quartic` or `DoubleSextic`) whose scan reads them."""
+    if not isinstance(surface, model):
+        raise UsageError(f"a {model.__name__} scan cannot count a "
+                         f"{type(surface).__name__}")
+    return surface.items(p)
+
+
+def count_quartic(surface: Quartic, ctx: FieldCtx, jobs: int = 1) -> int:
     """#X(F_q) for a quartic surface in P^3 by stratified enumeration.
     Works for any quartic; smoothness is never assumed."""
-    return _projective_scan([surface.to_quartic().items(ctx.p)], 3, ctx,
+    return _projective_scan([_model_items(surface, Quartic, ctx.p)], 3, ctx,
                             jobs=jobs)
 
 
@@ -294,16 +291,16 @@ def _partial_items(items, i, p):
     return out
 
 
-def is_smooth_quartic(surface, ctx: FieldCtx) -> bool:
+def is_smooth_quartic(surface: Quartic, ctx: FieldCtx) -> bool:
     """Jacobian criterion checked at every F_q-rational point: returns False
     when some rational point of the quartic also kills all four partials.
     A True answer certifies only the rational points; a singular point seen
     first over an extension needs a re-run at larger r.  Priced as five
     quartic scans (`_scan_price`)."""
-    p, q, f = ctx.p, ctx.q, surface.to_quartic()
+    p, q = ctx.p, ctx.q
+    f_items = _model_items(surface, Quartic, p)
     check_price(f"the smoothness scans at q = {q}", 5 * _scan_price(q, ctx.r),
                 FEASIBILITY_CAP)
-    f_items = f.items(p)
     polys = [f_items] + [_partial_items(f_items, i, p) for i in range(4)]
     return _projective_scan(polys, 3, ctx) == 0
 
@@ -312,6 +309,7 @@ def count_double_sextic(surface: DoubleSextic, ctx: FieldCtx, jobs: int = 1) -> 
     """#X(F_q) for the double plane w^2 = F: each P^2 point contributes
     1 + chi(F(P)) fibers, chi the quadratic character with chi(0) = 0,
     read off the squares x^2 that `FieldCtx.horner` gives."""
+    items = _model_items(surface, DoubleSextic, ctx.p)
     if ctx.p == 2:
         raise UnsupportedError("double covers need odd characteristic")
     check_scan_budget(ctx.q)  # before the O(q) arrays of squares and chi
@@ -320,7 +318,7 @@ def count_double_sextic(surface: DoubleSextic, ctx: FieldCtx, jobs: int = 1) -> 
     chi[ctx.horner([0, 0, 1], np.arange(ctx.q))] = 1
     chi[0] = 0
     return ctx.q ** 2 + ctx.q + 1 + _projective_scan(
-        [surface.items(ctx.p)], 2, ctx, partial(_chi_sum, chi), jobs)
+        [items], 2, ctx, partial(_chi_sum, chi), jobs)
 
 
 # --- closed forms for diagonal quartics: Jacobi sums, quadrics, planes -------
@@ -392,10 +390,10 @@ def count_diagonal_quartic_quadric(surface, ctx: FieldCtx,
 def _torus_shape(surface, p):
     """(a, e) when the quartic's only monomials mod p are a_i x_i^4 and
     e x0 x1 x2 x3, a = [a0, a1, a2, a3] and e mod p, else None."""
-    if isinstance(surface, DoubleSextic):
+    if not isinstance(surface, Quartic):
         return None
     a, e = [0] * 4, 0
-    for x, c in surface.to_quartic().items(p):
+    for x, c in surface.items(p):
         if x == (1, 1, 1, 1):
             e = c
         elif 4 in x:
@@ -562,11 +560,15 @@ def _route(surface, p, r):
 def check_price(what, units, cap=BATCH_CAP):
     """The one price guard, the counterpart of `ff.check_bytes`: refuse
     with UsageError, before the work starts, what is priced past cap units
-    of `_route` (about 1 ns each)."""
+    of `_route` (about 1 ns each).  The price is written with the fewest
+    decimals, at least one, that tell it from the cap at as many."""
     if units > cap:
         from decimal import Decimal  # a price past float range
-        raise UsageError(f"{what} need about {Decimal(units):.1e} price "
-                         f"units (cap {Decimal(cap):.1e})")
+        units, cap, k = Decimal(units), Decimal(cap), 1
+        while f"{units:.{k}e}" == f"{cap:.{k}e}":
+            k += 1
+        raise UsageError(f"{what} need about {units:.{k}e} price units "
+                         f"(cap {cap:.1e})")
 
 
 def count_many(keys, cache=None, jobs: int = 1, cap=BATCH_CAP, total=0,

@@ -110,37 +110,18 @@ def form_from_periods(pair: PeriodPair) -> BinaryQuadraticForm:
     return reduce(BinaryQuadraticForm(a, b, num // (4 * a)))
 
 
-@dataclass(frozen=True)
-class TranscendentalLattice:
-    """Rank-2 transcendental lattice of a singular K3, with its natural
-    orientation.  Unoriented comparisons are GL_2(Z) ones."""
-    form: BinaryQuadraticForm
-
-    def gram(self):
-        return self.form.gram()
-
-    def astuple(self):
-        return self.form.astuple()
-
-
-def _coerce_lattice(t) -> TranscendentalLattice:
-    if isinstance(t, TranscendentalLattice):
-        return t
-    return TranscendentalLattice(_coerce(t))
-
-
-def kummer_double(t) -> TranscendentalLattice:
+def kummer_double(t) -> BinaryQuadraticForm:
     """T(Km(A)) = T(A)(2): the Kummer construction doubles the form."""
     return base_change_lattice(t, 2)
 
 
-def base_change_lattice(t, n: int) -> TranscendentalLattice:
+def base_change_lattice(t, n: int) -> BinaryQuadraticForm:
     """T(X^(n)) = T(X)(n) for the degree-n cyclic cover of the Inose
     pencil, n = 1..6 (the K3 range)."""
-    t = _coerce_lattice(t)
+    t = _coerce(t)
     if not 1 <= n <= 6:
         raise UsageError("base-change degree must lie in 1..6")
-    return TranscendentalLattice(scale(t.form, n))
+    return scale(t, n)
 
 
 # --- the elliptic j-function -------------------------------------------------

@@ -9,8 +9,8 @@ the routes that agreed on it when it was made:
 - "brute": `brute_count` of bench/checks.py, which builds its own field
   (another modulus for r > 1) and evaluates every monomial at every point;
 - "jacobi" and "closed_form": the Jacobi sums of a quartic whose only
-  monomials mod p are a_i x_i^4, a `DiagonalQuartic` or a plain
-  `Quartic`, and its count as a plane or a quadric;
+  monomials mod p are a_i x_i^4, built by `DiagonalQuartic` or from all
+  its coefficients, and its count as a plane or a quadric;
 - "pencil": the one scan of the Dwork pencil over F_p, tallied by member,
   a route of earlier versions that only records on file name;
 - "fibre": the count over F_p of a quartic whose only monomials mod p are

@@ -25,7 +25,7 @@ FERMAT_COUNTS = {3: 16, 5: 0}  # #X(F_p), re-derived below by brute force
 
 def _naive_quartic_count(surface, p):
     """Projective count over F_p: zero vectors of F, scaled classes merged."""
-    items = surface.to_quartic().items(p)
+    items = surface.items(p)
     zeros = 0
     for v in itertools.product(range(p), repeat=4):
         if v == (0, 0, 0, 0):
@@ -119,8 +119,13 @@ def test_surface_validation():
 
 
 def test_surface_hash_coherence():
+    # 4 x3^4 + 3 x2^4 + 2 x1^4 + x0^4 by hand, in the order of
+    # QUARTIC_EXPONENTS: x3^4, x2^4, x1^4 and x0^4 sit at 0, 4, 14 and 34
+    by_hand = [0] * 35
+    by_hand[0], by_hand[4], by_hand[14], by_hand[34] = 4, 3, 2, 1
+    assert DiagonalQuartic((1, 2, 3, 4)).surface_hash() == \
+        Quartic(tuple(by_hand)).surface_hash()
     fermat = fermat_quartic()
-    assert fermat.surface_hash() == fermat.to_quartic().surface_hash()
     assert fermat.surface_hash() == fermat_quartic().surface_hash()
     # the lam = 0 pencil member is the Fermat quartic, hash included
     assert dwork_pencil.member(0).surface_hash() == fermat.surface_hash()

@@ -2,13 +2,14 @@
 counted over F_p by the fibres of x -> x^4.
 
 It must equal the scan kernel on every such quartic over F_p, p <= 79
-(p = 2, zero coefficients and p | a_i among them), and the eta(4 tau)^6
-prediction for the Fermat quartic at every odd prime below 2000.  It
-refuses extension fields and other shapes.  It never builds a q x q array,
-so the scan budget does not bound it: F_5801, past that budget, counts
-(as it did by Jacobi sums), and only the byte guard `ff.check_bytes`, at
-64 bytes a p, refuses, at the first prime past it, before anything is
-built (its routes and price are pinned in test_count_route_prices.py).
+(p = 2, zero coefficients, p | a_i and other monomials divisible by p
+among them), and the eta(4 tau)^6 prediction for the Fermat quartic at
+every odd prime below 2000.  It refuses extension fields and other
+shapes.  It never builds a q x q array, so the scan budget does not bound
+it: F_5801, past that budget, counts (as it did by Jacobi sums), and only
+the byte guard `ff.check_bytes`, at 64 bytes a p, refuses, at the first
+prime past it, before anything is built (its routes and price are pinned
+in test_count_route_prices.py).
 The modularity check counts by it and builds one eta expansion, through
 its largest prime.
 """
@@ -19,9 +20,9 @@ import pytest
 
 from k3arith import cmmod
 from k3arith.cmmod import eta4_pow6_expansion, fermat_count_prediction
-from k3arith.count import (DiagonalQuartic, count_diagonal_quartic_fibres,
-                           count_quartic, count_tower, dwork_pencil,
-                           fermat_quartic)
+from k3arith.count import (DiagonalQuartic, Quartic,
+                           count_diagonal_quartic_fibres, count_quartic,
+                           count_tower, dwork_pencil, fermat_quartic)
 from k3arith.errors import UnsupportedError, UsageError
 from k3arith.ff import TABLE_BYTES, FieldCtx, isprime
 
@@ -30,7 +31,7 @@ st = pytest.importorskip("hypothesis.strategies")
 given, example = hypothesis.given, hypothesis.example
 
 PRIMES = [p for p in range(2, 80) if isprime(p)]
-FERMAT = fermat_quartic().to_quartic()  # a plain Quartic, as modularity counts
+FERMAT = fermat_quartic()
 
 
 @given(st.sampled_from(PRIMES),
@@ -42,11 +43,12 @@ FERMAT = fermat_quartic().to_quartic()  # a plain Quartic, as modularity counts
 @example(5, [(0, False)] * 4, True)
 @example(79, [(1, False)] * 4, True)
 def test_fibres_equal_the_scan(p, coeffs, plain):
-    """a_i = c p where the flag is set; a plain Quartic or a
-    DiagonalQuartic of the same coefficients."""
-    diagonal = DiagonalQuartic(tuple(c * p if by_p else c
-                                     for c, by_p in coeffs))
-    surface = diagonal.to_quartic() if plain else diagonal
+    """a_i = c p where the flag is set; with plain, p x0^2 x1 x2 too, a
+    monomial that vanishes mod p."""
+    a = tuple(c * p if by_p else c for c, by_p in coeffs)
+    surface = DiagonalQuartic(a) if not plain else Quartic.from_dict({
+        (4, 0, 0, 0): a[0], (0, 4, 0, 0): a[1], (0, 0, 4, 0): a[2],
+        (0, 0, 0, 4): a[3], (2, 1, 1, 0): p})
     ctx = FieldCtx(p)
     assert count_diagonal_quartic_fibres(surface, ctx) == count_quartic(
         surface, ctx)

@@ -54,10 +54,10 @@ FROZEN_COSTS = [
     # quartic towers at r > 1 once a scan there is priced at 10 q^3
     (QUARTIC, 17, 2, 241557471),
     (QUARTIC, 7, 3, 404953689),  # refused: 0.5 s of scan at 1 job
-    # the Fermat quartic as a plain Quartic: priced as the DiagonalQuartic
-    (FERMAT.to_quartic(), 5, 4, 3876500),
-    (FERMAT.to_quartic(), 3, 8, 37396000),
-    (FERMAT.to_quartic(), 2, 32, 278784000),
+    # more Fermat towers, at the prices of the rows above
+    (FERMAT, 5, 4, 3876500),
+    (FERMAT, 3, 8, 37396000),
+    (FERMAT, 2, 32, 278784000),
 ]
 
 # The price each row above was first frozen at is part of its test id, so
@@ -103,13 +103,13 @@ def test_route_picks_each_count():
     assert _route(SEXTIC, 3, 1) == (count.count_double_sextic, 90)
     assert _route(QUARTIC, 3, 1) == (count.count_quartic, 81)  # no tables
     assert _route(FERMAT, 3, 1) == (count.count_diagonal_quartic_quadric, 1000)
-    # the levels r = 1 of diagonal shape left over: p | a_i, or a Quartic
-    fibres, plain = count.count_diagonal_quartic_fibres, FERMAT.to_quartic()
+    # the levels r = 1 of diagonal shape left over: p | a_i, or p = 1 mod 4
+    fibres = count.count_diagonal_quartic_fibres
     assert _route(DIAG5, 5, 1) == (fibres, 300 * 5)
-    assert _route(plain, 13, 1) == (fibres, 300 * 13)
+    assert _route(FERMAT, 13, 1) == (fibres, 300 * 13)
     jacobi, price = _route(FERMAT, 3, 2)
     assert price == 5000 * 9
-    assert _route(plain, 13, 2) == (jacobi, 5000 * 169)  # by shape, not class
+    assert _route(FERMAT, 13, 2) == (jacobi, 5000 * 169)
     assert _route(count.dwork_pencil.member(13), 13, 1)[0] is fibres
     assert _route(count.dwork_pencil.member(1), 13, 2) == (
         count.count_quartic, 10 * 169 ** 3 + 2 * 169 ** 2)

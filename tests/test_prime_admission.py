@@ -72,7 +72,7 @@ def test_modularity_admits_primes_past_the_old_scan_budget(capsys, p):
 @pytest.mark.parametrize("p, price", [("1019", "3.3e+9"),
                                       ("4001", "2.5e+10"),
                                       ("5791", "6.1e+11"),
-                                      ("5,10000121", "2.0e+9")])
+                                      ("5,10000121", "2.00003e+9")])
 def test_sieve_is_refused_by_price_before_any_count(capsys, monkeypatch, p,
                                                     price):
     # 1019 ran in about 2.7 s under the scan budget; the target series too
@@ -119,7 +119,10 @@ def test_dwork_members_over_one_prime_pay_for_one_tally(monkeypatch):
                if dwork_pencil.is_smooth_member(lam, 1009)]
     tally = _route(members[0][0], 1009, 1)[1]
     assert count_many(members, total=BATCH_CAP - tally) == [0] * len(members)
-    with pytest.raises(UsageError, match="the counts need"):
+    # BATCH_CAP + 1 in all: priced with as many decimals as tell it from
+    # the cap
+    with pytest.raises(UsageError, match=r"^the counts need about "
+                       r"2\.000000001e\+9 price units \(cap 2\.0e\+9\)$"):
         count_many(members, total=BATCH_CAP - tally + 1)
 
 

@@ -30,7 +30,7 @@ from k3arith.ff import FieldCtx
 OVER_CAP = {"modularity": "5,10000121", "sieve": "5,4001"}  # 1 mod 4 tops
 # the series through 10000121 alone, 200 units a coefficient, passes the
 # cap at the modularity check's first count; the sieve's at its first tally
-PRICES = {"modularity": "2.0e+9", "sieve": "2.5e+10"}
+PRICES = {"modularity": "2.00003e+9", "sieve": "2.5e+10"}
 
 
 def _refuse(name):
@@ -122,7 +122,7 @@ def test_verify_modularity_vets_the_budget_before_any_series(monkeypatch):
     monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
                         _refuse("eta4_pow6_expansion"))
     monkeypatch.setattr(count_mod, "FieldCtx", _refuse("FieldCtx"))
-    with pytest.raises(UsageError, match=r"about 2\.0e\+9 price units"):
+    with pytest.raises(UsageError, match=r"about 2\.00003e\+9 price units"):
         cmmod.verify_modularity([5, 10000121])
 
 

@@ -7,6 +7,7 @@ moved from the CLI into `cmmod`; the other tests check each part of
 """
 
 import json
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -182,14 +183,15 @@ def test_repeated_primes_raise(capsys):
 def test_one_field_context_per_prime(monkeypatch):
     # every member over one prime is counted in the same field context:
     # lam = 0 (the Fermat quartic) by fibres, the others on the torus,
-    # whose tally counts its DiagonalQuartic in a field of its own
+    # whose tally counts its diagonal quartic by fibres in a field of its
+    # own; only the counts `count_many` calls are the members'
     used = {}
 
     def spy(name):
         route = getattr(count, name)
 
         def counted(surface, ctx, jobs=1):
-            if isinstance(surface, count.Quartic):
+            if sys._getframe(1).f_code.co_name == "count_many":
                 used.setdefault(ctx.p, []).append(ctx)
             return route(surface, ctx, jobs)
         monkeypatch.setattr(count, name, counted)

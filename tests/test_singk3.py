@@ -13,12 +13,12 @@ import pytest
 
 from k3arith.bqf import BinaryQuadraticForm, reduce, reduced_forms
 from k3arith.errors import DomainError, UsageError
-from k3arith.singk3 import (InosePencil, PeriodPair, QuadIrr,
-                            TranscendentalLattice, _JSER, _extend_jser,
-                            base_change_lattice, form_from_periods,
-                            inose_coefficients, inose_pencil_from_form,
-                            j_invariant, kummer_double, ns_field_check,
-                            ring_class_degree, shioda_mitani_periods)
+from k3arith.singk3 import (InosePencil, PeriodPair, QuadIrr, _JSER,
+                            _extend_jser, base_change_lattice,
+                            form_from_periods, inose_coefficients,
+                            inose_pencil_from_form, j_invariant,
+                            kummer_double, ns_field_check, ring_class_degree,
+                            shioda_mitani_periods)
 
 
 # --- exact quadratic arithmetic ----------------------------------------------
@@ -96,14 +96,13 @@ def test_kummer_double():
     t = kummer_double((2, 0, 2))
     assert t.astuple() == (4, 0, 4)
     assert kummer_double(t).astuple() == (8, 0, 8)
-    assert t.form.disc == 4 * BinaryQuadraticForm(2, 0, 2).disc
-    assert TranscendentalLattice(BinaryQuadraticForm(2, 0, 2)).gram() == \
-        ((4, 0), (0, 4))
+    assert t.disc == 4 * BinaryQuadraticForm(2, 0, 2).disc
+    assert BinaryQuadraticForm(2, 0, 2).gram() == ((4, 0), (0, 4))
     assert t.gram() == ((8, 0), (0, 8))
 
 
 def test_base_change_lattice():
-    t = TranscendentalLattice(BinaryQuadraticForm(1, 0, 1))
+    t = BinaryQuadraticForm(1, 0, 1)
     assert base_change_lattice(t, 1).astuple() == (1, 0, 1)
     assert base_change_lattice(t, 2).astuple() == kummer_double(t).astuple()
     two_then_three = base_change_lattice(base_change_lattice(t, 2), 3)
@@ -111,6 +110,8 @@ def test_base_change_lattice():
     for n in (0, 7, -1):
         with pytest.raises(UsageError):
             base_change_lattice(t, n)
+    with pytest.raises(DomainError):  # the form is read before the degree
+        base_change_lattice((1, 0, -1), 0)
 
 
 # --- j-function ----------------------------------------------------------------
