@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd, isqrt, lcm
 
-from .errors import DomainError, InconsistencyError, UsageError
+from .errors import DomainError, InconsistencyError, UsageError, check_price
+
+CLASS_GROUP_STEPS = 10 ** 7  # cap on each price of this module, in steps
 
 
 @dataclass(frozen=True)
@@ -206,13 +208,15 @@ def _reduced_triples(d: int):
 def reduced_forms(d: int, primitive_only: bool = True):
     """All reduced forms of discriminant d, in (a, b, c) order; the
     imprimitive ones too when primitive_only is false."""
-    _check_price(f"Cl({d})", -d // 6, "enumeration steps")
+    check_price(f"the forms of Cl({d})", -d // 6, CLASS_GROUP_STEPS,
+                "enumeration steps")
     return [BinaryQuadraticForm(a, b, c) for a, b, c in _reduced_triples(d)
             if not primitive_only or gcd(a, b, c) == 1]
 
 
 def class_number(d: int) -> int:
-    _check_price(f"Cl({d})", -d // 6, "enumeration steps")
+    check_price(f"the forms of Cl({d})", -d // 6, CLASS_GROUP_STEPS,
+                "enumeration steps")
     return sum(gcd(a, b, c) == 1 for a, b, c in _reduced_triples(d))
 
 
@@ -240,17 +244,6 @@ class ClassGroup:
     @property
     def exponent(self) -> int:
         return lcm(*(self.order_of(i) for i in range(self.h)))
-
-
-CLASS_GROUP_STEPS = 10 ** 7  # cap on each price of this module, in steps
-
-
-def _check_price(subject: str, steps: int, what: str):
-    if steps > CLASS_GROUP_STEPS:
-        from decimal import Decimal  # a price past float range
-        mant, _, exp = f"{Decimal(steps):.1e}".partition("e")
-        raise UsageError(f"{subject} needs about {mant}e{int(exp):+03d} "
-                         f"{what} (cap {CLASS_GROUP_STEPS:.0e})")
 
 
 def _generating_set(table, e):
@@ -289,12 +282,13 @@ def class_group(d: int) -> ClassGroup:
     Cost: about |d|/6 enumeration steps, h(h+1)/2 compositions on triples
     (about 0.8 us each on an AMD EPYC core), and |S| h^2 table reads for
     associativity, with |S| <= log2 h.  Each of |d|/6 and h(h+1)/2 + h^2
-    is priced before the work starts and refused past CLASS_GROUP_STEPS."""
-    ident, cl = principal_form(d), f"Cl({d})"
-    _check_price(cl, -d // 6, "enumeration steps")
+    is priced before the work starts (|d|/6 by `reduced_forms`) and refused
+    past CLASS_GROUP_STEPS."""
+    ident = principal_form(d)
     forms = tuple(reduced_forms(d))
     h = len(forms)
-    _check_price(cl, h * (h + 1) // 2 + h * h, "compositions and table cells")
+    check_price(f"the products in Cl({d})", h * (h + 1) // 2 + h * h,
+                CLASS_GROUP_STEPS, "compositions and table cells")
     abc = [f.astuple() for f in forms]
     idx = {t: i for i, t in enumerate(abc)}
     e = idx[ident.astuple()]
@@ -324,8 +318,8 @@ def class_number_one_discriminants(bound: int):
     primitive form: 3.4 steps per unit of bound at 3 x 10^5, priced at 4."""
     if bound < 3:
         raise UsageError("bound must be at least 3")
-    _check_price(f"the h = 1 list to d = -{bound}", 4 * bound,
-                 "enumeration steps")
+    check_price(f"the class numbers to d = -{bound}", 4 * bound,
+                CLASS_GROUP_STEPS, "enumeration steps")
 
     def one_class(d):
         primitive = (t for t in _reduced_triples(d) if gcd(*t) == 1)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from itertools import product, tee
 from math import gcd, isqrt, prod
 
-from .count import check_price, count_many, fermat_quartic
-from .errors import DomainError, UsageError
+from .count import BATCH_CAP, count_many, fermat_quartic
+from .errors import DomainError, UsageError, check_price
 from .ff import check_bytes, isprime
 
 H_BOUND = 20  # |trace of Frob on NS| <= rank NS = 20 for a singular K3
@@ -75,7 +75,8 @@ def _eta_price(n_max: int) -> int:
 def primes_between(lo: int, hi: int):
     """The primes in lo..hi, priced from its bounds: 1000 units an integer."""
     lo = max(2, lo)
-    check_price(f"the primes in {lo}..{hi}", 1000 * (hi - lo))
+    check_price(f"the primes in {lo}..{hi}", 1000 * (hi - lo), BATCH_CAP,
+                "price units")
     return [n for n in range(lo, hi + 1) if isprime(n)]
 
 
@@ -258,7 +259,7 @@ def sieve_survivors(candidates, primes, height=None) -> SieveSurvivors:
     """Read cm_sieve's candidates prime by prime, over primes exactly as
     given (order and repeats kept).  With a height, every combination of
     one survivor per prime, in itertools.product order, goes through
-    lift_parameter; the combinations are checked against LIFT_BUDGET
+    lift_parameter; the combinations are priced against LIFT_BUDGET
     first, and a repeated prime makes the lift raise UsageError."""
     per_prime = {p: [c.lam for c in candidates if c.p == p] for p in primes}
     orbits = {p: _i_orbits(lams, p) for p, lams in per_prime.items()}
@@ -268,9 +269,7 @@ def sieve_survivors(candidates, primes, height=None) -> SieveSurvivors:
         return SieveSurvivors(per_prime, orbits, common)
     sets = [[(p, lam) for lam in per_prime[p]] for p in primes]
     total = prod(max(len(s), 1) for s in sets)
-    if total > LIFT_BUDGET:
-        raise UsageError(f"{total} residue combinations exceed the lift "
-                         f"budget; narrow the sieve first")
+    check_price("the lifts", total, LIFT_BUDGET, "residue combinations")
     lifted = ((combo, lift_parameter(combo, height)) for combo in product(*sets))
     return SieveSurvivors(per_prime, orbits, common,
                           [(combo, x) for combo, x in lifted if x is not None])

@@ -46,7 +46,8 @@ from itertools import chain, product
 from math import gcd, prod
 
 from .cache import CountRecord
-from .errors import InconsistencyError, UnsupportedError, UsageError
+from .errors import (InconsistencyError, UnsupportedError, UsageError,
+                     check_price)
 from .ff import (CyclotomicInt, FieldCtx, MultChar, check_bytes,
                  check_scan_budget, isprime, jacobi_sum)
 
@@ -300,7 +301,7 @@ def is_smooth_quartic(surface: Quartic, ctx: FieldCtx) -> bool:
     p, q = ctx.p, ctx.q
     f_items = _model_items(surface, Quartic, p)
     check_price(f"the smoothness scans at q = {q}", 5 * _scan_price(q, ctx.r),
-                FEASIBILITY_CAP)
+                FEASIBILITY_CAP, "price units")
     polys = [f_items] + [_partial_items(f_items, i, p) for i in range(4)]
     return _projective_scan(polys, 3, ctx) == 0
 
@@ -557,28 +558,14 @@ def _route(surface, p, r):
     return count_quartic, _scan_price(q, r)
 
 
-def check_price(what, units, cap=BATCH_CAP):
-    """The one price guard, the counterpart of `ff.check_bytes`: refuse
-    with UsageError, before the work starts, what is priced past cap units
-    of `_route` (about 1 ns each).  The price is written with the fewest
-    decimals, at least one, that tell it from the cap at as many."""
-    if units > cap:
-        from decimal import Decimal  # a price past float range
-        units, cap, k = Decimal(units), Decimal(cap), 1
-        while f"{units:.{k}e}" == f"{cap:.{k}e}":
-            k += 1
-        raise UsageError(f"{what} need about {units:.{k}e} price units "
-                         f"(cap {cap:.1e})")
-
-
 def count_many(keys, cache=None, jobs: int = 1, cap=BATCH_CAP, total=0,
                what="the counts"):
     """#X(F_{p^r}) for each (surface, p, r) key, in order, each routed by
     `_route` once.  Under a cap, the running price from total (the Dwork
     members over one F_p pay once for the tally they share) is refused by
-    `check_price` at the first key past cap, before any count; with cap
-    None each key is counted as it is drawn, so a forced tower ends at its
-    first refused count.  Misses count on one `FieldCtx` per run of equal
+    `errors.check_price` at the first key past cap, before any count; with
+    cap None each key is counted as it is drawn, so a forced tower ends at
+    its first refused count.  Misses count on one `FieldCtx` per run of equal
     (p, r) and are recorded.  The one place that hands out `jobs`: a count
     gets them only when its price reaches _POOL_PRICE.  A dense quartic
     took 18.0 ms at 1 job and at 2 over F_151 (price 1.0e7), 24.0 and 21.3
@@ -594,7 +581,7 @@ def count_many(keys, cache=None, jobs: int = 1, cap=BATCH_CAP, total=0,
                     price *= tally not in tallies
                     tallies.add(tally)
                 total += price
-                check_price(what, total, cap)
+                check_price(what, total, cap, "price units")
             yield surface, p, r, count, jobs if price >= _POOL_PRICE else 1
     routed = walk(total, set())
     if cap is not None:

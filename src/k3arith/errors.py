@@ -3,6 +3,11 @@
 The CLI maps these onto exit codes by class: UsageError, DomainError and
 UnsupportedError (the input is at fault) or one raised from an OSError -> 2;
 everything else that reaches the top level -> 1 (verification failure).
+
+`check_price` is the one guard by size: every layer refuses over-size work
+through it, before the work starts, against a cap of its own in its own
+units (price units, enumeration steps, residue combinations, bytes,
+digits).
 """
 
 
@@ -51,3 +56,17 @@ class PrecisionError(K3ArithError):
 
 class IntegrityError(K3ArithError):
     """Persistent store holds conflicting records for one key."""
+
+
+def check_price(what: str, amount: int, cap: int, unit: str) -> None:
+    """Refuse with UsageError, before the work starts, an amount past cap.
+    Amount and cap are written in scientific notation (through Decimal, as
+    an amount may pass float range) at the fewest decimals, at least one,
+    at which they differ, so a refusal never reads as its cap."""
+    if amount > cap:
+        from decimal import Decimal
+        amount, cap, k = Decimal(amount), Decimal(cap), 1
+        while f"{amount:.{k}e}" == f"{cap:.{k}e}":
+            k += 1
+        raise UsageError(f"{what} need about {amount:.{k}e} {unit} "
+                         f"(cap {cap:.{k}e})")

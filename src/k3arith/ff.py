@@ -21,9 +21,10 @@ machines:
   multiplication from the discrete logs, addition digit by digit in base
   p.  They are built on first request.  `check_scan_budget` is the one
   q x q budget, for these tables and for the scans of `count` alike.
-- `check_bytes` is the one byte guard, against TABLE_BYTES: the q x q
-  budget, the discrete-log list, the fibre counts of `count` and the eta
-  series of `cmmod` all refuse through it, before they build anything.
+- `check_bytes` prices bytes against TABLE_BYTES through the one guard,
+  `errors.check_price`: the q x q budget, the discrete-log list, the fibre
+  counts of `count` and the eta series of `cmmod` all refuse through it,
+  before they build anything.
 - chi(0) = 0 for every multiplicative character.
 - Character values and Jacobi sums live exactly in Z[zeta_m]; no floats
   anywhere in this module.
@@ -35,7 +36,7 @@ from math import gcd, lcm
 from operator import index
 
 from . import _intpoly
-from .errors import DomainError, UnsupportedError, UsageError
+from .errors import DomainError, UnsupportedError, UsageError, check_price
 
 TABLE_BYTES = 256 * 2 ** 20  # the cap of check_bytes
 _INT64_LIMIT = 2 ** 63  # int64 Horner keeps every partial value below it
@@ -44,12 +45,10 @@ _MR_EXACT_BELOW = 3317044064679887385961981  # Sorenson-Webster, 13 bases
 
 
 def check_bytes(what: str, nbytes: int) -> None:
-    """The one byte guard: refuse with UsageError, before it is built,
-    whatever would take more than TABLE_BYTES (one q x q array, the
-    discrete logs, the fibre counts' histograms and rows, an eta series)."""
-    if nbytes > TABLE_BYTES:
-        raise UsageError(f"{what} need {nbytes / 2 ** 20:.0f} MiB "
-                         f"(cap {TABLE_BYTES // 2 ** 20} MiB)")
+    """Refuse with UsageError, before it is built, whatever would take more
+    than TABLE_BYTES (one q x q array, the discrete logs, the fibre counts'
+    histograms and rows, an eta series)."""
+    check_price(what, nbytes, TABLE_BYTES, "bytes")
 
 
 def check_scan_budget(q: int) -> None:

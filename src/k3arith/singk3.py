@@ -15,6 +15,7 @@ makes the tail estimate honest.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,6 +144,13 @@ def _extend_jser(n: int) -> None:
     _JSER[:] = mul(e4_3, inv_delta)[:size]
 
 
+_LOG10_FLOAT_MAX = math.log10(sys.float_info.max)  # about 308.25
+
+
+def _past_float_range(what: str, log10: float) -> DomainError:
+    return DomainError(f"{what} is about 10^{log10:.1f}, past float range")
+
+
 def _fundamental_domain(tau: complex) -> complex:
     """SL_2(Z)-translate with |Re| <= 1/2 and |tau| >= 1."""
     if tau.imag <= 0:
@@ -161,10 +169,14 @@ def j_invariant(tau: complex, tol: float = 1e-12) -> complex:
 
     tau is first moved to the fundamental domain, so the expansion
     parameter satisfies |q| <= exp(-pi*sqrt(3)) ~ 0.00433 and a handful
-    of exact integer coefficients suffice."""
+    of exact integer coefficients suffice.  A tau whose |j| ~ exp(2 pi Im
+    tau) would pass float range is refused with DomainError first."""
     if tol <= 0:
         raise UsageError("tol must be positive")
     tau = _fundamental_domain(complex(tau))
+    log10_j = 2 * math.pi * tau.imag / math.log(10)
+    if log10_j > _LOG10_FLOAT_MAX:
+        raise _past_float_range("|j(tau)|", log10_j)
     q = cmath.exp(2j * cmath.pi * tau)
     _extend_jser(24)
     acc = 0j
@@ -219,12 +231,17 @@ class InosePencil:
 def inose_coefficients(j1: complex, j2: complex) -> InosePencil:
     """Pencil coefficients from the two j-invariants, on principal
     branches: cube root with argument in (-pi/3, pi/3], square root with
-    argument in (-pi/2, pi/2]."""
+    argument in (-pi/2, pi/2].  A j1 j2 past float range is refused with
+    DomainError; below it, |B^2| <= (1 + |j1|/12^3)(1 + |j2|/12^3) is
+    finite too."""
     j1 = complex(j1)
     j2 = complex(j2)
     z = j1 * j2 / 12 ** 6
-    a = 0j if z == 0 else cmath.exp(cmath.log(z) / 3)
     w = (1 - j1 / 12 ** 3) * (1 - j2 / 12 ** 3)
+    if not cmath.isfinite(z):
+        raise _past_float_range("|j1 j2|", math.log10(abs(j1))
+                                + math.log10(abs(j2)))
+    a = 0j if z == 0 else cmath.exp(cmath.log(z) / 3)
     b = cmath.sqrt(w)
     return InosePencil(a, b, j1, j2)
 

@@ -19,14 +19,16 @@ missing degrees counted as slack.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from . import _intpoly
 from .errors import (DataError, IncompletenessError, InconsistencyError,
-                     MultiplicityError, UsageError)
+                     MultiplicityError, UsageError, check_price)
 from .ff import is_prime_power, isprime
 
 H2_DIM = 22  # dim H^2 of a K3 surface
 TRIAL_BOUND = 10 ** 4  # trial divisors square_class tries before sympy
+FACTOR_DIGITS = 40  # digits of the largest cofactor handed to sympy
 
 
 @dataclass(frozen=True)
@@ -328,8 +330,11 @@ def square_class(x) -> int:
     """Squarefree representative of a nonzero rational in Q*/(Q*)^2.
 
     Trial division up to TRIAL_BOUND factors num * den; a cofactor left
-    over is prime when it is below TRIAL_BOUND^2 or passes ff.isprime.
-    Only a composite cofactor goes to sympy's factorint."""
+    over is prime when it is below TRIAL_BOUND^2 or passes ff.isprime, and
+    drops out when it is a square.  Only another composite cofactor goes to
+    sympy's factorint, priced by its digits against FACTOR_DIGITS (a
+    balanced semiprime of 35 to 39 digits took 0.9 to 3.0 s, one sample
+    each, on a 2-core Intel Xeon)."""
     frac = Fraction(x)
     if frac == 0:
         raise UsageError("square class of 0 is undefined")
@@ -337,9 +342,12 @@ def square_class(x) -> int:
     primes = _intpoly.factor(abs(n), TRIAL_BOUND)
     rest = max(primes, default=1)
     if rest >= TRIAL_BOUND ** 2 and not isprime(rest):
-        from sympy import factorint  # here, so that importing zeta stays light
         del primes[rest]
-        primes.update(factorint(rest))
+        if isqrt(rest) ** 2 != rest:
+            check_price(f"the factors of {rest}", len(str(rest)),
+                        FACTOR_DIGITS, "digits")
+            from sympy import factorint  # here: importing zeta stays light
+            primes.update(factorint(rest))
     out = -1 if n < 0 else 1
     for prime, mult in primes.items():
         if mult % 2:
@@ -354,10 +362,17 @@ def van_luijk_combine(b1: int, c1: int, b2: int, c2: int) -> int:
     NS(X-bar) finite-index in both NS(X-bar_p), forcing all three
     discriminants to agree up to squares; Elsenhans and Jahnel, "The
     Picard group of a K3 surface and its reduction modulo p", 2011).
-    Rank 1 is the floor from the hyperplane class."""
+    Rank 1 is the floor from the hyperplane class.  c1 and c2 share a
+    square class exactly when c1 c2 is the square of a rational, which
+    needs no factorization."""
     for b in (b1, b2):
         if not 1 <= b <= H2_DIM:
             raise UsageError("bounds must lie in 1..22")
-    if b1 == b2 and square_class(c1) != square_class(c2):
-        return max(b1 - 1, 1)
-    return min(b1, b2)
+    if b1 != b2:
+        return min(b1, b2)
+    c = Fraction(c1) * Fraction(c2)
+    if c == 0:
+        raise UsageError("square class of 0 is undefined")
+    same = c > 0 and all(isqrt(n) ** 2 == n for n in (c.numerator,
+                                                      c.denominator))
+    return b1 if same else max(b1 - 1, 1)

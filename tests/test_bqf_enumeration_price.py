@@ -23,14 +23,14 @@ def _never(d):
 @pytest.mark.parametrize("fn", [bqf.reduced_forms, bqf.class_number])
 def test_enumeration_is_priced_before_it_starts(monkeypatch, fn):
     monkeypatch.setattr(bqf, "_reduced_triples", _never)
-    with pytest.raises(UsageError, match=r"Cl\(-10+\) needs about 1\.7e\+22 "
-                                         r"enumeration steps"):
+    with pytest.raises(UsageError, match=r"^the forms of Cl\(-10+\) need "
+                       r"about 1\.7e\+22 enumeration steps \(cap 1\.0e\+7\)$"):
         fn(HUGE)
 
 
 def test_h1list_is_priced_linearly_in_its_bound(monkeypatch):
     monkeypatch.setattr(bqf, "_reduced_triples", _never)
-    with pytest.raises(UsageError, match=r"needs about 4\.0e\+12 "
+    with pytest.raises(UsageError, match=r"need about 4\.0e\+12 "
                                          r"enumeration steps"):
         bqf.class_number_one_discriminants(10 ** 12)
 
@@ -46,5 +46,5 @@ def test_h1list_admits_the_largest_bound_in_use(monkeypatch):
 def test_cli_h1list_refuses_at_once_with_exit_2(capsys):
     assert main(["bqf", "h1list", "--bound", "1000000000000"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("k3: usage error: the h = 1 list to "
-                          "d = -1000000000000 needs about ")
+    assert err.startswith("k3: usage error: the class numbers to "
+                          "d = -1000000000000 need about ")

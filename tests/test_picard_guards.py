@@ -5,7 +5,10 @@ q = p^r is decided in integers (`ff.is_prime_power`), so `--q 0` is a
 usage error (exit 2) rather than a division by zero.  Reciprocal roots on
 |alpha| = q force |q P'(1/q)| <= q 2^deg P' for P' = P2 / (1 - qT)^rho;
 a larger value is a data error (exit 1) raised before the value is
-factored, so a 60-digit semiprime never reaches sympy.
+factored, so a 60-digit semiprime never reaches sympy.  A value inside
+the bound whose cofactor past trial division is composite, not a square
+and longer than FACTOR_DIGITS is a usage error (exit 2), also before
+sympy's factorint.
 """
 
 import os
@@ -19,7 +22,7 @@ from k3arith import _intpoly
 from k3arith.cli import main
 from k3arith.errors import UsageError
 from k3arith.ff import is_prime_power
-from k3arith.zeta import FrobeniusPoly, TraceVector
+from k3arith.zeta import FrobeniusPoly, TraceVector, square_class
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(k3arith.__file__)))
 
@@ -81,3 +84,31 @@ def test_oversized_artin_tate_value_exits_1_without_sympy():
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "too large" in proc.stderr
+
+
+def _never(*args):
+    raise AssertionError("factorint was called")
+
+
+def test_a_long_cofactor_exits_2_before_factorint(capsys, monkeypatch):
+    # P2 = (1 - qT)(1 - 186T), q a 59-digit prime: the special value
+    # q - 186 passes the bound, and is the product of two primes near 10^29
+    # and 3 10^29, which factorint did not split within 30 s
+    sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(sympy, "factorint", _never)
+    q = 30000000000000000000000000096400000000000000000000000002419
+    p2 = ",".join(map(str, _intpoly.mul([1, -q], [1, -186])))
+    assert main(["picard", f"--p2={p2}", "--q", str(q), "--artin-tate",
+                 "--rho", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"k3: usage error: the factors of {q - 186} need about 5.9e+1 "
+        "digits (cap 4.0e+1)\n")
+
+
+def test_a_square_cofactor_drops_out_unfactored(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    monkeypatch.setattr(sympy, "factorint", _never)
+    big = 2 ** 89 - 1
+    assert square_class(big * big * 5) == 5
+    semi = 400000000000000000000000000069 * 700000000000000000000000000033
+    assert square_class(-7 * semi ** 2) == -7

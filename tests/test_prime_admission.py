@@ -50,7 +50,8 @@ def test_eta_series_matches_the_euler_product_on_every_prefix():
 
 
 def test_eta_series_is_refused_by_its_own_byte_guard():
-    with pytest.raises(UsageError, match=r"q\^20000000 need 458 MiB"):
+    with pytest.raises(UsageError, match=r"q\^20000000 need about 4\.8e\+8 "
+                                         r"bytes \(cap 2\.7e\+8\)"):
         cmmod.eta4_pow6_expansion(20_000_000)
 
 
@@ -84,9 +85,11 @@ def test_sieve_is_refused_by_price_before_any_count(capsys, monkeypatch, p,
     monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
                         _refuse("eta4_pow6_expansion"))
     assert main(["sieve", "--primes", p]) == 2
+    # the cap is written at as many decimals as tell the price from it
+    cap = {"2.00003e+9": "2.00000e+9"}.get(price, "2.0e+9")
     assert capsys.readouterr().err == (
         f"k3: usage error: the counts need about {price} price units "
-        f"(cap 2.0e+9)\n")
+        f"(cap {cap})\n")
 
 
 def test_the_sieve_makes_each_member_once(monkeypatch):
@@ -122,7 +125,8 @@ def test_dwork_members_over_one_prime_pay_for_one_tally(monkeypatch):
     # BATCH_CAP + 1 in all: priced with as many decimals as tell it from
     # the cap
     with pytest.raises(UsageError, match=r"^the counts need about "
-                       r"2\.000000001e\+9 price units \(cap 2\.0e\+9\)$"):
+                       r"2\.000000001e\+9 price units "
+                       r"\(cap 2\.000000000e\+9\)$"):
         count_many(members, total=BATCH_CAP - tally + 1)
 
 

@@ -30,7 +30,9 @@ from k3arith.ff import FieldCtx
 OVER_CAP = {"modularity": "5,10000121", "sieve": "5,4001"}  # 1 mod 4 tops
 # the series through 10000121 alone, 200 units a coefficient, passes the
 # cap at the modularity check's first count; the sieve's at its first tally
-PRICES = {"modularity": "2.00003e+9", "sieve": "2.5e+10"}
+# (price, cap), written at as many decimals as tell them apart
+PRICES = {"modularity": ("2.00003e+9", "2.00000e+9"),
+          "sieve": ("2.5e+10", "2.0e+9")}
 
 
 def _refuse(name):
@@ -82,8 +84,8 @@ def test_over_budget_prime_sextic_is_refused_before_its_character():
 def test_packed_tables_speak_the_scan_budget():
     with pytest.raises(UsageError) as err:
         FieldCtx(5, 6).packed_tables()
-    assert str(err.value) == ("q x q scan arrays over F_15625 need 1863 MiB "
-                              "(cap 256 MiB)")
+    assert str(err.value) == ("q x q scan arrays over F_15625 need about "
+                              "2.0e+9 bytes (cap 2.7e+8)")
 
 
 @pytest.mark.parametrize("sub", ["modularity", "sieve"])
@@ -96,9 +98,10 @@ def test_over_budget_prime_list_exits_2_before_any_series(capsys, monkeypatch,
     monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
                         _refuse("eta4_pow6_expansion"))
     assert main([sub, "--primes", OVER_CAP[sub]]) == 2
+    price, cap = PRICES[sub]
     assert capsys.readouterr().err == (
-        f"k3: usage error: the counts need about {PRICES[sub]} price units "
-        f"(cap 2.0e+9)\n")
+        f"k3: usage error: the counts need about {price} price units "
+        f"(cap {cap})\n")
 
 
 def test_a_lone_non_prime_past_the_budget_gets_the_budget_message(

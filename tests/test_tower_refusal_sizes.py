@@ -72,9 +72,9 @@ def test_force_prices_no_level(monkeypatch):
     routed, priced = _route_spy(monkeypatch), []
     check = count.check_price
 
-    def spy(what, units, cap):
+    def spy(what, units, cap, unit):
         priced.append(units)
-        return check(what, units, cap)
+        return check(what, units, cap, unit)
 
     monkeypatch.setattr(count, "check_price", spy)
     count_tower(fermat_quartic(), 5, 2)

@@ -286,3 +286,37 @@ def test_van_luijk_combine():
         van_luijk_combine(0, 1, 2, 1)
     with pytest.raises(UsageError):
         van_luijk_combine(2, 1, 23, 1)
+
+
+def test_van_luijk_checks_bounds_then_zero_only_at_equal_bounds():
+    with pytest.raises(UsageError, match="bounds"):
+        van_luijk_combine(0, 0, 2, 1)
+    assert van_luijk_combine(3, 0, 2, 5) == 2
+    with pytest.raises(UsageError, match="square class of 0"):
+        van_luijk_combine(2, 5, 2, 0)
+
+
+def test_van_luijk_agrees_with_square_classes():
+    rng = random.Random(31)
+    for _ in range(2000):
+        c1 = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 4),
+                      rng.randint(1, 100))
+        c2 = c1 * rng.choice((1, -1, 2, 3, 6)) * Fraction(
+            rng.randint(1, 50), rng.randint(1, 50)) ** 2
+        b = rng.randint(1, 22)
+        want = b if square_class(c1) == square_class(c2) else max(b - 1, 1)
+        assert van_luijk_combine(b, c1, b, c2) == want, (c1, c2)
+
+
+def test_van_luijk_compares_60_digit_classes_unfactored(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+
+    def never(*args):
+        raise AssertionError("factorint was called")
+    monkeypatch.setattr(sympy, "factorint", never)
+    c = 400000000000000000000000000069 * 700000000000000000000000000033
+    assert van_luijk_combine(5, c, 5, 4 * c) == 5
+    assert van_luijk_combine(5, c, 5, Fraction(c, 9)) == 5
+    assert van_luijk_combine(5, c, 5, 3 * c) == 4
+    assert van_luijk_combine(5, c, 5, -c) == 4
+    assert van_luijk_combine(5, c, 5, c * (c + 2)) == 4
