@@ -160,14 +160,17 @@ def compose(f, g) -> BinaryQuadraticForm:
 def _compose_abc(a1, b1, c1, a2, b2, c2):
     """Cohen 5.4.7 ("A Course in Computational Algebraic Number Theory"): for
     g = gcd(a1, a2), u a2 = g mod a1, s = (b1 + b2)/2 and e = gcd(g, s) =
-    x s + y g (`_egcd` only when g does not divide s), the reduced composite
-    is (a1 a2/e^2, b2 + 2 r a2/e, *), r = -(u y (b2 - s) + x c2) mod a1/e."""
+    x s + y g, the reduced composite is (a1 a2/e^2, b2 + 2 r a2/e, *),
+    r = -(u y (b2 - s) + x c2) mod a1/e.  Both u and, only when g does not
+    divide s, x = (s/e)^-1 mod g/e come from `pow`, so y = (e - x s)/g."""
     s, g = (b1 + b2) // 2, gcd(a1, a2)
     try:
         u = pow(a2 // g, -1, a1 // g)
     except ValueError:  # a2/g and a1/g are coprime when g = gcd(a1, a2)
         raise InconsistencyError(f"{g} is not gcd({a1}, {a2})") from None
-    e, x, y = _egcd(s, g) if s % g else (g, 0, 1)
+    e = gcd(s, g)
+    x = pow(s // e, -1, g // e) if s % g else 0
+    y = (e - x * s) // g
     v1, v2 = a1 // e, a2 // e
     r = -(u * y * (b2 - s) + x * c2) % v1
     c3, rem = divmod(c2 * e + r * (b2 + v2 * r), v1)
@@ -175,18 +178,6 @@ def _compose_abc(a1, b1, c1, a2, b2, c2):
         raise InconsistencyError(f"composite of ({a1},{b1},{c1}) and "
                                  f"({a2},{b2},{c2}) is not integral")
     return _reduce_abc(v1 * v2, b2 + 2 * v2 * r, c3)
-
-
-def _egcd(a, b):
-    """(g, u, v) with g = gcd(a, b) = u a + v b and g >= 0, by the extended
-    Euclidean algorithm as a loop, so the size of a and b bounds no stack."""
-    u0, v0, u1, v1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
 
 
 def _reduced_triples(d: int):
@@ -215,9 +206,7 @@ def reduced_forms(d: int, primitive_only: bool = True):
 
 
 def class_number(d: int) -> int:
-    check_price(f"the forms of Cl({d})", -d // 6, CLASS_GROUP_STEPS,
-                "enumeration steps")
-    return sum(gcd(a, b, c) == 1 for a, b, c in _reduced_triples(d))
+    return len(reduced_forms(d))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,16 @@ class CountRecord:
 
 
 def _encode_count(n: int):
-    return str(n) if abs(n) >= _BIG else n
+    """n itself below 2^53, else its decimal string: past Python's limit on
+    int-to-str digits (sys.get_int_max_str_digits) through Decimal, which
+    ignores it."""
+    if abs(n) < _BIG:
+        return n
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(n))
 
 
 def _decode_count(v, where: str) -> int:
@@ -57,6 +66,10 @@ def _decode_count(v, where: str) -> int:
         try:
             return int(v, 10)
         except ValueError:
+            digits = v[v[:1] in ("+", "-"):]
+            if digits.isascii() and digits.isdigit():  # past the digit limit
+                from decimal import Decimal
+                return int(Decimal(v))
             raise DataError(f"{where}: unparsable count {v!r}") from None
     raise DataError(f"{where}: count must be an integer or decimal string")
 

@@ -51,7 +51,8 @@ def _enc(x):
         return _encode_count(x)
     fractions = sys.modules.get("fractions")  # loaded by whoever made one
     if fractions is not None and isinstance(x, fractions.Fraction):
-        return _enc(x.numerator) if x.denominator == 1 else str(x)
+        return (_enc(x.numerator) if x.denominator == 1 else
+                f"{_encode_count(x.numerator)}/{_encode_count(x.denominator)}")
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
     if isinstance(x, dict):
@@ -62,9 +63,15 @@ def _enc(x):
 
 
 def _csv_ints(text: str):
+    toks = [tok.strip() for tok in text.split(",") if tok.strip() != ""]
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in toks]
     except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: none
+        for digits in (tok[tok[:1] in ("+", "-"):] for tok in toks):
+            if limit and len(digits) > limit and digits.isdigit():
+                raise UsageError(f"an integer of {len(digits)} digits passes "
+                                 f"Python's limit of {limit}") from None
         raise UsageError(f"expected comma-separated integers, got {text!r}")
 
 

@@ -222,10 +222,9 @@ def _affine_scan(polys, k, ctx, tally=_zeros, lo=0, hi=None):
     The coefficients of the leading variable are evaluated once as grids
     over the other k - 1 <= 2 variables; Horner's rule in the leading
     variable then runs over blocks of its values, one numpy grid each.
-    Refused by `check_scan_budget` before any array is built."""
+    Checks no budget: `_projective_scan` prices its largest stratum."""
     import numpy as np
     q = ctx.q
-    check_scan_budget(q)
     if k == 0:  # the single point of F_q^0
         return tally([_values(f, 0, ctx) for f in polys], ())
     hi = q if hi is None else hi
@@ -250,10 +249,17 @@ def _projective_scan(polys, n, ctx, tally=_zeros, jobs=1):
     cut at the leading coordinate into min(q, 4 w) for the w >= 2 workers
     pool_map starts (its one caller); exact subtotals, added in order.
     The homogeneous polys restrict to distinct monomials, nonzero mod p.
-    numpy loads first, so forked workers inherit it, and each worker
-    builds the field once (`FieldCtx.__reduce__`)."""
-    import numpy  # noqa: F401
+    Refused by `check_bytes` before numpy loads or any worker starts, at
+    the s = 0 stratum's bytes, 8 an entry: a q^(n-1) grid for each degree
+    of x_1 in each poly, Horner's two blocks, and 64 KiB of Python objects.
+    numpy loads next, so forked workers inherit it, and each worker builds
+    the field once (`FieldCtx.__reduce__`)."""
     q, w, total = ctx.q, min(jobs, os.cpu_count() or 1), 0
+    grid = q ** (n - 1)
+    parts = sum(len({e[1] for e, _ in f}) for f in polys)
+    check_bytes(f"the scan grids over F_{q}", 2 ** 16 + 8 * grid * (
+        parts + 2 * max(1, _SCAN_BLOCK // grid)))
+    import numpy  # noqa: F401
     for s in range(n + 1):
         rest = [[(e[s + 1:], c) for e, c in f if not any(e[:s])]
                 for f in polys]
@@ -327,15 +333,16 @@ def count_double_sextic(surface: DoubleSextic, ctx: FieldCtx, jobs: int = 1) -> 
 def count_diagonal_quartic_jacobi(surface, ctx: FieldCtx):
     """(count, Frobenius eigenvalues on H^2) for a quartic whose only
     monomials mod p are a_i x_i^4, via Jacobi sums in Z[i].  Needs q = 1
-    mod 4 (so the quartic character exists over F_q) and characteristic
-    prime to 4 and to the a_i."""
-    if not _fast_path_ok(surface, ctx.p, ctx.r):
+    mod 4 (so the quartic character exists over F_q and p is odd) and p
+    prime to each a_i, read off one `_diagonal_shape`."""
+    p, q = ctx.p, ctx.q
+    a = _diagonal_shape(surface, p)
+    if a is None or not all(a) or q % 4 != 1:
         raise UnsupportedError("Jacobi fast path needs a diagonal quartic, "
                                "q = 1 mod 4 and p odd and prime to each a_i")
-    p, q = ctx.p, ctx.q
     chi = MultChar(ctx, 4, 1)
     l_minus1 = chi.log(p - 1)  # -1 and a mod p are packed as in F_p
-    l_a = [chi.log(a) for a in _diagonal_shape(surface, p)]
+    l_a = [chi.log(c) for c in a]
 
     @lru_cache(maxsize=None)
     def pair_sum(a, b):  # J(chi^a, chi^b) in O(q); 6 distinct pairs occur
@@ -504,11 +511,6 @@ def count_torus_fibres(surface, ctx: FieldCtx, jobs: int = 1) -> int:
 
 
 # --- towers ------------------------------------------------------------------
-
-def _fast_path_ok(surface, p, r) -> bool:
-    a = _diagonal_shape(surface, p)
-    return a is not None and p != 2 and all(a) and p ** r % 4 == 1
-
 
 def _count_by_jacobi(surface, ctx, jobs=1):
     """The count alone, in the form `_route` hands counts out."""

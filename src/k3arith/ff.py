@@ -20,11 +20,12 @@ machines:
   multiplication tables, int32 arrays derived from the element arithmetic:
   multiplication from the discrete logs, addition digit by digit in base
   p.  They are built on first request.  `check_scan_budget` is the one
-  q x q budget, for these tables and for the scans of `count` alike.
+  q x q budget, for these tables and the double sextic's scan; a quartic
+  scan is priced by the bytes of its grids in `count`.
 - `check_bytes` prices bytes against TABLE_BYTES through the one guard,
-  `errors.check_price`: the q x q budget, the discrete-log list, the fibre
-  counts of `count` and the eta series of `cmmod` all refuse through it,
-  before they build anything.
+  `errors.check_price`: the q x q budget, the discrete-log list, the
+  quartic scans and fibre counts of `count` and the eta series of `cmmod`
+  all refuse through it, before they build anything.
 - chi(0) = 0 for every multiplicative character.
 - Character values and Jacobi sums live exactly in Z[zeta_m]; no floats
   anywhere in this module.
@@ -46,16 +47,16 @@ _MR_EXACT_BELOW = 3317044064679887385961981  # Sorenson-Webster, 13 bases
 
 def check_bytes(what: str, nbytes: int) -> None:
     """Refuse with UsageError, before it is built, whatever would take more
-    than TABLE_BYTES (one q x q array, the discrete logs, the fibre counts'
-    histograms and rows, an eta series)."""
+    than TABLE_BYTES (one q x q array, the discrete logs, a quartic scan's
+    grids, the fibre counts' histograms and rows, an eta series)."""
     check_price(what, nbytes, TABLE_BYTES, "bytes")
 
 
 def check_scan_budget(q: int) -> None:
-    """Refuse F_q with UsageError, for the packed tables and the scans of
-    `count` alone, before they build anything, when one q x q int64 array (8
-    q^2 bytes, as much as the two int32 tables of r > 1) would pass
-    TABLE_BYTES: one array, not one count (a dense quartic scan holds 7)."""
+    """Refuse F_q with UsageError, for the packed tables and the double
+    sextic's scan alone, before they build anything, when one q x q int64
+    array (8 q^2 bytes, as much as the two int32 tables of r > 1) would
+    pass TABLE_BYTES.  A quartic scan is priced by the bytes it holds."""
     check_bytes(f"q x q scan arrays over F_{q}", 8 * q * q)
 
 

@@ -171,8 +171,8 @@ def j_invariant(tau: complex, tol: float = 1e-12) -> complex:
     parameter satisfies |q| <= exp(-pi*sqrt(3)) ~ 0.00433 and a handful
     of exact integer coefficients suffice.  A tau whose |j| ~ exp(2 pi Im
     tau) would pass float range is refused with DomainError first."""
-    if tol <= 0:
-        raise UsageError("tol must be positive")
+    if not 0 < tol < math.inf:  # NaN too
+        raise UsageError(f"tol must be a positive finite number, got {tol}")
     tau = _fundamental_domain(complex(tau))
     log10_j = 2 * math.pi * tau.imag / math.log(10)
     if log10_j > _LOG10_FLOAT_MAX:

@@ -2,9 +2,9 @@
 
 a1 = F1500 and a2 = F1501 are consecutive Fibonacci numbers, about 314
 digits each.  They are coprime, so the composition kernel inverts a2 mod
-a1 by `pow` and never calls `_egcd`.  The Euclidean walk of about 1500
-steps that such a pair makes, past Python's default recursion limit, is
-checked in tests/test_bqf_kernel.py::test_egcd_step_of_1500_euclidean_steps.
+a1 by `pow` and takes no Bezout step.  A Bezout step on such a pair,
+whose Euclidean walk has about 1500 steps, is checked in
+tests/test_bqf_kernel.py::test_egcd_step_of_1500_euclidean_steps.
 """
 
 import json

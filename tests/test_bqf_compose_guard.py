@@ -4,8 +4,8 @@ The kernel `_compose_abc` divides a1 and a2 by g = gcd(a1, a2) and
 inverts a2/g mod a1/g; with a wrong gcd that inverse does not exist, and
 the kernel raises InconsistencyError instead of a bare ValueError.  The
 check is a plain comparison, not an `assert`, so it also holds under
-`python -O`.  (A wrong Bezout triple from `_egcd`, which leaves the last
-division inexact, is tested in tests/test_bqf_kernel.py.)
+`python -O`.  (A wrong Bezout coefficient from `pow`, which leaves the
+last division inexact, is tested in tests/test_bqf_kernel.py.)
 """
 
 import pytest

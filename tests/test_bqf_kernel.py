@@ -5,16 +5,16 @@
 property tests draw primitive pairs of one discriminant that are not
 reduced (translates b -> b + 2ka of (a1, b, a2 t) and (a2, b, a1 t)),
 with coefficients of a few digits or of about 300, and compare the
-composite with `_oracle_compose` of tests/test_bqf.py.  The extended gcd
-`_egcd` must run exactly when g = gcd(a1, a2) does not divide
-s = (b1 + b2)/2; one strategy draws only such pairs.  The last test
-counts the kernel's calls inside `class_group`: one per unordered pair
-of classes, so no product escapes the closure check.
+composite with `_oracle_compose` of tests/test_bqf.py.  The Bezout step,
+x = (s/e)^-1 mod g/e by `pow`, runs only when g = gcd(a1, a2) does not
+divide s = (b1 + b2)/2; one strategy draws only such pairs, and a wrong
+x, injected through `pow`, must leave the composite not integral.  The
+last test counts the kernel's calls inside `class_group`: one per
+unordered pair of classes, so no product escapes the closure check.
 """
 
 from itertools import combinations_with_replacement
 from math import gcd, isqrt
-from unittest import mock
 
 import pytest
 
@@ -47,59 +47,44 @@ def pairs(draw, size, common=st.just(1)):
             g.transform(1, draw(shift), 0, 1))
 
 
-def _egcd_branch(f, g):
+def _bezout_branch(f, g):
     return (f.b + g.b) // 2 % gcd(f.a, g.a) != 0
-
-
-def _compose_counting_egcd(f, g):
-    calls = []
-    real = bqf._egcd
-
-    def spy(a, b):
-        calls.append((a, b))
-        return real(a, b)
-
-    with mock.patch.object(bqf, "_egcd", spy):
-        return compose(f, g), len(calls)
 
 
 @given(pairs(SMALL) | pairs(HUGE))
 def test_compose_matches_the_ideal_oracle(pair):
     f, g = pair
-    out, egcd_calls = _compose_counting_egcd(f, g)
+    out = compose(f, g)
     assert out == _oracle_compose(f, g)
     assert out.is_reduced and out.disc == f.disc
-    assert egcd_calls == _egcd_branch(f, g)
 
 
 @given(pairs(SMALL, st.integers(2, 12)) | pairs(HUGE, st.integers(2, 10 ** 9)))
 def test_pairs_with_g_not_dividing_s_take_the_egcd_step(pair):
     f, g = pair
-    assume(_egcd_branch(f, g))
-    out, egcd_calls = _compose_counting_egcd(f, g)
-    assert egcd_calls == 1
-    assert out == _oracle_compose(f, g)
+    assume(_bezout_branch(f, g))
+    assert compose(f, g) == _oracle_compose(f, g)
 
 
 def test_egcd_step_of_1500_euclidean_steps():
     # f = (F1501, F1500, F1501) squared: g = F1501 does not divide s = F1500,
-    # so _egcd runs on consecutive Fibonacci numbers, past the default
-    # recursion limit had it recursed
+    # so the Bezout step inverts consecutive Fibonacci numbers, whose
+    # Euclidean walk has about 1500 steps
     a, b = 0, 1
     for _ in range(1500):
         a, b = b, a + b
     f = BinaryQuadraticForm(b, a, b)
-    out, egcd_calls = _compose_counting_egcd(f, f)
-    assert egcd_calls == 1
-    assert out == _oracle_compose(f, f)
+    assert _bezout_branch(f, f)
+    assert compose(f, f) == _oracle_compose(f, f)
 
 
 def test_wrong_bezout_triple_leaves_the_composite_not_integral(monkeypatch):
-    # (2,1,3)^2: g = 2 does not divide s = 1, so the kernel calls _egcd(1, 2);
-    # 0 * 1 + 1 * 2 = 2 != 1, and c3 = (3 + 0) / 2 is not an integer
+    # (2,1,3)^2: g = 2 does not divide s = 1, so the kernel takes x =
+    # pow(1, -1, 2) = 1; a pow that gives 0 (right for u mod 1) makes
+    # y = (1 - 0) // 2 = 0, 0 * 1 + 0 * 2 != 1, and c3 = 3 / 2
     f = BinaryQuadraticForm(2, 1, 3)
     assert compose(f, f) == BinaryQuadraticForm(2, -1, 3)
-    monkeypatch.setattr(bqf, "_egcd", lambda a, b: (1, 0, 1))
+    monkeypatch.setattr(bqf, "pow", lambda b, e, m: 0, raising=False)
     with pytest.raises(InconsistencyError, match="not integral"):
         compose(f, f)
 

@@ -138,7 +138,6 @@ def test_route_reads_the_counts_at_call_time(monkeypatch):
     (DIAG5, 5, 2),  # p divides a coefficient
 ])
 def test_jacobi_refuses_exactly_off_the_fast_path(surface, p, r):
-    assert not count._fast_path_ok(surface, p, r)
     with pytest.raises(UnsupportedError, match="q = 1 mod 4"):
         count_diagonal_quartic_jacobi(surface, FieldCtx(p, r))
 

@@ -49,3 +49,14 @@ def test_a_product_past_float_range_is_refused():
     pencil = inose_coefficients(1e150, -1e150j)  # just inside float range
     assert all(map(cmath.isfinite, (pencil.A, pencil.B)))
     assert all(map(math.isfinite, pencil.relation_defects()))
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+def test_tol_must_be_positive_and_finite(capsys, tol):
+    # NaN made no term small enough (exit 1), and inf stopped the series
+    # early (A = 0.9999999999767474 for (1, 0, 1), where A is 1, exit 0)
+    assert main(["inose", "--form", "1,0,1", f"--tol={tol}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("k3: usage error: tol must be a positive finite number, "
+                   f"got {float(tol)}\n")

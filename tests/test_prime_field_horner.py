@@ -6,17 +6,22 @@ a different reduction pattern, and every result is compared with plain
 Python-int Horner.  The int64 route is also compared with the gathers from
 `packed_tables` it replaced, and the prime-field counts are checked
 against independent routes with the tables (and, for the quartic scans,
-the discrete logs) refused.  The scans keep the q x q budget of the
-tables: an int64 coefficient grid costs as many bytes, so a prime above
-5792 is refused before any grid is built, and a double sextic before its
-discrete logs.  The modularity check and the sieve never scan: a
-`--primes` range is priced from its bounds before it is enumerated, and
-the batch, with its eta series, by the `count.count_many` walk before any
-grid, series or count.
+the discrete logs) refused.  The tables keep their q x q budget, which
+refuses a prime above 5792, and a double sextic keeps it too, before its
+discrete logs.  A quartic scan is refused by the bytes its largest
+stratum holds, priced once in `_projective_scan` before numpy loads or a
+worker starts: a dense quartic from F_2203, tracemalloc showing the price
+above the peak by at most 10%.  The modularity check and the sieve never
+scan: a `--primes` range is priced from its bounds before it is
+enumerated, and the batch, with its eta series, by the `count.count_many`
+walk before any grid, series or count.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -157,12 +162,106 @@ def test_sextic_over_f_2003_stays_small():
     assert count == 4011377
 
 
+DENSE = Quartic((1,) * len(QUARTIC_EXPONENTS))
+
+
 def test_scan_budget_is_the_table_budget():
+    # the tables keep 8 q^2 bytes; a quartic scan is refused by the bytes
+    # of its grids and blocks, so before the tables' threshold
     assert 8 * 5791 ** 2 <= TABLE_BYTES < 8 * 5801 ** 2  # consecutive primes
-    assert count_mod._affine_scan([[((), 0)]], 0, FieldCtx(5791)) == 1
-    with pytest.raises(UsageError, match=r"F_5801 need about 2\.69e\+8 bytes "
-                                         r"\(cap 2\.68e\+8\)"):
-        count_mod._affine_scan([[((), 0)]], 0, FieldCtx(5801))
+    ff_mod.check_scan_budget(5791)
+    with pytest.raises(UsageError, match=r"F_5801 need about 1\.9e\+9 bytes "
+                                         r"\(cap 2\.7e\+8\)"):
+        count_quartic(DENSE, FieldCtx(5801))
+
+
+class _Admitted(Exception):
+    pass
+
+
+def _admit(*args):
+    raise _Admitted
+
+
+def test_dense_scans_are_refused_from_f_2203(monkeypatch):
+    # 56 q^2 bytes and 64 KiB pass TABLE_BYTES between the consecutive
+    # primes 2179 and 2203; an admitted scan reaches its first pool_map
+    monkeypatch.setattr(count_mod, "pool_map", _admit)
+    with pytest.raises(_Admitted):
+        count_quartic(DENSE, FieldCtx(2179))
+    with pytest.raises(UsageError, match=r"^the scan grids over F_2203 need "
+                                         r"about 2\.72e\+8 bytes "
+                                         r"\(cap 2\.68e\+8\)$"):
+        count_quartic(DENSE, FieldCtx(2203))
+
+
+def test_refused_dense_scan_holds_under_a_mebibyte(monkeypatch):
+    monkeypatch.setattr(count_mod, "pool_map", _admit)  # no scan if admitted
+    ctx = FieldCtx(5791)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match="F_5791 need"):
+            count_quartic(DENSE, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+SPARSE = Quartic.from_dict({(4, 0, 0, 0): 1, (0, 4, 0, 0): 2, (0, 0, 4, 0): 3,
+                            (0, 0, 0, 4): 5, (2, 1, 1, 0): 7, (0, 0, 1, 3): 1})
+
+
+@pytest.mark.parametrize("scan, surface, q, over", [
+    (count_quartic, DENSE, 211, 1.1), (count_quartic, DENSE, 401, 1.1),
+    (count_quartic, dwork_pencil.member(3), 211, 1.1),  # full grids
+    (is_smooth_quartic, DENSE, 211, 1.1),
+    # a degree part of x_1 that is not a full grid is priced as one, and
+    # Horner then holds two blocks, not three: an upper bound only
+    (count_quartic, fermat_quartic(), 211, 1.7),
+    (count_quartic, SPARSE, 211, 1.7),
+], ids=["dense-211", "dense-401", "dwork-211", "smooth-211", "fermat-211",
+        "sparse-211"])
+def test_scan_price_bounds_the_peak(monkeypatch, scan, surface, q, over):
+    prices = []
+    check_bytes = count_mod.check_bytes
+
+    def spy(what, nbytes):
+        prices.append(nbytes)
+        check_bytes(what, nbytes)
+    monkeypatch.setattr(count_mod, "check_bytes", spy)
+    scan(surface, FieldCtx(7))  # numpy and the kernel warm
+    ctx = FieldCtx(q)
+    tracemalloc.start()
+    try:
+        scan(surface, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= prices[-1] <= over * peak
+
+
+DENSE_5801 = ["count", "--model", "quartic",
+              "--coeffs=" + ",".join(["1"] * 35), "--p", "5801", "--force",
+              "--jobs", "2"]
+
+
+def test_refused_scan_starts_no_worker_and_loads_no_numpy(capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(count_mod, "pool_map", _admit)
+    assert main(DENSE_5801) == 2
+    assert capsys.readouterr().err.startswith(
+        "k3: usage error: the scan grids over F_5801 need")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(count_mod.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", (
+        "import sys\nfrom k3arith.cli import main\n"
+        f"assert main({DENSE_5801!r}) == 2\n"
+        "print('numpy' in sys.modules)\n")], env=env, capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("p, r", [(5801, 1), (3, 9), (7, 5)])
@@ -210,13 +309,13 @@ def test_prime_range_below_the_budget_is_enumerated():
      "the counts need about 7.7e+10 price units (cap 2.0e+9)"),
     (("count", "--model", "quartic", "--coeffs", ",".join(["1"] * 35),
       "--p", "5801", "--force"),
-     "q x q scan arrays over F_5801 need about 2.69e+8 bytes (cap 2.68e+8)"),
+     "the scan grids over F_5801 need about 1.9e+9 bytes (cap 2.7e+8)"),
 ], ids=["argv0", "argv1", "argv2"])
 def test_scans_beyond_the_budget_exit_2_before_any_grid(capsys, monkeypatch,
                                                         argv, err):
     # the modularity check and the sieve are refused by the price of the
     # counts that would take them (fibres, a torus tally), the scan by
-    # the q x q budget; none builds a coefficient grid
+    # the bytes of its grids; none builds a coefficient grid
     def refuse(*args):
         raise AssertionError("a coefficient grid was built")
     monkeypatch.setattr(count_mod, "_values", refuse)

@@ -1,11 +1,13 @@
 """One owner for the q x q scan budget, one arithmetic per scan.
 
 `ff.check_scan_budget` is the only q x q budget rule, called by the packed
-tables and the scans of `count` alone, so an over-budget field is refused
-before any table or grid is built.  The modularity check and the CM sieve
-never scan: they vet each prime by the count that takes it, the whole
-batch and its eta series priced by the `count.count_many` walk before any
-series or count, and the `--primes` parser only parses.  A double sextic
+tables and the double sextic's scan alone, so an over-budget field is
+refused before any table or grid is built (a quartic scan is refused by
+the bytes of its grids, tests/test_prime_field_horner.py).  The
+modularity check and the CM sieve never scan: they vet each prime by the
+count that takes it, the whole batch and its eta series priced by the
+`count.count_many` walk before any series or count, and the `--primes`
+parser only parses.  A double sextic
 reads its quadratic character off the squares `FieldCtx.horner` computes,
 not off the discrete logs.  Report integers follow the count cache's 2^53
 rule.
