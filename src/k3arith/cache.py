@@ -5,9 +5,8 @@ with N serialized as a decimal string when it exceeds 53-bit JSON safety.
 Loading deduplicates identical records and rejects conflicting counts for
 the same key as corruption; a file it cannot read or write, or a line that
 is not UTF-8 or not a record, raises DataError naming the path and the line.
-Meta events share the stream: {"meta": "verify", "verified": true} marks the
-store as having passed a verification pass; until then the cache serves
-counts but is not authoritative.  `as_records` hands the counts out as
+A line with a "meta" key, such as the {"meta": "verify", "verified": true}
+events older files hold, is skipped.  `as_records` hands the counts out as
 CountRecord values, defined here so that reading a count file never loads
 the counting layer.
 
@@ -80,7 +79,6 @@ class CountCache:
     def __init__(self, path=None):
         self.path = os.fspath(path) if path is not None else None
         self._store = {}
-        self._verified = False
         self._fd = None
         self.hits = 0
         self.misses = 0
@@ -108,8 +106,6 @@ class CountCache:
             if not isinstance(obj, dict):
                 raise DataError(f"{where}: record must be an object")
             if "meta" in obj:
-                if obj.get("verified"):
-                    self._verified = True
                 continue
             key = (obj.get("surface"), obj.get("p"), obj.get("r"))
             if not (isinstance(key[0], str) and all(
@@ -161,21 +157,6 @@ class CountCache:
         self._append({"surface": surface, "p": p, "r": r,
                       "count": _encode_count(count)})
 
-    def mark_verified(self, note: str = "") -> None:
-        """Record a verification pass; thereafter the cache is
-        authoritative for the keys it holds."""
-        self._verified = True
-        event = {"meta": "verify", "verified": True}
-        if note:
-            event["note"] = note
-        self._append(event)
-
-    @property
-    def verified(self) -> bool:
-        return self._verified
-
-    authoritative = verified
-
     def __len__(self) -> int:
         return len(self._store)
 
@@ -187,4 +168,4 @@ class CountCache:
     @property
     def stats(self):
         return {"entries": len(self._store), "hits": self.hits,
-                "misses": self.misses, "verified": self._verified}
+                "misses": self.misses}

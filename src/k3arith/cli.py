@@ -1,10 +1,11 @@
 """Command-line front end: `k3 <subcommand>` producing JSON reports.
 
 Every report carries the schema tag, tool version, an echo of the parsed
-configuration, the results object, wall-clock timing, and cache-hit
-statistics when a cache was in play.  Results are a pure function of
-(config, cache): timing lives outside the results object so that results
-bytes are reproducible across runs and thread counts.
+configuration, the results object and wall-clock timing; the subcommands
+that count (`count`, `modularity`, `sieve`), the only ones that open a
+count cache, add its entries, hits and misses.  Results are a pure
+function of (config, cache): timing lives outside the results object so
+that results bytes are reproducible across runs and worker counts.
 
 Exit codes: 0 success, 1 mathematical verification failure, 2 usage error.
 
@@ -252,7 +253,7 @@ def _cmd_modularity(args, cache):
     primes = _primes_arg(args.primes)
     if not primes:
         raise UsageError("no primes supplied")
-    report = cmmod.verify_modularity(primes, cache=cache, jobs=args.jobs)
+    report = cmmod.verify_modularity(primes, cache=cache)
     return {
         "primes": primes,
         "entries": [{"p": e.p, "predicted": e.predicted,
@@ -268,8 +269,7 @@ def _cmd_sieve(args, cache):
     primes = _primes_arg(args.primes)
     if not primes:
         raise UsageError("no primes supplied")
-    candidates = cmmod.cm_sieve(count.dwork_pencil, None, primes,
-                                cache=cache, jobs=args.jobs)
+    candidates = cmmod.cm_sieve(count.dwork_pencil, None, primes, cache=cache)
     found = cmmod.sieve_survivors(candidates, primes,
                                   args.height if args.lift else None)
     results = {
@@ -301,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.allow_abbrev = False  # subparsers do not inherit it
         sp.set_defaults(func=func, parser=sp)
         if counts:
-            sp.add_argument("--jobs", type=int, default=1,
-                            help="worker process cap (default 1)")
             sp.add_argument("--cache", default=None,
                             help="count cache path (default: $K3_CACHE)")
         sp.add_argument("--out", default=None,
@@ -316,6 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=1, help="tower height (default 1)")
     sp.add_argument("--force", action="store_true",
                     help="override the feasibility cap")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker process cap (default 1)")
     common(sp, _cmd_count, counts=True)
 
     sp = sub.add_parser("zeta", help="complete P2 from counts")
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     try:
         # only the subcommands that count take --cache or read K3_CACHE
         cache = (_open_cache(args.cache or os.environ.get("K3_CACHE") or None)
-                 if hasattr(args, "cache") else CountCache())
+                 if hasattr(args, "cache") else None)
         results, ok = args.func(args, cache)
     except K3ArithError as exc:  # input faults and refused files: errors.py
         usage = (isinstance(exc, (UsageError, DomainError, UnsupportedError))
@@ -422,8 +422,9 @@ def main(argv=None) -> int:
         "config": _config_echo(args),
         "results": _enc(results),
         "timing": {"seconds": round(elapsed, 3)},
-        "cache": cache.stats,
     }
+    if cache is not None:
+        report["cache"] = cache.stats
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         try:

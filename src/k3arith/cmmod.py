@@ -128,14 +128,15 @@ class ModularityReport:
         return [e.p for e in self.entries if not e.agree]
 
 
-def verify_modularity(p_range, cache=None, jobs: int = 1) -> ModularityReport:
+def verify_modularity(p_range, cache=None) -> ModularityReport:
     """Prediction vs direct count of the Fermat quartic at each prime, the
-    predictions read off one eta expansion through the largest prime."""
+    predictions read off one eta expansion through the largest prime; no
+    jobs, as `count` never scans the Fermat quartic at an odd p."""
     primes = sorted(set(p_range))
     for p in primes:  # whole range vetted before any series or count
         _check_odd_prime(p)
     counts = count_many(((fermat_quartic(), p, 1) for p in primes), cache,
-                        jobs, total=_eta_price(max(primes, default=0)))
+                        total=_eta_price(max(primes, default=0)))
     series = eta4_pow6_expansion(primes[-1]) if primes else None
     return ModularityReport(tuple(
         ModularityEntry(p, fermat_count_prediction(p, series), n)

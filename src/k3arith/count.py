@@ -250,15 +250,21 @@ def _projective_scan(polys, n, ctx, tally=_zeros, jobs=1):
     pool_map starts (its one caller); exact subtotals, added in order.
     The homogeneous polys restrict to distinct monomials, nonzero mod p.
     Refused by `check_bytes` before numpy loads or any worker starts, at
-    the s = 0 stratum's bytes, 8 an entry: a q^(n-1) grid for each degree
+    the s = 0 stratum's bytes b, 8 an entry: a q^(n-1) grid for each degree
     of x_1 in each poly, Horner's two blocks, and 64 KiB of Python objects.
-    numpy loads next, so forked workers inherit it, and each worker builds
-    the field once (`FieldCtx.__reduce__`)."""
-    q, w, total = ctx.q, min(jobs, os.cpu_count() or 1), 0
+    Each worker holds those grids, and over F_{p^r} builds its own logs and
+    q x q tables (8 q^2 bytes), so at most TABLE_BYTES // (b + 8 q^2) of
+    them start, but at least one, so a scan admitted in one process is
+    admitted at any jobs.  numpy loads next, so forked workers inherit it,
+    and each worker builds the field once (`FieldCtx.__reduce__`)."""
+    q, total = ctx.q, 0
     grid = q ** (n - 1)
     parts = sum(len({e[1] for e, _ in f}) for f in polys)
-    check_bytes(f"the scan grids over F_{q}", 2 ** 16 + 8 * grid * (
-        parts + 2 * max(1, _SCAN_BLOCK // grid)))
+    held = 2 ** 16 + 8 * grid * (parts + 2 * max(1, _SCAN_BLOCK // grid))
+    check_bytes(f"the scan grids over F_{q}", held)
+    from .ff import TABLE_BYTES  # read where ff owns it, not copied here
+    jobs = min(jobs, max(1, TABLE_BYTES // (held + 8 * q * q * (ctx.r > 1))))
+    w = min(jobs, os.cpu_count() or 1)
     import numpy  # noqa: F401
     for s in range(n + 1):
         rest = [[(e[s + 1:], c) for e, c in f if not any(e[:s])]
@@ -463,12 +469,14 @@ def count_diagonal_quartic_fibres(surface, ctx: FieldCtx, jobs: int = 1) -> int:
     return (n - 1) // (p - 1)
 
 
-@lru_cache(maxsize=4)  # the members of a pencil share (a, p)
+@lru_cache(maxsize=1)
 def _torus_tally(a, p):
     """(#D(F_p), W), W(w) = #{u in U^3 : S(u)^4/(u1 u2 u3) = w}, U the nonzero
     fourth powers, S(u) = a0 + a1 u1 + a2 u2 + a3 u3: rows (c + a3 u3)^4/u3 of
     the pairs (u1, u2), c = S - a3 u3, tallied by v = u1 u2 and scaled by
-    1/v.  U is read off the x <= p/2, as (-x)^4 = x^4."""
+    1/v.  U is read off the x <= p/2, as (-x)^4 = x^4.  Only the last tally
+    is kept, so a run of counts with one (a, p), such as a pencil's members
+    over one F_p, builds it once, and `count_many` charges it once a run."""
     a0, a1, a2, a3 = a
     us = {pow(x, 4, p) for x in range(1, p // 2 + 1)}
     inv = {u: pow(u, -1, p) for u in us}
@@ -563,29 +571,30 @@ def _route(surface, p, r):
 def count_many(keys, cache=None, jobs: int = 1, cap=BATCH_CAP, total=0,
                what="the counts"):
     """#X(F_{p^r}) for each (surface, p, r) key, in order, each routed by
-    `_route` once.  Under a cap, the running price from total (the Dwork
-    members over one F_p pay once for the tally they share) is refused by
-    `errors.check_price` at the first key past cap, before any count; with
-    cap None each key is counted as it is drawn, so a forced tower ends at
-    its first refused count.  Misses count on one `FieldCtx` per run of equal
-    (p, r) and are recorded.  The one place that hands out `jobs`: a count
-    gets them only when its price reaches _POOL_PRICE.  A dense quartic
-    took 18.0 ms at 1 job and at 2 over F_151 (price 1.0e7), 24.0 and 21.3
-    over F_167 (1.4e7)."""
+    `_route` once.  Under a cap, the running price from total (a torus key
+    pays for its tally unless its (a, p) is the last torus key's, the one
+    tally `_torus_tally` keeps: Dwork members over one F_p, drawn in a run,
+    pay once) is refused by `errors.check_price` at the first key past cap,
+    before any count; with cap None each key is counted as it is drawn, so
+    a forced tower ends at its first refused count.  Misses count on one
+    `FieldCtx` per run of equal (p, r) and are recorded.  The one place
+    that hands out `jobs`: a count gets them only when its price reaches
+    _POOL_PRICE.  A dense quartic took 18.0 ms at 1 job and at 2 over F_151
+    (price 1.0e7), 24.0 and 21.3 over F_167 (1.4e7)."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
-    def walk(total, tallies):
+    def walk(total, last):
         for surface, p, r in keys:
             count, price = _route(surface, p, r)
             if cap is not None:
-                if count is count_torus_fibres:  # one tally per shape and p
+                if count is count_torus_fibres:  # a tally a run of (a, p)
                     tally = (tuple(_torus_shape(surface, p)[0]), p)
-                    price *= tally not in tallies
-                    tallies.add(tally)
+                    price *= tally != last
+                    last = tally
                 total += price
                 check_price(what, total, cap, "price units")
             yield surface, p, r, count, jobs if price >= _POOL_PRICE else 1
-    routed = walk(total, set())
+    routed = walk(total, None)
     if cap is not None:
         routed = list(routed)  # every key priced before any count
     counts, ctx = [], None

@@ -52,8 +52,7 @@ def test_cache_roundtrip(tmp_path):
     assert len(reloaded) == 2
     assert reloaded.lookup("abc", 5, 2) == 1112
     assert reloaded.lookup("abc", 5, 3) is None
-    assert reloaded.stats == {"entries": 2, "hits": 1, "misses": 1,
-                              "verified": False}
+    assert reloaded.stats == {"entries": 2, "hits": 1, "misses": 1}
     recs = reloaded.as_records()
     assert [(r.p, r.r, r.count) for r in recs] == [(5, 1, 0), (5, 2, 1112)]
 
@@ -94,15 +93,15 @@ def test_cache_big_counts_serialized_as_strings(tmp_path):
     assert CountCache(path).lookup("abc", 101, 5) == big
 
 
-def test_cache_verification_flag(tmp_path):
+def test_cache_skips_meta_lines_of_older_files(tmp_path):
     path = tmp_path / "counts.jsonl"
+    path.write_text('{"surface": "abc", "p": 5, "r": 1, "count": 0}\n'
+                    '{"meta": "verify", "verified": true, "note": "x"}\n'
+                    '{"surface": "abc", "p": 5, "r": 2, "count": 1112}\n')
     cache = CountCache(path)
-    cache.record("abc", 5, 1, 0)
-    assert not cache.verified and not cache.authoritative
-    cache.mark_verified(note="spot-checked against direct count")
-    assert cache.verified and cache.authoritative
-    assert CountCache(path).verified
-    assert "spot-checked" in path.read_text()
+    assert [(r.p, r.r, r.count) for r in cache.as_records()] == [
+        (5, 1, 0), (5, 2, 1112)]
+    assert cache.stats == {"entries": 2, "hits": 0, "misses": 0}
 
 
 def test_cache_rejects_malformed_lines(tmp_path):

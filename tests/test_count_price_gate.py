@@ -73,8 +73,7 @@ def test_smoothness_prices_five_quartic_scans(monkeypatch):
 
 
 def test_small_scans_at_two_jobs_start_no_pool(pools):
-    report = verify_modularity([p for p in range(3, 102) if isprime(p)],
-                               jobs=2)
+    report = verify_modularity([p for p in range(3, 102) if isprime(p)])
     assert report.all_agree
     cm_sieve(dwork_pencil, eta4_pow6_expansion(17), [5, 13, 17], jobs=2)
     assert pools == []

@@ -6,7 +6,8 @@ It must equal the scan kernel on every such quartic over F_p, p < 40
 (p | a_i and a_i = 0 for every i among them).  `_route` takes it at every
 p with r = 1; over extensions the Dwork members keep the scan and its
 price.  The CM sieve never scans and builds one tally per prime, with the
-candidates the pencil scan of earlier versions gave.  A tower priced by
+candidates the pencil scan of earlier versions gave; a batch that
+interleaves primes pays for every tally it builds.  A tower priced by
 the tally can be refused where the scan's price admitted it (F_463).  Past
 the byte guard `ff.check_bytes` it refuses before it builds anything.
 """
@@ -109,6 +110,34 @@ def test_cm_sieve_builds_one_tally_per_prime_and_never_scans(monkeypatch):
     got = cm_sieve(dwork_pencil, eta4_pow6_expansion(101), [13, 17, 101])
     assert [(c.p, c.lam, c.h, c.count) for c in got] == SIEVE_13_17_101
     assert count._torus_tally.cache_info().misses == 3
+
+
+def test_interleaved_primes_pay_for_every_tally_they_build(monkeypatch):
+    """Dwork members lam = 1..3 over five primes, the primes interleaved:
+    each key's (a, p) differs from the last, so each builds its tally, and
+    the walk charges each one."""
+    built, totals = [], []
+    fibres, check_price = (count.count_diagonal_quartic_fibres,
+                           count.check_price)
+
+    def fibres_spy(surface, ctx, jobs=1):  # one call a tally built
+        built.append(ctx.p)
+        return fibres(surface, ctx, jobs)
+
+    def price_spy(what, total, cap, unit):
+        totals.append(total)
+        check_price(what, total, cap, unit)
+
+    monkeypatch.setattr(count, "count_diagonal_quartic_fibres", fibres_spy)
+    monkeypatch.setattr(count, "check_price", price_spy)
+    primes = (101, 103, 107, 109, 113)
+    keys = [(dwork_pencil.member(lam), p, 1) for lam in (1, 2, 3)
+            for p in primes]
+    count._torus_tally.cache_clear()
+    assert count_many(keys) == [count_quartic(s, FieldCtx(p))
+                                for s, p, _ in keys]
+    assert built == list(primes) * 3
+    assert totals[-1] == sum(_route(keys[0][0], p, 1)[1] for p in built)
 
 
 def test_count_many_scans_only_what_routes_to_the_scan(monkeypatch):

@@ -1,9 +1,11 @@
 """`count.pool_map` is the one place that chooses between running in this
 process and starting workers: the dominant stratum is cut for the workers
-the pool will start, not for the `jobs` asked for; numpy is loaded before
-any worker forks; a `FieldCtx` travels to workers as (p, r), built once
-in each process that unpickles it; and counts agree at one, two and a
-thousand jobs through real worker processes."""
+the pool will start, not for the `jobs` asked for; a scan starts no more
+workers than the byte cap holds copies of its grids (and, over F_{p^r},
+of its q x q tables); numpy is loaded before any worker forks; a
+`FieldCtx` travels to workers as (p, r), built once in each process that
+unpickles it; and counts agree at one, two and a thousand jobs through
+real worker processes."""
 
 import concurrent.futures
 import os
@@ -28,12 +30,13 @@ DENSE = Quartic(tuple(range(1, 36)))
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the payloads it is
-    handed, maps in this process."""
+    """Stands in for ProcessPoolExecutor: records its max_workers and the
+    payloads it is handed, maps in this process."""
     handed = []
+    workers = []
 
     def __init__(self, max_workers):
-        pass
+        self.workers.append(max_workers)
 
     def __enter__(self):
         return self
@@ -55,6 +58,25 @@ def test_chunks_follow_the_workers_not_jobs(monkeypatch):
     n = count_quartic(DENSE, FieldCtx(P), jobs=1000)
     assert _RecordingPool.handed == [8]  # 4 chunks for each of 2 workers
     assert n == count_quartic(DENSE, FieldCtx(P))
+
+
+@pytest.mark.parametrize("p, r, workers", [
+    (401, 1, 8), (1009, 1, 4), (2179, 1, 0),
+    # 56 q^2 of grids alone would let 5 start; the tables' 8 q^2 make it 4
+    (31, 2, 4)])
+def test_a_pooled_scan_starts_the_workers_its_bytes_hold(monkeypatch, p, r,
+                                                         workers):
+    """Each worker holds the s = 0 stratum's grids, priced once: 56 q^2
+    bytes and 64 KiB for a dense quartic, so F_1009 (54.4 MiB) starts 4 of
+    8 workers asked for, and F_2179, admitted serially, starts none."""
+    _RecordingPool.handed, _RecordingPool.workers = [], []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(count.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(count, "_affine_scan", lambda *args: 0)
+    assert count_quartic(DENSE, FieldCtx(p, r), jobs=8) == 0
+    assert _RecordingPool.workers == ([workers] if workers else [])
+    assert _RecordingPool.handed == ([4 * workers] if workers else [])
 
 
 def test_numpy_is_loaded_before_the_pool_starts():
