@@ -1,13 +1,18 @@
 """Exact integer arithmetic: dense polynomials over Z, their reduction
-mod p, factoring of integers and truncated Euler products.
+mod p, primality, factoring of integers and truncated Euler products.
 
 Polynomials are lists/tuples of Python ints, lowest degree first, with no
-trailing zeros (the zero polynomial is []).  Everything here is exact; an
-exact division returns None rather than a quotient with a remainder.  F_p[x]
-arithmetic is the Z[x] arithmetic here followed by one `mod_p`.
+trailing zeros (the zero polynomial is []).  Everything here stays in Z:
+the one long division, `divide`, returns None at a quotient coefficient
+that is not an integer.  F_p[x] arithmetic is the Z[x] arithmetic here
+followed by one `mod_p`.
 """
 
 from functools import lru_cache
+from operator import index
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981  # Sorenson-Webster, 13 bases
 
 
 def trim(p):
@@ -15,10 +20,6 @@ def trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def degree(p):
-    return len(p) - 1 if p else -1
 
 
 def mul(p, q):
@@ -37,27 +38,9 @@ def mod_p(p, prime):
     return trim([c % prime for c in p])
 
 
-def divmod_poly(p, q):
-    """Polynomial division over Q; (quotient, remainder) as Fraction lists."""
-    from fractions import Fraction  # loaded only where a Fraction is made
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    dq = degree(q)
-    lead = Fraction(q[-1])
-    for k in range(len(rem) - 1, dq - 1, -1):
-        if rem[k] == 0:
-            continue
-        c = rem[k] / lead
-        quo[k - dq] = c
-        for j in range(dq + 1):
-            rem[k - dq + j] -= c * q[j]
-    return trim(quo), trim(rem)
-
-
-def exact_div(p, q):
-    """The quotient p / q when q divides p over Z, else None."""
+def divide(p, q):
+    """(quotient, remainder) of p by q over Z, or None at the first
+    quotient coefficient that is not an integer."""
     rem = list(p)
     dq = len(q) - 1
     quo = [0] * max(0, len(rem) - dq)
@@ -68,7 +51,12 @@ def exact_div(p, q):
         quo[k - dq] = c
         for j, b in enumerate(q, k - dq):
             rem[j] -= c * b
-    return None if any(rem) else trim(quo)
+    return trim(quo), trim(rem[:dq])
+
+
+def exact_div(p, q):
+    """The quotient p / q when q divides p over Z, else None."""
+    return out[0] if (out := divide(p, q)) and not out[1] else None
 
 
 def mod_monic(p, q):
@@ -110,6 +98,53 @@ def euler_product(e, n):
             for i in range(k, n + 1):
                 out[i] += out[i - k]
     return out
+
+
+def isprime(n) -> bool:
+    """Primality by Miller-Rabin over the prime bases 2..41, which is
+    deterministic below 3317044064679887385961981 (Sorenson and Webster,
+    "Strong pseudoprimes to twelve prime bases", 2017).  Larger n go to
+    sympy.isprime, imported only then.  Non-integers raise TypeError."""
+    n = index(n)
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < _MR_BASES[-1] ** 2:
+        return True
+    if n >= _MR_EXACT_BELOW:
+        from sympy import isprime as sympy_isprime
+        return sympy_isprime(n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def is_prime_power(q) -> bool:
+    """True iff q = p^r with p prime and r >= 1, decided in integers: from
+    the largest r down, bisection finds the largest m with m^r <= q, and
+    the first exact root is p when q is a prime power."""
+    q = index(q)
+    for r in range(q.bit_length() - 1, 0, -1):
+        lo, hi = 1, 1 << (q.bit_length() // r + 1)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid ** r <= q else (lo, mid - 1)
+        if lo ** r == q:
+            return isprime(lo)
+    return False
 
 
 def factor(n, bound=None):

@@ -218,7 +218,7 @@ def _cmd_inose(args, cache):
     from . import singk3
     f = _form_arg(args.form)
     periods = singk3.shioda_mitani_periods(f)
-    pencil = singk3.inose_pencil_from_form(f, args.tol)
+    pencil = singk3.inose_pencil_from_form(f)
     return {
         "form": f.astuple(),
         "disc": f.disc,
@@ -354,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("inose", help="Inose pencil of a singular K3")
     sp.add_argument("--form", required=True, help="transcendental form a,b,c")
-    sp.add_argument("--tol", type=float, default=1e-12,
-                    help="j-evaluation tolerance")
     common(sp, _cmd_inose)
 
     sp = sub.add_parser("kuwata", help="fiber configuration and MW rank of "

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from itertools import product, tee
 from math import gcd, isqrt, prod
 
+from ._intpoly import isprime
 from .count import BATCH_CAP, count_many, fermat_quartic
 from .errors import DomainError, UsageError, check_price
-from .ff import check_bytes, isprime
+from .ff import check_bytes
 
 H_BOUND = 20  # |trace of Frob on NS| <= rank NS = 20 for a singular K3
 SMALL_INT_BOUND = 20  # window |c| <= 20 of the common small integers

@@ -27,22 +27,20 @@ machines:
   quartic scans and fibre counts of `count` and the eta series of `cmmod`
   all refuse through it, before they build anything.
 - chi(0) = 0 for every multiplicative character.
-- Character values and Jacobi sums live exactly in Z[zeta_m]; no floats
-  anywhere in this module.
+- Character values and Jacobi sums live exactly in Z[zeta_m], and the
+  integer arithmetic, primality too, is `_intpoly`'s: no floats anywhere.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
-from operator import index
 
 from . import _intpoly
+from ._intpoly import isprime
 from .errors import DomainError, UnsupportedError, UsageError, check_price
 
 TABLE_BYTES = 256 * 2 ** 20  # the cap of check_bytes
 _INT64_LIMIT = 2 ** 63  # int64 Horner keeps every partial value below it
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981  # Sorenson-Webster, 13 bases
 
 
 def check_bytes(what: str, nbytes: int) -> None:
@@ -58,53 +56,6 @@ def check_scan_budget(q: int) -> None:
     array (8 q^2 bytes, as much as the two int32 tables of r > 1) would
     pass TABLE_BYTES.  A quartic scan is priced by the bytes it holds."""
     check_bytes(f"q x q scan arrays over F_{q}", 8 * q * q)
-
-
-def isprime(n) -> bool:
-    """Primality by Miller-Rabin over the prime bases 2..41, which is
-    deterministic below 3317044064679887385961981 (Sorenson and Webster,
-    "Strong pseudoprimes to twelve prime bases", 2017).  Larger n go to
-    sympy.isprime, imported only then.  Non-integers raise TypeError."""
-    n = index(n)
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    if n < _MR_BASES[-1] ** 2:
-        return True
-    if n >= _MR_EXACT_BELOW:
-        from sympy import isprime as sympy_isprime
-        return sympy_isprime(n)
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def is_prime_power(q) -> bool:
-    """True iff q = p^r with p prime and r >= 1, decided in integers: from
-    the largest r down, bisection finds the largest m with m^r <= q, and
-    the first exact root is p when q is a prime power."""
-    q = index(q)
-    for r in range(q.bit_length() - 1, 0, -1):
-        lo, hi = 1, 1 << (q.bit_length() // r + 1)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if mid ** r <= q else (lo, mid - 1)
-        if lo ** r == q:
-            return isprime(lo)
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,7 @@ def base_change_lattice(t, n: int) -> BinaryQuadraticForm:
 
 # --- the elliptic j-function -------------------------------------------------
 
+J_TOL = 1e-12  # relative accuracy of j_invariant
 _JSER: list = []  # integer coefficients of j(q)*q = 1 + 744 q + 196884 q^2 + ...
 
 
@@ -164,15 +165,13 @@ def _fundamental_domain(tau: complex) -> complex:
     raise PrecisionError("fundamental domain reduction did not terminate")
 
 
-def j_invariant(tau: complex, tol: float = 1e-12) -> complex:
-    """j(tau) by q-expansion, accurate to tol relative to max(1, |j|).
+def j_invariant(tau: complex) -> complex:
+    """j(tau) by q-expansion, accurate to J_TOL relative to max(1, |j|).
 
     tau is first moved to the fundamental domain, so the expansion
     parameter satisfies |q| <= exp(-pi*sqrt(3)) ~ 0.00433 and a handful
     of exact integer coefficients suffice.  A tau whose |j| ~ exp(2 pi Im
     tau) would pass float range is refused with DomainError first."""
-    if not 0 < tol < math.inf:  # NaN too
-        raise UsageError(f"tol must be a positive finite number, got {tol}")
     tau = _fundamental_domain(complex(tau))
     log10_j = 2 * math.pi * tau.imag / math.log(10)
     if log10_j > _LOG10_FLOAT_MAX:
@@ -188,7 +187,7 @@ def j_invariant(tau: complex, tol: float = 1e-12) -> complex:
             _extend_jser(2 * len(_JSER))
         term = _JSER[n] * qpow
         acc += term
-        if abs(term) < 0.125 * tol * max(1.0, abs(acc)):
+        if abs(term) < 0.125 * J_TOL * max(1.0, abs(acc)):
             small += 1
             if small >= 2 and n >= 8:
                 return acc
@@ -196,7 +195,7 @@ def j_invariant(tau: complex, tol: float = 1e-12) -> complex:
             small = 0
         qpow *= q
         n += 1
-    raise PrecisionError("j-expansion did not reach the requested tolerance")
+    raise PrecisionError("j-expansion did not reach its tolerance")
 
 
 # --- Inose pencils -----------------------------------------------------------
@@ -246,12 +245,12 @@ def inose_coefficients(j1: complex, j2: complex) -> InosePencil:
     return InosePencil(a, b, j1, j2)
 
 
-def inose_pencil_from_form(f, tol: float = 1e-12) -> InosePencil:
+def inose_pencil_from_form(f) -> InosePencil:
     """Inose pencil of the singular K3 with transcendental form f: j-values
     at the Shioda-Mitani periods feed inose_coefficients."""
     periods = shioda_mitani_periods(_coerce(f))
-    return inose_coefficients(j_invariant(complex(periods.tau), tol),
-                              j_invariant(complex(periods.tau_prime), tol))
+    return inose_coefficients(j_invariant(complex(periods.tau)),
+                              j_invariant(complex(periods.tau_prime)))
 
 
 # --- class field bookkeeping -------------------------------------------------

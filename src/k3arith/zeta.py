@@ -9,26 +9,30 @@ c_m mirrors them onto the tail.  The sign eps is pinned by the root
 magnitude test, and the completion refuses to guess when both signs
 survive.
 
-Everything is exact.  Traces and P2 are integers; Fractions appear only
-in the Artin-Tate value at T = 1/q and in the |alpha| = q test, a Sturm
-count on the trace polynomial whose chain divides over Q
-(`_intpoly.divmod_poly`).  Partial data is a first-class state: a
-FrobeniusPoly of degree below 22 still yields a Picard bound, with the
-missing degrees counted as slack.
+Everything is exact.  Traces and P2 are integers, the types refuse anything
+else, and every division is one in Z (`_intpoly.divide`), the Sturm chain
+of the |alpha| = q test's included; Fractions appear only in the
+Artin-Tate value at T = 1/q, its square class and `van_luijk_combine`.
+Partial data is a first-class state: a FrobeniusPoly of degree below 22
+still yields a Picard bound, with the missing degrees counted as slack.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from . import _intpoly
 from .errors import (DataError, IncompletenessError, InconsistencyError,
                      MultiplicityError, UsageError, check_price)
-from .ff import is_prime_power, isprime
 
 H2_DIM = 22  # dim H^2 of a K3 surface
 TRIAL_BOUND = 10 ** 4  # trial divisors square_class tries before sympy
 FACTOR_DIGITS = 40  # digits of the largest cofactor handed to sympy
+
+
+def _check_ints(what, values):
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
+        raise UsageError(f"{what} must be integers")
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,8 @@ class TraceVector:
     traces: tuple
 
     def __post_init__(self):
-        if not is_prime_power(self.q):
+        _check_ints("q and traces", (self.q, *self.traces))
+        if not _intpoly.is_prime_power(self.q):
             raise UsageError(f"q = {self.q} is not a prime power")
         for r, t in enumerate(self.traces, start=1):
             if abs(t) > H2_DIM * self.q ** r:
@@ -58,7 +63,8 @@ class FrobeniusPoly:
     completed: tuple = ()
 
     def __post_init__(self):
-        if not is_prime_power(self.q):
+        _check_ints("q and P2 coefficients", (self.q, *self.coeffs))
+        if not _intpoly.is_prime_power(self.q):
             raise UsageError(f"q = {self.q} is not a prime power")
         if not self.coeffs or self.coeffs[0] != 1:
             raise UsageError("P2 factor must have constant coefficient 1")
@@ -149,8 +155,12 @@ def _root_magnitude_ok(coeffs, q) -> bool:
     chain decides that: its sign changes from -2 to 2 count the distinct
     roots there, and its last member is gcd(H, H'), so deg H - deg gcd
     counts the distinct roots of H.  Neither -2 nor 2 is a root of H,
-    because z = +-1 would put a factor (1 -+ qT) back into g."""
-    g = _intpoly.trim(int(c) for c in coeffs)
+    because z = +-1 would put a factor (1 -+ qT) back into g.  The chain
+    is a primitive pseudo-remainder sequence (Cohen, "A Course in
+    Computational Algebraic Number Theory", 3.1.2 and 3.3): after a and b
+    comes -(|lc b|^(deg a - deg b + 1) a mod b) over its content, exact in
+    Z and a positive multiple of the member over Q, with its signs."""
+    g = _intpoly.trim(coeffs)
     for lin in ([1, -q], [1, q]):
         while len(g) > 1 and (h := _intpoly.exact_div(g, lin)) is not None:
             g = h
@@ -172,7 +182,10 @@ def _root_magnitude_ok(coeffs, q) -> bool:
     nxt = [i * c for i, c in enumerate(h)][1:]
     while nxt:
         chain.append(nxt)
-        nxt = [-c for c in _intpoly.divmod_poly(chain[-2], chain[-1])[1]]
+        scale = abs(nxt[-1]) ** (len(chain[-2]) - len(nxt) + 1)
+        rem = _intpoly.divide([scale * c for c in chain[-2]], nxt)[1]
+        content = gcd(*rem)
+        nxt = [-c // content for c in rem]
     distinct = m - (len(chain[-1]) - 1)
     return _sign_changes(chain, -2) - _sign_changes(chain, 2) == distinct
 
@@ -203,6 +216,7 @@ def p2_from_traces(tr: TraceVector, known_factor=None) -> FrobeniusPoly:
     traces = list(tr.traces)
     n = len(traces)
     known = tuple(known_factor) if known_factor is not None else (1,)
+    _check_ints("known factor coefficients", known)
     if not known or known[0] != 1:
         raise UsageError("known factor must have constant coefficient 1")
     d = H2_DIM - (len(known) - 1)
@@ -330,9 +344,9 @@ def square_class(x) -> int:
     """Squarefree representative of a nonzero rational in Q*/(Q*)^2.
 
     Trial division up to TRIAL_BOUND factors num * den; a cofactor left
-    over is prime when it is below TRIAL_BOUND^2 or passes ff.isprime, and
-    drops out when it is a square.  Only another composite cofactor goes to
-    sympy's factorint, priced by its digits against FACTOR_DIGITS (a
+    over is prime when it is below TRIAL_BOUND^2 or passes _intpoly.isprime,
+    and drops out when it is a square.  Only another composite cofactor goes
+    to sympy's factorint, priced by its digits against FACTOR_DIGITS (a
     balanced semiprime of 35 to 39 digits took 0.9 to 3.0 s, one sample
     each, on a 2-core Intel Xeon)."""
     frac = Fraction(x)
@@ -341,7 +355,7 @@ def square_class(x) -> int:
     n = frac.numerator * frac.denominator
     primes = _intpoly.factor(abs(n), TRIAL_BOUND)
     rest = max(primes, default=1)
-    if rest >= TRIAL_BOUND ** 2 and not isprime(rest):
+    if rest >= TRIAL_BOUND ** 2 and not _intpoly.isprime(rest):
         del primes[rest]
         if isqrt(rest) ** 2 != rest:
             check_price(f"the factors of {rest}", len(str(rest)),

@@ -8,7 +8,8 @@ load them either, nor must the modularity check or the CM sieve, and a
 count by the scan kernel loads numpy but not sympy.  `import k3arith`
 loads no submodule, building the parser loads no layer,
 and a job loads the layer it runs: a class-group job never loads the
-counting layer, a count never loads the class-group layer.
+counting layer, a count never loads the class-group layer, and `zeta` and
+`picard` load `_intpoly` and `zeta` alone, no finite-field layer.
 """
 
 import json
@@ -139,7 +140,8 @@ def test_picard_and_zeta_load_no_counting_layer(tmp_path):
     for argv in [("picard", "--p2", FERMAT_F5_P2, "--q", "5"),
                  ("zeta", "--counts", str(counts),
                   "--known-factor", FERMAT_F5_LINES)]:
-        assert "k3arith.count" not in _layers_after(_run_k3(*argv))
+        assert _layers_after(_run_k3(*argv)) == ["k3arith._intpoly",
+                                                 "k3arith.zeta"]
 
 
 def test_count_loads_no_class_group_or_modularity_layer():

@@ -5,7 +5,7 @@ c = 3191 on, where j1 j2 passes float range, and |j| itself from about
 c = 12700.  `j_invariant` refuses a tau whose |j| would pass float range
 and `inose_coefficients` a j1 j2 that does (B^2 is then finite too), both
 with DomainError (exit 2) naming log10 of the value, before any NaN is
-made.
+made.  The j tolerance is the constant `singk3.J_TOL`, not an option.
 """
 
 import cmath
@@ -51,12 +51,24 @@ def test_a_product_past_float_range_is_refused():
     assert all(map(math.isfinite, pencil.relation_defects()))
 
 
+def _assert_tol_refused(capsys, tol):
+    assert main(["inose", "--form", "1,0,1", "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: k3 inose ")
+    assert err.endswith(f"error: unrecognized arguments: --tol {tol}\n")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
 def test_tol_must_be_positive_and_finite(capsys, tol):
     # NaN made no term small enough (exit 1), and inf stopped the series
-    # early (A = 0.9999999999767474 for (1, 0, 1), where A is 1, exit 0)
-    assert main(["inose", "--form", "1,0,1", f"--tol={tol}"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == ("k3: usage error: tol must be a positive finite number, "
-                   f"got {float(tol)}\n")
+    # early (A = 0.9999999999767474 for (1, 0, 1), where A is 1, exit 0);
+    # with --tol gone these values are refused like any other
+    _assert_tol_refused(capsys, tol)
+
+
+def test_tol_is_not_an_option(capsys):
+    # a finite tol far above 1e-12 stopped the series early (A =
+    # 0.9999999999767474 for (1, 0, 1), where A is 1, exit 0), and one
+    # below it gave the default's A, so no value of it helped a report
+    _assert_tol_refused(capsys, "1e300")

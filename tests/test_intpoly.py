@@ -1,16 +1,26 @@
 """`_intpoly`, the one home of exact integer arithmetic, against naive
 references: trial-division factoring against a smallest-prime-factor
 sieve, the truncated Euler product against repeated series products,
-exact division against division over Q, and the F_p reduction."""
+integer division against sympy's division over Q, and the F_p reduction."""
 
 import random
 from math import gcd
 
 import pytest
+from sympy import Poly, QQ, symbols
 
 from k3arith import _intpoly
 
 N = 2 * 10 ** 4
+X = symbols("x")
+
+
+def _divmod_over_q(p, q):
+    """(quotient, remainder) over Q by sympy, as trimmed lists of
+    rationals, low degree first."""
+    quo, rem = Poly(p[::-1] or [0], X, domain=QQ).div(
+        Poly(q[::-1], X, domain=QQ))
+    return tuple(_intpoly.trim(r.all_coeffs()[::-1]) for r in (quo, rem))
 
 
 def _sieve_factor(n, spf):
@@ -89,10 +99,13 @@ def test_exact_div_against_division_over_q():
         if rng.random() < 0.5 and p:
             p[rng.randrange(len(p))] += rng.choice((-1, 1))
             p = _intpoly.trim(p)
-        quo, rem = _intpoly.divmod_poly(p, q)
-        integral = not rem and all(c.denominator == 1 for c in quo)
-        expected = [int(c) for c in quo] if integral else None
+        quo, rem = _divmod_over_q(p, q)
+        integral = all(c.is_integer for c in quo)
+        expected = [int(c) for c in quo] if integral and not rem else None
         assert _intpoly.exact_div(p, q) == expected, (p, q)
+        expected = ([int(c) for c in quo], [int(c) for c in rem]) \
+            if integral else None
+        assert _intpoly.divide(p, q) == expected, (p, q)
 
 
 def test_exact_div_by_linear_factors():
@@ -107,7 +120,7 @@ def test_exact_div_by_linear_factors():
 def test_mod_monic_and_mod_p():
     f = [1, 1, 0, 1]  # x^3 + x + 1
     u = [3, -7, 0, 5, 2, 1]
-    assert _intpoly.mod_monic(u, f) == _intpoly.divmod_poly(u, f)[1]
+    assert _intpoly.mod_monic(u, f) == _divmod_over_q(u, f)[1]
     assert _intpoly.mod_monic([2, 1], f) == [2, 1]
     assert _intpoly.mod_p([4, 9, 6], 3) == [1]
     assert _intpoly.mod_p([2, -1, 4], 2) == [0, 1]

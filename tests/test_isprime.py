@@ -1,4 +1,4 @@
-"""`ff.isprime`, the one primality test of the library, and the prime
+"""`_intpoly.isprime`, the one primality test of the library, and the prime
 ranges of the `k3` command line built on it.
 
 Miller-Rabin over the prime bases 2..41 is exact below
@@ -8,8 +8,8 @@ Miller-Rabin over the prime bases 2..41 is exact below
 import pytest
 import sympy
 
+from k3arith._intpoly import isprime
 from k3arith.cli import _primes_arg
-from k3arith.ff import isprime
 
 HARD_CASES = [
     561, 41041,  # Carmichael numbers

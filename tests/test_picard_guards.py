@@ -1,7 +1,7 @@
 """`k3 picard` refuses a q that is not a prime power and an Artin-Tate
 value that no Weil polynomial can have.
 
-q = p^r is decided in integers (`ff.is_prime_power`), so `--q 0` is a
+q = p^r is decided in integers (`_intpoly.is_prime_power`), so `--q 0` is a
 usage error (exit 2) rather than a division by zero.  Reciprocal roots on
 |alpha| = q force |q P'(1/q)| <= q 2^deg P' for P' = P2 / (1 - qT)^rho;
 a larger value is a data error (exit 1) raised before the value is
@@ -19,9 +19,9 @@ import pytest
 
 import k3arith
 from k3arith import _intpoly
+from k3arith._intpoly import is_prime_power
 from k3arith.cli import main
 from k3arith.errors import UsageError
-from k3arith.ff import is_prime_power
 from k3arith.zeta import FrobeniusPoly, TraceVector, square_class
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(k3arith.__file__)))

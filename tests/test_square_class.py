@@ -1,9 +1,9 @@
 """`zeta.square_class` by trial division, with sympy kept for the rest.
 
 Trial division runs to `TRIAL_BOUND`; a cofactor left over is prime when
-it is below the bound squared or passes `ff.isprime`, and only a composite
-cofactor goes to sympy's `factorint`.  The reference here factors with
-`factorint` outright, on random rationals whose numerators and
+it is below the bound squared or passes `_intpoly.isprime`, and only a
+composite cofactor goes to sympy's `factorint`.  The reference here
+factors with `factorint` outright, on random rationals whose numerators and
 denominators mix small primes with primes, products of two primes and
 prime powers above the bound, so that every branch is taken.
 """

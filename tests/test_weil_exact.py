@@ -2,11 +2,13 @@
 
 `zeta._root_magnitude_ok` strips the factors (1 -+ qT), checks the
 functional equation of what is left, and counts the roots of its trace
-polynomial in (-2, 2) with a Sturm chain.  Weil polynomials are built here
-as products of (1 - xT + q^2 T^2), whose reciprocal roots lie on
-|alpha| = q exactly when |x| <= 2q, so every case has a known answer.
+polynomial in (-2, 2) with a Sturm chain, whose pseudo-remainders divide
+in Z and never make a Fraction.  Weil polynomials are built here as
+products of (1 - xT + q^2 T^2), whose reciprocal roots lie on |alpha| = q
+exactly when |x| <= 2q, so every case has a known answer.
 """
 
+import fractions
 import random
 
 import pytest
@@ -93,3 +95,15 @@ def test_repeated_factors_are_accepted():
 
 def test_constant_polynomial_has_no_roots_to_fail():
     assert _root_magnitude_ok([1], 5)
+
+
+def test_the_sturm_chain_makes_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Fraction was made")
+    monkeypatch.setattr(fractions, "Fraction", refuse)
+    q = 5 ** 9
+    rng = random.Random(22)
+    for _ in range(4):
+        assert _root_magnitude_ok(_product(_weil(rng, q, 11, 0)), q)
+    off = _weil(rng, q, 10, 0) + [[1, -(2 * q + 1), q * q]]
+    assert not _root_magnitude_ok(_product(off), q)

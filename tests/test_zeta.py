@@ -113,6 +113,25 @@ def test_frobenius_poly_basics():
         FrobeniusPoly(q=5, coeffs=tuple([1] + [0] * 23))
 
 
+def test_zeta_types_refuse_non_integers():
+    # float traces of the Fermat quartic over F_5, its lines known, used to
+    # complete to a float P2 with Picard bound 0 (ints give 20), and a
+    # trace of -25.5 to end in an uncaught TypeError
+    p2 = p2_from_traces(TraceVector(q=5, traces=(-26, 486)), KNOWN_5).coeffs
+    assert picard_upper_bound(FrobeniusPoly(q=5, coeffs=p2))[0] == 20
+    for q, traces in [(5, (-26.0, 486.0)), (5, (-25.5,)), (5, (True,)),
+                      (5.0, (-26, 486))]:
+        with pytest.raises(UsageError, match="must be integers"):
+            TraceVector(q=q, traces=traces)
+    for q, coeffs in [(5, tuple(map(float, p2))), (5, (True, -5)),
+                      (5.0, (1, -5))]:
+        with pytest.raises(UsageError, match="must be integers"):
+            FrobeniusPoly(q=q, coeffs=coeffs)
+    for known in [tuple(map(float, KNOWN_5)), (True, -5)]:
+        with pytest.raises(UsageError, match="must be integers"):
+            p2_from_traces(TraceVector(q=5, traces=(-26, 486)), known)
+
+
 # --- P2 completion ------------------------------------------------------------------
 
 def test_p2_completion_f5_quartic():
