@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd, isqrt, lcm
 
-from .errors import DomainError, InconsistencyError, UsageError, check_price
+from .errors import (DomainError, InconsistencyError, UsageError, check_ints,
+                     check_price)
 
 CLASS_GROUP_STEPS = 10 ** 7  # cap on each price of this module, in steps
 
@@ -29,9 +30,7 @@ class BinaryQuadraticForm:
     c: int
 
     def __post_init__(self):
-        for v in (self.a, self.b, self.c):
-            if not isinstance(v, int):
-                raise UsageError("form entries must be integers")
+        check_ints("form entries", (self.a, self.b, self.c))
         if self.a <= 0 or self.c <= 0 or self.disc >= 0:
             raise DomainError(f"({self.a},{self.b},{self.c}) is not positive definite")
 

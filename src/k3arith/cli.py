@@ -269,7 +269,8 @@ def _cmd_sieve(args, cache):
     primes = _primes_arg(args.primes)
     if not primes:
         raise UsageError("no primes supplied")
-    candidates = cmmod.cm_sieve(count.dwork_pencil, None, primes, cache=cache)
+    candidates = cmmod.cm_sieve(count.dwork_pencil, None, primes, cache=cache,
+                                lift=args.lift)
     found = cmmod.sieve_survivors(candidates, primes,
                                   args.height if args.lift else None)
     results = {

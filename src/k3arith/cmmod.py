@@ -21,13 +21,14 @@ a scan.
 """
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product, tee
+from itertools import compress, product, tee
 from math import gcd, isqrt, prod
 
 from ._intpoly import isprime
-from .count import BATCH_CAP, count_many, fermat_quartic
-from .errors import DomainError, UsageError, check_price
+from .count import BATCH_CAP, count_each, count_many, fermat_quartic
+from .errors import DomainError, UsageError, check_ints, check_price
 from .ff import check_bytes
 
 H_BOUND = 20  # |trace of Frob on NS| <= rank NS = 20 for a singular K3
@@ -74,18 +75,25 @@ def _eta_price(n_max: int) -> int:
 
 
 def primes_between(lo: int, hi: int):
-    """The primes in lo..hi, priced from its bounds: 1000 units an integer."""
+    """The primes in lo..hi, priced from its bounds: 1000 units an integer;
+    a sieve strikes the multiples of d <= 2^11, so isprime tests n > 2^22."""
     lo = max(2, lo)
     check_price(f"the primes in {lo}..{hi}", 1000 * (hi - lo), BATCH_CAP,
                 "price units")
-    return [n for n in range(lo, hi + 1) if isprime(n)]
+    seg = bytearray([1]) * max(0, hi - lo + 1)
+    for d in range(2, min(2 ** 11, isqrt(max(hi, 0))) + 1):
+        start = max(d * d, -(-lo // d) * d) - lo
+        seg[start::d] = bytes(len(seg[start::d]))
+    return [n for n in compress(range(lo, hi + 1), seg)
+            if n <= 2 ** 22 or isprime(n)]
 
 
-def _check_odd_prime(p: int) -> None:
+def _check_odd_prime(p: int) -> int:
     if p == 2:
         raise DomainError("bad reduction at 2")
     if p < 3 or not isprime(p):
         raise UsageError(f"{p} is not an odd prime")
+    return p
 
 
 def hecke_h(p: int) -> int:
@@ -132,11 +140,11 @@ class ModularityReport:
 def verify_modularity(p_range, cache=None) -> ModularityReport:
     """Prediction vs direct count of the Fermat quartic at each prime, the
     predictions read off one eta expansion through the largest prime; no
-    jobs, as `count` never scans the Fermat quartic at an odd p."""
+    jobs, as `count` never scans the Fermat quartic at an odd p.  Each
+    prime is vetted as the `count_many` walk draws it, before its price."""
     primes = sorted(set(p_range))
-    for p in primes:  # whole range vetted before any series or count
-        _check_odd_prime(p)
-    counts = count_many(((fermat_quartic(), p, 1) for p in primes), cache,
+    counts = count_many(((fermat_quartic(), _check_odd_prime(p), 1)
+                         for p in primes), cache,
                         total=_eta_price(max(primes, default=0)))
     series = eta4_pow6_expansion(primes[-1]) if primes else None
     return ModularityReport(tuple(
@@ -154,25 +162,26 @@ class SieveCandidate:
     count: int
 
 
-def cm_sieve(family, target, primes, cache=None, jobs: int = 1):
+def cm_sieve(family, target, primes, cache=None, jobs: int = 1, lift=False):
     """Count the smooth members of the family mod each prime and keep those
     matching the target (None: eta(4 tau)^6 through the largest prime, built
     once the batch is priced): accept (p, lam) iff p | (N - 1 - p^2 - b_p) with
     |h| <= 20 for the quotient h.  Candidates come in (p, lam) order; only
-    residues at EVERY prime are meaningful (h is free per prime)."""
+    residues at EVERY prime are meaningful (h is free per prime).  With
+    lift, a lift of the candidates so far past LIFT_BUDGET is refused."""
     plist = sorted(set(primes))
-    for p in plist:
-        _check_odd_prime(p)
-        if not family.good_reduction(p):
+    def vet(p):
+        if not family.good_reduction(_check_odd_prime(p)):
             raise DomainError(f"family has bad reduction at {p}")
         if target is not None and p > target.n_max:
             raise UsageError(f"target series stops at b_{target.n_max}, "
                              f"below prime {p}")
+        return p
     top = max(plist, default=0)
-    # each member made once, lazily, so the walk stops at the cap
-    walk, pairs = tee((p, lam) for p in plist for lam in range(p)
+    # primes vetted and members made as the walk draws them, up to the cap
+    walk, pairs = tee((p, lam) for p in map(vet, plist) for lam in range(p)
                       if family.is_smooth_member(lam, p))
-    counts = count_many(((family.member(lam), p, 1) for p, lam in walk),
+    counts = count_each(((family.member(lam), p, 1) for p, lam in walk),
                         cache, jobs, total=0 if target else _eta_price(top))
     if target is None and plist:
         target = eta4_pow6_expansion(top)
@@ -182,11 +191,19 @@ def cm_sieve(family, target, primes, cache=None, jobs: int = 1):
         t = n - 1 - p * p - target.b(p)
         if t % p == 0 and abs(t // p) <= H_BOUND:
             out.append(SieveCandidate(p, lam, t // p, n))
+            if lift:
+                _check_lifts(Counter(c.p for c in out).values())
     for p in plist:
         if p not in seen:
             warnings.warn(f"every residue mod {p} is singular; "
                           f"prime contributes nothing")
     return out
+
+
+def _check_lifts(sizes):
+    """Refuse lifts of one survivor from each set past LIFT_BUDGET."""
+    check_price("the lifts", prod(max(k, 1) for k in sizes), LIFT_BUDGET,
+                "residue combinations")
 
 
 def lift_parameter(residues, height_bound: int):
@@ -197,7 +214,8 @@ def lift_parameter(residues, height_bound: int):
     The half-extended Euclid walk stops at the sqrt(M/2) line, inside
     which the reconstruction is unique; a height_bound beyond that line
     cannot produce extra answers, it only relaxes the final filter."""
-    if not isinstance(height_bound, int) or height_bound < 1:
+    check_ints("height bounds", (height_bound,))
+    if height_bound < 1:
         raise UsageError("height bound must be a positive integer")
     pairs = list(residues)
     if not pairs:
@@ -270,8 +288,7 @@ def sieve_survivors(candidates, primes, height=None) -> SieveSurvivors:
     if height is None:
         return SieveSurvivors(per_prime, orbits, common)
     sets = [[(p, lam) for lam in per_prime[p]] for p in primes]
-    total = prod(max(len(s), 1) for s in sets)
-    check_price("the lifts", total, LIFT_BUDGET, "residue combinations")
+    _check_lifts(map(len, sets))
     lifted = ((combo, lift_parameter(combo, height)) for combo in product(*sets))
     return SieveSurvivors(per_prime, orbits, common,
                           [(combo, x) for combo, x in lifted if x is not None])

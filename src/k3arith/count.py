@@ -47,8 +47,8 @@ from math import gcd, prod
 
 from .cache import CountRecord
 from .errors import (InconsistencyError, UnsupportedError, UsageError,
-                     check_price)
-from .ff import (CyclotomicInt, FieldCtx, MultChar, check_bytes,
+                     check_ints, check_price)
+from .ff import (CyclotomicInt, FieldCtx, MultChar, _field, check_bytes,
                  check_scan_budget, isprime, jacobi_sum)
 
 FEASIBILITY_CAP = 300_000_000  # `_route` price units, about 1 ns each
@@ -70,9 +70,7 @@ SEXTIC_EXPONENTS = monomial_exponents(3, 6)
 def _check_coeffs(coeffs, n, what):
     if len(coeffs) != n:
         raise UsageError(f"{what} takes {n} coefficients, got {len(coeffs)}")
-    for c in coeffs:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise UsageError(f"{what} coefficients must be integers")
+    check_ints(f"{what} coefficients", coeffs)
 
 
 def _hash_canonical(obj) -> str:
@@ -142,8 +140,7 @@ class DworkPencil:
     """x0^4 + x1^4 + x2^4 + x3^4 = lam * x0 x1 x2 x3."""
 
     def member(self, lam: int) -> Quartic:
-        if not isinstance(lam, int) or isinstance(lam, bool):
-            raise UsageError("pencil parameter must be an integer")
+        check_ints("pencil parameters", (lam,))
         d = {e: 1 for e in ((4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4))}
         d[(1, 1, 1, 1)] = -lam
         return Quartic.from_dict(d)
@@ -245,18 +242,19 @@ def _scan_worker(payload):
 
 def _projective_scan(polys, n, ctx, tally=_zeros, jobs=1):
     """_affine_scan summed over the strata x_0 = ... = x_{s-1} = 0,
-    x_s = 1 of P^n, each one `pool_map` chunk except the dominant s = 0,
-    cut at the leading coordinate into min(q, 4 w) for the w >= 2 workers
-    pool_map starts (its one caller); exact subtotals, added in order.
+    x_s = 1 of P^n, s = n down to 0, each one `pool_map` chunk except the
+    dominant s = 0, cut at the leading coordinate into min(q, 4 w) for the
+    w >= 2 workers pool_map starts (its one caller); exact subtotals.
     The homogeneous polys restrict to distinct monomials, nonzero mod p.
     Refused by `check_bytes` before numpy loads or any worker starts, at
     the s = 0 stratum's bytes b, 8 an entry: a q^(n-1) grid for each degree
     of x_1 in each poly, Horner's two blocks, and 64 KiB of Python objects.
-    Each worker holds those grids, and over F_{p^r} builds its own logs and
-    q x q tables (8 q^2 bytes), so at most TABLE_BYTES // (b + 8 q^2) of
-    them start, but at least one, so a scan admitted in one process is
-    admitted at any jobs.  numpy loads next, so forked workers inherit it,
-    and each worker builds the field once (`FieldCtx.__reduce__`)."""
+    Each worker holds those grids, and over F_{p^r} may build its own logs
+    and q x q tables (8 q^2 bytes), so at most TABLE_BYTES // (b + 8 q^2)
+    start, but at least one, so a scan admitted in one process is admitted
+    at any jobs.  numpy loads, and the small strata build the logs and
+    tables here, before the s = 0 pool forks: a forked worker inherits
+    both, and unpickles the field of `count_many` from `_field`, built."""
     q, total = ctx.q, 0
     grid = q ** (n - 1)
     parts = sum(len({e[1] for e, _ in f}) for f in polys)
@@ -266,7 +264,7 @@ def _projective_scan(polys, n, ctx, tally=_zeros, jobs=1):
     jobs = min(jobs, max(1, TABLE_BYTES // (held + 8 * q * q * (ctx.r > 1))))
     w = min(jobs, os.cpu_count() or 1)
     import numpy  # noqa: F401
-    for s in range(n + 1):
+    for s in range(n, -1, -1):
         rest = [[(e[s + 1:], c) for e, c in f if not any(e[:s])]
                 for f in polys]
         m = min(q, 4 * w) if s == 0 and w > 1 else 1
@@ -492,7 +490,7 @@ def _torus_tally(a, p):
         tally = Counter(chain.from_iterable(map(rows.__getitem__, cs)))
         for x, n in tally.items():
             w[x * inv[v] % p] += n
-    return count_diagonal_quartic_fibres(DiagonalQuartic(a), FieldCtx(p)), w
+    return count_diagonal_quartic_fibres(DiagonalQuartic(a), _field(p, 1)), w
 
 
 def count_torus_fibres(surface, ctx: FieldCtx, jobs: int = 1) -> int:
@@ -576,11 +574,17 @@ def count_many(keys, cache=None, jobs: int = 1, cap=BATCH_CAP, total=0,
     tally `_torus_tally` keeps: Dwork members over one F_p, drawn in a run,
     pay once) is refused by `errors.check_price` at the first key past cap,
     before any count; with cap None each key is counted as it is drawn, so
-    a forced tower ends at its first refused count.  Misses count on one
-    `FieldCtx` per run of equal (p, r) and are recorded.  The one place
-    that hands out `jobs`: a count gets them only when its price reaches
-    _POOL_PRICE.  A dense quartic took 18.0 ms at 1 job and at 2 over F_151
-    (price 1.0e7), 24.0 and 21.3 over F_167 (1.4e7)."""
+    a forced tower ends at its first refused count.  Misses count on
+    `_field(p, r)` and are recorded.  The one place that hands out `jobs`:
+    a count gets them only when its price reaches _POOL_PRICE.  A dense
+    quartic took 18.0 ms at 1 job and at 2 over F_151 (price 1.0e7), 24.0
+    and 21.3 over F_167 (1.4e7)."""
+    return list(count_each(keys, cache, jobs, cap, total, what))
+
+
+def count_each(keys, cache=None, jobs: int = 1, cap=BATCH_CAP, total=0,
+               what="the counts"):
+    """`count_many`'s walk: keys priced at the call, counts made as drawn."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     def walk(total, last):
@@ -597,17 +601,16 @@ def count_many(keys, cache=None, jobs: int = 1, cap=BATCH_CAP, total=0,
     routed = walk(total, None)
     if cap is not None:
         routed = list(routed)  # every key priced before any count
-    counts, ctx = [], None
-    for surface, p, r, count, workers in routed:
-        h = surface.surface_hash()
-        n = None if cache is None else cache.lookup(h, p, r)
-        if n is None:
-            ctx = ctx if ctx and (ctx.p, ctx.r) == (p, r) else FieldCtx(p, r)
-            n = count(surface, ctx, workers)
-            if cache is not None:
-                cache.record(h, p, r, n)
-        counts.append(n)
-    return counts
+    def counted():
+        for surface, p, r, count, workers in routed:
+            h = surface.surface_hash()
+            n = None if cache is None else cache.lookup(h, p, r)
+            if n is None:
+                n = count(surface, _field(p, r), workers)
+                if cache is not None:
+                    cache.record(h, p, r, n)
+            yield n
+    return counted()
 
 
 def count_tower(surface, p: int, r_max: int, cache=None, jobs: int = 1,

@@ -4,10 +4,10 @@ The CLI maps these onto exit codes by class: UsageError, DomainError and
 UnsupportedError (the input is at fault) or one raised from an OSError -> 2;
 everything else that reaches the top level -> 1 (verification failure).
 
-`check_price` is the one guard by size: every layer refuses over-size work
-through it, before the work starts, against a cap of its own in its own
-units (price units, enumeration steps, residue combinations, bytes,
-digits).
+`check_ints` is the one rule for integer arguments.  `check_price` is the
+one guard by size: every layer refuses over-size work through it, before
+the work starts, against a cap of its own in its own units (price units,
+enumeration steps, residue combinations, bytes, digits).
 """
 
 
@@ -56,6 +56,12 @@ class PrecisionError(K3ArithError):
 
 class IntegrityError(K3ArithError):
     """Persistent store holds conflicting records for one key."""
+
+
+def check_ints(what: str, values) -> None:
+    """Refuse with UsageError any value that is not an int, bool included."""
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
+        raise UsageError(f"{what} must be integers")
 
 
 def check_price(what: str, amount: int, cap: int, unit: str) -> None:

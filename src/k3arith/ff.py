@@ -11,7 +11,8 @@ machines:
   packed integer sum c_i p^i doubles as a stable element index in [0, q).
 - The fixed primitive root of F_q^* is the least element in packed order
   with full multiplicative order.  It and the discrete-log table are found
-  by element arithmetic on coefficient vectors, in O(q) steps and memory.
+  on coefficient vectors by `_poly_powmod` and `_poly_mulmod`, in O(q).
+- `_field(p, r)` keeps the one field `count` counts on; forks inherit it.
 - `FieldCtx.horner` evaluates polynomials on numpy arrays of packed
   elements for the scan kernel of `count`.  Over F_p it is int64
   arithmetic, reduced mod p only when the next step could reach 2^63, and
@@ -102,6 +103,11 @@ def _is_irreducible(f, p):
     return True
 
 
+def _digits(n, p, r):
+    """The base-p digits of n, low first: the vector of packed index n."""
+    return tuple(n // p ** i % p for i in range(r))
+
+
 def _least_irreducible(p, r):
     """Deterministic modulus: least monic irreducible in the packed order,
     skipping x | f at r >= 2 and the binomials x^r + c (n < p) when no one
@@ -112,7 +118,7 @@ def _least_irreducible(p, r):
     for n in range(0 if binomials else p, p ** r):
         if r > 1 and n % p == 0:
             continue
-        f = tuple(n // p ** i % p for i in range(r)) + (1,)  # base-p digits
+        f = _digits(n, p, r) + (1,)
         if _is_irreducible(f, p):
             return f
     raise DomainError(f"no irreducible polynomial of degree {r} over F_{p}")
@@ -135,7 +141,6 @@ class FieldCtx:
         self.q = p ** r
         self._tables = None
         self._dlog = None
-        self._g = None
 
     def __eq__(self, other):
         return (isinstance(other, FieldCtx)
@@ -149,7 +154,7 @@ class FieldCtx:
 
     def __reduce__(self):
         """Pickles as (p, r), without tables or logs; `_field` unpickles it,
-        so a worker builds each field once for all the chunks it gets."""
+        so a worker forked after `_field` built it inherits it built."""
         return _field, (self.p, self.r)
 
     # -- element construction
@@ -160,13 +165,11 @@ class FieldCtx:
                 raise UsageError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            vec = [value % self.p] + [0] * (self.r - 1)
-        else:
-            vec = [int(c) % self.p for c in value]
-            if len(vec) > self.r:
-                raise UsageError("coefficient vector longer than the degree")
-            vec += [0] * (self.r - len(vec))
-        return FieldElement(self, tuple(vec))
+            value = (value,)
+        vec = [int(c) % self.p for c in value]
+        if len(vec) > self.r:
+            raise UsageError("coefficient vector longer than the degree")
+        return FieldElement(self, tuple(vec + [0] * (self.r - len(vec))))
 
     @property
     def zero(self):
@@ -183,11 +186,7 @@ class FieldCtx:
         return self.element((0, 1))
 
     def from_packed(self, n: int) -> "FieldElement":
-        vec = []
-        for _ in range(self.r):
-            vec.append(n % self.p)
-            n //= self.p
-        return FieldElement(self, tuple(vec))
+        return FieldElement(self, _digits(n, self.p, self.r))
 
     def elements(self):
         for n in range(self.q):
@@ -198,11 +197,6 @@ class FieldCtx:
         for c in reversed(vec):
             n = n * self.p + c
         return n
-
-    def _vmulmod(self, u, v):
-        red = _poly_mulmod(_intpoly.trim(u), _intpoly.trim(v), self.modulus,
-                           self.p)
-        return tuple(red) + (0,) * (self.r - len(red))
 
     # -- polynomial evaluation for the counting kernel
 
@@ -264,39 +258,33 @@ class FieldCtx:
 
     def primitive_root(self) -> int:
         """Packed index of the least primitive root of F_q^*."""
-        if self._g is None:
-            exps = [(self.q - 1) // ell for ell in _intpoly.factor(self.q - 1)]
-            one = self.one
-            for g in range(1, self.q):
-                a = self.from_packed(g)
-                if all(a ** e != one for e in exps):
-                    self._g = g
-                    break
-            else:  # pragma: no cover - F_q^* is always cyclic
-                raise DomainError("no primitive root found")
-        return self._g
+        p, r, f, q = self.p, self.r, self.modulus, self.q
+        exps = [(q - 1) // ell for ell in _intpoly.factor(q - 1)]
+        return next(g for g in range(1, q) if all(
+            _poly_powmod(_digits(g, p, r), e, f, p) != [1] for e in exps))
 
     def dlog_table(self):
         """dlog[a] = k with g^k = a for packed a != 0; dlog[0] = None.
-        One walk over the powers of g: O(q) multiplications and memory.
+        One `_poly_mulmod` walk over the powers of g: O(q) steps and memory.
         Refused by `check_bytes` before the walk when the list would pass
         TABLE_BYTES at 40 bytes an entry (tracemalloc read about 40 at
         q = 5^6, 17^4 and 3^12), that is for q > 6710886."""
         if self._dlog is None:
             check_bytes(f"discrete logs of F_{self.q}", 40 * self.q)
-            g = self.from_packed(self.primitive_root()).vec
+            g = _digits(self.primitive_root(), self.p, self.r)
             table = [None] * self.q
-            acc = self.one.vec
+            acc = [1]
             for k in range(self.q - 1):
                 table[self._pack(acc)] = k
-                acc = self._vmulmod(acc, g)
+                acc = _poly_mulmod(acc, g, self.modulus, self.p)
             self._dlog = table
         return self._dlog
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _field(p: int, r: int) -> FieldCtx:
-    """FieldCtx(p, r), one per process for each of the last few fields."""
+    """FieldCtx(p, r), the one field a process keeps: `count`'s and every
+    unpickled FieldCtx's, so forked workers inherit its tables and logs."""
     return FieldCtx(p, r)
 
 
@@ -326,14 +314,15 @@ class FieldElement:
 
     def __mul__(self, other):
         self._check(other)
-        return FieldElement(self.ctx, self.ctx._vmulmod(self.vec, other.vec))
+        ctx = self.ctx
+        return ctx.element(_poly_mulmod(self.vec, other.vec, ctx.modulus,
+                                        ctx.p))
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
         ctx = self.ctx
-        red = _poly_powmod(_intpoly.trim(self.vec), n, ctx.modulus, ctx.p)
-        return FieldElement(ctx, tuple(red) + (0,) * (ctx.r - len(red)))
+        return ctx.element(_poly_powmod(self.vec, n, ctx.modulus, ctx.p))
 
     def inv(self):
         if self.is_zero():

@@ -63,6 +63,10 @@ class QuadIrr:
         return self.x == 0 and self.y == 0
 
     def __complex__(self) -> complex:
+        """Refuses a |d| or |x| past float range before any float."""
+        for what, v in (("|d|", self.d), ("|x|", self.x)):
+            if abs(v) > sys.float_info.max:
+                raise _past_float_range(what, math.log10(int(abs(v))))
         return complex(float(self.x), float(self.y) * math.sqrt(-self.d))
 
     def __repr__(self):

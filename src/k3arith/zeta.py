@@ -23,16 +23,11 @@ from math import gcd, isqrt
 
 from . import _intpoly
 from .errors import (DataError, IncompletenessError, InconsistencyError,
-                     MultiplicityError, UsageError, check_price)
+                     MultiplicityError, UsageError, check_ints, check_price)
 
 H2_DIM = 22  # dim H^2 of a K3 surface
 TRIAL_BOUND = 10 ** 4  # trial divisors square_class tries before sympy
 FACTOR_DIGITS = 40  # digits of the largest cofactor handed to sympy
-
-
-def _check_ints(what, values):
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
-        raise UsageError(f"{what} must be integers")
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,7 @@ class TraceVector:
     traces: tuple
 
     def __post_init__(self):
-        _check_ints("q and traces", (self.q, *self.traces))
+        check_ints("q and traces", (self.q, *self.traces))
         if not _intpoly.is_prime_power(self.q):
             raise UsageError(f"q = {self.q} is not a prime power")
         for r, t in enumerate(self.traces, start=1):
@@ -63,7 +58,7 @@ class FrobeniusPoly:
     completed: tuple = ()
 
     def __post_init__(self):
-        _check_ints("q and P2 coefficients", (self.q, *self.coeffs))
+        check_ints("q and P2 coefficients", (self.q, *self.coeffs))
         if not _intpoly.is_prime_power(self.q):
             raise UsageError(f"q = {self.q} is not a prime power")
         if not self.coeffs or self.coeffs[0] != 1:
@@ -216,7 +211,7 @@ def p2_from_traces(tr: TraceVector, known_factor=None) -> FrobeniusPoly:
     traces = list(tr.traces)
     n = len(traces)
     known = tuple(known_factor) if known_factor is not None else (1,)
-    _check_ints("known factor coefficients", known)
+    check_ints("known factor coefficients", known)
     if not known or known[0] != 1:
         raise UsageError("known factor must have constant coefficient 1")
     d = H2_DIM - (len(known) - 1)

@@ -6,6 +6,8 @@ c = 12700.  `j_invariant` refuses a tau whose |j| would pass float range
 and `inose_coefficients` a j1 j2 that does (B^2 is then finite too), both
 with DomainError (exit 2) naming log10 of the value, before any NaN is
 made.  The j tolerance is the constant `singk3.J_TOL`, not an option.
+The periods reach floats through `QuadIrr.__complex__` alone, which
+refuses a |d| or a real part past float range with DomainError.
 """
 
 import cmath
@@ -16,7 +18,8 @@ import pytest
 
 from k3arith.cli import main
 from k3arith.errors import DomainError
-from k3arith.singk3 import inose_coefficients, j_invariant
+from k3arith.singk3 import (inose_coefficients, inose_pencil_from_form,
+                            j_invariant)
 
 
 def _strict(text):
@@ -36,6 +39,26 @@ def test_inose_reports_finite_values_or_exits_2(capsys, c, code):
         assert out == ""
         assert err.startswith("k3: usage error: |j")
         assert "past float range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("form, what", [
+    # d = -2e308: math.sqrt(-d) ended in an OverflowError traceback, exit 1
+    ((1, 0, 5 * 10 ** 307), r"\|d\| is about 10\^308\.3"),
+    # d = -4 but tau' = (b + sqrt(d))/2 has a real part of 10^400
+    ((1, 2 * 10 ** 400, 10 ** 800 + 1), r"\|x\| is about 10\^400\.0")],
+    ids=["disc", "real-part"])
+def test_periods_past_float_range_are_refused(capsys, form, what):
+    with pytest.raises(DomainError, match=what):
+        inose_pencil_from_form(form)
+    assert main(["inose", "--form", ",".join(map(str, form))]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("k3: usage error: |") and "past float range" in err
+
+
+def test_a_disc_inside_float_range_keeps_its_refusal(capsys):
+    assert main(["inose", "--form", f"1,0,{4 * 10 ** 307}"]) == 2
+    assert capsys.readouterr().err.startswith("k3: usage error: |j(tau)|")
 
 
 def test_j_past_float_range_is_refused_before_any_series():

@@ -6,13 +6,16 @@ does not fit in memory, and the `count.count_many` walk refuses a batch
 whose `_route` prices, with the price of the eta series it needs, sum past
 BATCH_CAP, before any series or count.  The Dwork members over one F_p
 share one `_torus_tally` and pay for it once, and a `--primes` range is
-priced from its bounds before it is listed.  The eta series is the square
-of Jacobi's series for prod (1 - x^k)^3, O(n).
+priced from its bounds before it is listed, then listed by a sieve of its
+segment.  Each prime is vetted as the walk draws it, so a batch priced
+past the cap is refused after as many vets as prices.  The eta series is
+the square of Jacobi's series for prod (1 - x^k)^3, O(n).
 """
 
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -79,8 +82,8 @@ def test_sieve_is_refused_by_price_before_any_count(capsys, monkeypatch, p,
     # 1019 ran in about 2.7 s under the scan budget; the target series too
     # is built only once the batch is priced (through 10000121 its price
     # alone passes the cap), and every count runs in a field that
-    # `count_many` builds
-    monkeypatch.setattr(count_mod, "FieldCtx", _refuse("FieldCtx"))
+    # `count_many` takes from `_field`
+    monkeypatch.setattr(count_mod, "_field", _refuse("_field"))
     monkeypatch.setattr(count_mod, "_torus_tally", _refuse("_torus_tally"))
     monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
                         _refuse("eta4_pow6_expansion"))
@@ -114,6 +117,66 @@ def test_modularity_range_is_refused_before_it_is_listed(capsys,
     assert capsys.readouterr().err == (
         "k3: usage error: the primes in 3..10000000 need about 1.0e+10 "
         "price units (cap 2.0e+9)\n")
+
+
+def _ranges():
+    rng = random.Random(11)
+    for _ in range(60):  # random ones below 10^7
+        lo = rng.randrange(10 ** 7)
+        yield lo, lo + rng.randrange(3000)
+    for lo in (0, 1, 2, 3, 2040, 2 ** 22 - 2000, 2 ** 22 - 1, 2 ** 22):
+        yield lo, lo + 4000  # the edges of the sieve and of isprime's skip
+    for lo in (10 ** 12, 2 ** 63 - 500, 10 ** 30):
+        yield lo, lo + 1000
+    yield 10, 5  # empty
+
+
+@pytest.mark.parametrize("lo, hi", list(_ranges()))
+def test_the_sieve_lists_what_isprime_lists(lo, hi):
+    assert cmmod.primes_between(lo, hi) == [
+        n for n in range(max(2, lo), hi + 1) if ff.isprime(n)]
+
+
+def test_a_range_under_the_cap_is_listed_without_isprime(monkeypatch):
+    # every survivor below 2^22 of the multiples of d <= 2^11 is prime
+    monkeypatch.setattr(cmmod, "isprime", _refuse("isprime"))
+    assert len(cmmod.primes_between(3, 1999000)) == 148866  # pi - 1
+
+
+@pytest.mark.parametrize("sub", ["modularity", "sieve"])
+def test_the_walk_vets_no_more_primes_than_it_prices(capsys, monkeypatch,
+                                                     sub):
+    # 148865 primes listed; the walk prices the keys of 1643 of them
+    # (modularity) or 73 (sieve) before the cap, and vets no others
+    vetted, routed = [], []
+    check, route = cmmod._check_odd_prime, count_mod._route
+
+    def spy_check(p):
+        vetted.append(p)
+        return check(p)
+
+    def spy_route(surface, p, r):
+        routed.append(p)
+        return route(surface, p, r)
+    monkeypatch.setattr(cmmod, "_check_odd_prime", spy_check)
+    monkeypatch.setattr(count_mod, "_route", spy_route)
+    assert main([sub, "--primes", "5..1999000"]) == 2
+    assert "the counts need" in capsys.readouterr().err
+    assert 0 < len(set(vetted)) <= len(set(routed)) < 5000
+
+
+def test_a_batch_priced_past_the_cap_names_its_price(capsys, monkeypatch):
+    # the series through 10000121 alone passes the cap, so the walk is
+    # refused at its first key, before it draws the non-prime 6
+    monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
+                        _refuse("eta4_pow6_expansion"))
+    assert main(["modularity", "--primes", "5,6,10000121"]) == 2
+    assert capsys.readouterr().err == (
+        "k3: usage error: the counts need about 2.00003e+9 price units "
+        "(cap 2.00000e+9)\n")
+    assert main(["modularity", "--primes", "5,6,101"]) == 2
+    assert capsys.readouterr().err == (
+        "k3: usage error: 6 is not an odd prime\n")
 
 
 def test_dwork_members_over_one_prime_pay_for_one_tally(monkeypatch):

@@ -95,8 +95,9 @@ def test_over_budget_prime_list_exits_2_before_any_series(capsys, monkeypatch,
                                                           sub):
     # the batch price, not the q x q budget: the eta series and the Fermat
     # quartic by fibres (300 p) at 10000121, the Dwork pencil by one torus
-    # tally at 4001; every count runs in a field `count_many` builds
-    monkeypatch.setattr(count_mod, "FieldCtx", _refuse("FieldCtx"))
+    # tally at 4001; every count runs in a field `count_many` takes from
+    # `_field`
+    monkeypatch.setattr(count_mod, "_field", _refuse("_field"))
     monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
                         _refuse("eta4_pow6_expansion"))
     assert main([sub, "--primes", OVER_CAP[sub]]) == 2
@@ -108,9 +109,10 @@ def test_over_budget_prime_list_exits_2_before_any_series(capsys, monkeypatch,
 
 def test_a_lone_non_prime_past_the_budget_gets_the_budget_message(
         capsys, monkeypatch):
-    # no budget is left to name: a non-prime fails the odd-prime check,
-    # which comes before the price, any series and any count
-    monkeypatch.setattr(cmmod, "count_many", _refuse("count_many"))
+    # no budget is left to name: a non-prime fails the odd-prime check as
+    # the walk draws it, before its route and price, any series and any
+    # count
+    monkeypatch.setattr(count_mod, "_route", _refuse("_route"))
     monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
                         _refuse("eta4_pow6_expansion"))
     assert main(["modularity", "--primes", "6000"]) == 2
@@ -126,14 +128,14 @@ def test_prime_lists_below_the_budget_pass_unchanged():
 def test_verify_modularity_vets_the_budget_before_any_series(monkeypatch):
     monkeypatch.setattr(cmmod, "eta4_pow6_expansion",
                         _refuse("eta4_pow6_expansion"))
-    monkeypatch.setattr(count_mod, "FieldCtx", _refuse("FieldCtx"))
+    monkeypatch.setattr(count_mod, "_field", _refuse("_field"))
     with pytest.raises(UsageError, match=r"about 2\.00003e\+9 price units"):
         cmmod.verify_modularity([5, 10000121])
 
 
 def test_cm_sieve_vets_the_budget_before_any_count(monkeypatch):
     target = cmmod.eta4_pow6_expansion(4001)
-    monkeypatch.setattr(count_mod, "FieldCtx", _refuse("FieldCtx"))
+    monkeypatch.setattr(count_mod, "_field", _refuse("_field"))
     monkeypatch.setattr(count_mod, "_torus_tally", _refuse("_torus_tally"))
     with pytest.raises(UsageError, match=r"about 2\.5e\+10 price units"):
         cmmod.cm_sieve(dwork_pencil, target, [5, 4001])

@@ -7,7 +7,6 @@ moved from the CLI into `cmmod`; the other tests check each part of
 """
 
 import json
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -134,6 +133,28 @@ def test_budget_admits_exactly_its_size(monkeypatch):
     assert len(calls) == LIFT_BUDGET and found.lifts == []
 
 
+def test_a_lift_past_the_budget_stops_the_sieve(capsys, monkeypatch):
+    # 55 primes priced under the batch cap took about 1.2 s to count before
+    # their lift was refused; the lift is now priced as candidates are found
+    # and refused at the first that passes LIFT_BUDGET, with most members
+    # not counted
+    counted = []
+    tally = count.count_torus_fibres
+
+    def spy(surface, ctx, jobs=1):
+        counted.append(ctx.p)
+        return tally(surface, ctx, jobs)
+    monkeypatch.setattr(count, "count_torus_fibres", spy)
+    assert main(["sieve", "--primes", "7..275", "--lift"]) == 2
+    assert capsys.readouterr().err.startswith("k3: usage error: the lifts "
+                                              "need about ")
+    assert max(counted) < 100
+    # with no lift the same sieve counts every member
+    counted.clear()
+    assert main(["sieve", "--primes", "7..275"]) == 0
+    assert max(counted) == 271
+
+
 def test_orbits_under_multiplication_by_i():
     primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
     found = _survivors(primes)
@@ -182,18 +203,16 @@ def test_repeated_primes_raise(capsys):
 # --- field contexts of the sieve's member counts ------------------------------
 
 def test_one_field_context_per_prime(monkeypatch):
-    # every member over one prime is counted in the same field context:
-    # lam = 0 (the Fermat quartic) by fibres, the others on the torus,
-    # whose tally counts its diagonal quartic by fibres in a field of its
-    # own; only the counts `count_many` calls are the members'
+    # every count over one prime is made in the same field context: lam = 0
+    # (the Fermat quartic) by fibres, the others on the torus, and the
+    # tally's own diagonal quartic by fibres, all on `ff._field(p, 1)`
     used = {}
 
     def spy(name):
         route = getattr(count, name)
 
         def counted(surface, ctx, jobs=1):
-            if sys._getframe(1).f_code.co_name == "count_many":
-                used.setdefault(ctx.p, []).append(ctx)
+            used.setdefault(ctx.p, []).append(ctx)
             return route(surface, ctx, jobs)
         monkeypatch.setattr(count, name, counted)
 
