@@ -161,6 +161,9 @@ def _cmd_zeta(args, cache):
 
 def _cmd_picard(args, cache):
     from . import zeta
+    if args.artin_tate != (args.rho is not None):
+        raise UsageError("--artin-tate needs --rho" if args.artin_tate
+                         else "--rho needs --artin-tate")
     coeffs = tuple(_csv_ints(args.p2))
     poly = zeta.FrobeniusPoly(q=args.q, coeffs=coeffs)
     bound, factors = zeta.picard_upper_bound(poly)
@@ -173,8 +176,6 @@ def _cmd_picard(args, cache):
                                for m, mult in factors],
     }
     if args.artin_tate:
-        if args.rho is None:
-            raise UsageError("--artin-tate needs --rho")
         value, sclass = zeta.artin_tate_discriminant(poly, args.rho)
         results["artin_tate"] = {"rho": args.rho, "value": value,
                                  "square_class": sclass}
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--force", action="store_true",
                     help="override the feasibility cap")
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker process cap (default 1)")
+                    help="worker thread cap (default 1)")
     common(sp, _cmd_count, counts=True)
 
     sp = sub.add_parser("zeta", help="complete P2 from counts")

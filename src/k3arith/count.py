@@ -30,10 +30,11 @@ of its values.  Every block's tally is a function of (values, shape):
 `_zeros` counts common zeros (quartics, the smoothness scan), `_chi_sum`
 sums the quadratic character (double sextics).  Only a scan takes
 workers: its dominant stratum can be chunked over its leading coordinate
-across worker processes (`pool_map`); chunk subtotals are exact, added in
-chunk order, so the worker count never changes the result.  `count_many`
-is the one walk behind towers, the modularity check and the CM sieve: it
-routes each (surface, p, r) key once, pricing a capped batch first.
+across worker threads (`pool_map`) that share its grids and the field;
+chunk subtotals are exact, added in chunk order, so the worker count never
+changes the result.  `count_many` is the one walk behind towers, the
+modularity check and the CM sieve: it routes each (surface, p, r) key
+once, pricing a capped batch first.
 """
 
 import json
@@ -165,13 +166,18 @@ _SCAN_BLOCK = 2 ** 14  # grid points per numpy pass; bounds the temporaries
 
 def pool_map(fn, payloads, jobs):
     """[fn(x) for x in payloads] in payload order, so a reduction over them
-    is deterministic, on min(jobs, CPUs) processes or serially below two."""
+    is deterministic, on min(jobs, payloads, CPUs) threads (numpy releases
+    the GIL) or serially below two; when a call raises or the wait is
+    interrupted, the calls not yet started never run."""
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
     if workers < 2:
         return [fn(x) for x in payloads]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
         return list(pool.map(fn, payloads))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _by_leading_degree(items):
@@ -211,66 +217,61 @@ def _chi_sum(chi, vals, shape):
     return int(np.broadcast_to(chi[vals[0]], shape).sum())
 
 
-def _affine_scan(polys, k, ctx, tally=_zeros, lo=0, hi=None):
-    """Scan the affine stratum F_q^k, leading coordinate in [lo, hi), for
-    the polynomials in polys (lists of (exponent tuple, coefficient mod p)):
-    tally(vals, shape) summed over the blocks, `_zeros` by default.
+def _affine_scan(polys, k, ctx, tally=_zeros, jobs=1):
+    """Scan the affine stratum F_q^k for the polynomials in polys (lists of
+    (exponent tuple, coefficient mod p)): tally(vals, shape) summed over
+    the blocks, `_zeros` by default.
 
     The coefficients of the leading variable are evaluated once as grids
     over the other k - 1 <= 2 variables; Horner's rule in the leading
     variable then runs over blocks of its values, one numpy grid each.
-    Checks no budget: `_projective_scan` prices its largest stratum."""
+    With w = min(jobs, CPUs) >= 2 the leading coordinate is cut into
+    min(q, 4 w) chunks for `pool_map`, which share the grids; subtotals
+    are exact.  Checks no budget: `_projective_scan` prices the grids."""
     import numpy as np
     q = ctx.q
     if k == 0:  # the single point of F_q^0
         return tally([_values(f, 0, ctx) for f in polys], ())
-    hi = q if hi is None else hi
     coeffs = [[_values(part, k - 1, ctx) for part in _by_leading_degree(f)]
               for f in polys]
     step = max(1, _SCAN_BLOCK // q ** (k - 1))
-    total = 0
-    for a in range(lo, hi, step):
-        x = np.arange(a, min(a + step, hi)).reshape((-1,) + (1,) * (k - 1))
-        total += tally([ctx.horner(c, x) for c in coeffs],
-                       (len(x),) + (q,) * (k - 1))
-    return total
 
-
-def _scan_worker(payload):
-    return _affine_scan(*payload)
+    def chunk(bounds):
+        lo, hi = bounds
+        total = 0
+        for a in range(lo, hi, step):
+            x = np.arange(a, min(a + step, hi)).reshape((-1,) + (1,) * (k - 1))
+            total += tally([ctx.horner(c, x) for c in coeffs],
+                           (len(x),) + (q,) * (k - 1))
+        return total
+    w = min(jobs, os.cpu_count() or 1)
+    m = min(q, 4 * w) if w > 1 else 1
+    return sum(pool_map(chunk, [(q * i // m, q * (i + 1) // m)
+                                for i in range(m)], jobs))
 
 
 def _projective_scan(polys, n, ctx, tally=_zeros, jobs=1):
     """_affine_scan summed over the strata x_0 = ... = x_{s-1} = 0,
-    x_s = 1 of P^n, s = n down to 0, each one `pool_map` chunk except the
-    dominant s = 0, cut at the leading coordinate into min(q, 4 w) for the
-    w >= 2 workers pool_map starts (its one caller); exact subtotals.
+    x_s = 1 of P^n, s = n down to 0; only the dominant s = 0 takes jobs.
     The homogeneous polys restrict to distinct monomials, nonzero mod p.
-    Refused by `check_bytes` before numpy loads or any worker starts, at
-    the s = 0 stratum's bytes b, 8 an entry: a q^(n-1) grid for each degree
-    of x_1 in each poly, Horner's two blocks, and 64 KiB of Python objects.
-    Each worker holds those grids, and over F_{p^r} may build its own logs
-    and q x q tables (8 q^2 bytes), so at most TABLE_BYTES // (b + 8 q^2)
-    start, but at least one, so a scan admitted in one process is admitted
-    at any jobs.  numpy loads, and the small strata build the logs and
-    tables here, before the s = 0 pool forks: a forked worker inherits
-    both, and unpickles the field of `count_many` from `_field`, built."""
+    Refused by `check_bytes` before numpy loads, at the s = 0 stratum's
+    bytes b, 8 an entry: a q^(n-1) grid for each degree of x_1 in each
+    poly, Horner's two blocks, and 64 KiB of Python objects.  At most
+    TABLE_BYTES // b workers run, as if each held its own grids, but at
+    least one, so a scan admitted at one job is admitted at any.  Over
+    F_{p^r} the smaller strata build the logs and q x q tables first, in
+    the calling thread, and the workers share them."""
     q, total = ctx.q, 0
     grid = q ** (n - 1)
     parts = sum(len({e[1] for e, _ in f}) for f in polys)
     held = 2 ** 16 + 8 * grid * (parts + 2 * max(1, _SCAN_BLOCK // grid))
     check_bytes(f"the scan grids over F_{q}", held)
     from .ff import TABLE_BYTES  # read where ff owns it, not copied here
-    jobs = min(jobs, max(1, TABLE_BYTES // (held + 8 * q * q * (ctx.r > 1))))
-    w = min(jobs, os.cpu_count() or 1)
-    import numpy  # noqa: F401
+    jobs = min(jobs, max(1, TABLE_BYTES // held))
     for s in range(n, -1, -1):
         rest = [[(e[s + 1:], c) for e, c in f if not any(e[:s])]
                 for f in polys]
-        m = min(q, 4 * w) if s == 0 and w > 1 else 1
-        total += sum(pool_map(_scan_worker, [
-            (rest, n - s, ctx, tally, q * i // m, q * (i + 1) // m)
-            for i in range(m)], jobs))
+        total += _affine_scan(rest, n - s, ctx, tally, jobs if s == 0 else 1)
     return total
 
 
@@ -576,9 +577,9 @@ def count_many(keys, cache=None, jobs: int = 1, cap=BATCH_CAP, total=0,
     before any count; with cap None each key is counted as it is drawn, so
     a forced tower ends at its first refused count.  Misses count on
     `_field(p, r)` and are recorded.  The one place that hands out `jobs`:
-    a count gets them only when its price reaches _POOL_PRICE.  A dense
-    quartic took 18.0 ms at 1 job and at 2 over F_151 (price 1.0e7), 24.0
-    and 21.3 over F_167 (1.4e7)."""
+    a count gets them only when its price reaches _POOL_PRICE.  On threads
+    a dense quartic took 38.1 ms at 1 job and 28.6 at 2 over F_151 (price
+    1.0e7), 53.0 and 32.1 over F_167 (1.4e7), so they pay below it too."""
     return list(count_each(keys, cache, jobs, cap, total, what))
 
 

@@ -12,7 +12,7 @@ machines:
 - The fixed primitive root of F_q^* is the least element in packed order
   with full multiplicative order.  It and the discrete-log table are found
   on coefficient vectors by `_poly_powmod` and `_poly_mulmod`, in O(q).
-- `_field(p, r)` keeps the one field `count` counts on; forks inherit it.
+- `_field(p, r)` keeps the one field `count` counts on.
 - `FieldCtx.horner` evaluates polynomials on numpy arrays of packed
   elements for the scan kernel of `count`.  Over F_p it is int64
   arithmetic, reduced mod p only when the next step could reach 2^63, and
@@ -152,11 +152,6 @@ class FieldCtx:
     def __repr__(self):
         return f"FieldCtx(p={self.p}, r={self.r})"
 
-    def __reduce__(self):
-        """Pickles as (p, r), without tables or logs; `_field` unpickles it,
-        so a worker forked after `_field` built it inherits it built."""
-        return _field, (self.p, self.r)
-
     # -- element construction
 
     def element(self, value) -> "FieldElement":
@@ -283,8 +278,8 @@ class FieldCtx:
 
 @lru_cache(maxsize=1)
 def _field(p: int, r: int) -> FieldCtx:
-    """FieldCtx(p, r), the one field a process keeps: `count`'s and every
-    unpickled FieldCtx's, so forked workers inherit its tables and logs."""
+    """FieldCtx(p, r), the one field a process keeps: `count_many` counts
+    each miss on it, so a run of keys over one (p, r) builds it once."""
     return FieldCtx(p, r)
 
 

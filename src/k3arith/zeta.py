@@ -86,7 +86,7 @@ class FrobeniusPoly:
 
 def traces_from_counts(records) -> TraceVector:
     """Traces from tower records: validates a single surface over a single
-    prime with counts at r = 1..k (no gaps), then t_r = N_r - 1 - q^{2r}.
+    prime with counts at r = 1..k (no gaps), then t_r = `CountRecord.trace`.
     The Weil bound check lives in the TraceVector constructor."""
     if not records:
         raise UsageError("no count records supplied")
@@ -99,14 +99,14 @@ def traces_from_counts(records) -> TraceVector:
     p = primes.pop()
     by_r = {}
     for rec in records:
-        if rec.r in by_r and by_r[rec.r] != rec.count:
+        first = by_r.setdefault(rec.r, rec)
+        if first.count != rec.count:
             raise InconsistencyError(
-                f"conflicting counts at r = {rec.r}: {by_r[rec.r]} vs {rec.count}")
-        by_r[rec.r] = rec.count
+                f"conflicting counts at r = {rec.r}: {first.count} vs {rec.count}")
     n = max(by_r)
     if sorted(by_r) != list(range(1, n + 1)):
         raise UsageError("counts must cover r = 1..n without gaps")
-    traces = tuple(by_r[r] - 1 - p ** (2 * r) for r in range(1, n + 1))
+    traces = tuple(by_r[r].trace for r in range(1, n + 1))
     return TraceVector(q=p, traces=traces)
 
 

@@ -35,6 +35,8 @@ def _run(capsys, *argv):
     (("bqf", "reduce", "--form", "1,2"),
      "a form needs exactly three integers a,b,c"),
     (("modularity", "--primes", "a..b"), "bad prime range 'a..b'"),
+    (("picard", "--p2", "1,-10,25", "--q", "5", "--rho", "3"),
+     "--rho needs --artin-tate"),
 ])
 def test_input_faults_exit_2(capsys, argv, message):
     code, err = _run(capsys, *argv)

@@ -122,18 +122,15 @@ def test_cli_refuses_jobs_below_one(capsys, argv, jobs):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in
-    this process."""
+    """Stands in for ThreadPoolExecutor: records max_workers, maps in
+    this thread."""
     made = []
 
     def __init__(self, max_workers):
         self.made.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, cancel_futures=False):
+        pass
 
     def map(self, fn, payloads):
         return map(fn, payloads)
@@ -142,7 +139,7 @@ class _SerialPool:
 @pytest.fixture
 def fake_pool(monkeypatch):
     _SerialPool.made = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         _SerialPool)
     return _SerialPool.made
 

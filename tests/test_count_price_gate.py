@@ -26,18 +26,15 @@ CONE = Quartic.from_dict({(4, 0, 0, 0): 1, (0, 4, 0, 0): 2,
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in
-    this process."""
+    """Stands in for ThreadPoolExecutor: records max_workers, maps in
+    this thread."""
     made = []
 
     def __init__(self, max_workers):
         self.made.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, cancel_futures=False):
+        pass
 
     def map(self, fn, payloads):
         return map(fn, payloads)
@@ -46,7 +43,7 @@ class _RecordingPool:
 @pytest.fixture
 def pools(monkeypatch):
     _RecordingPool.made = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         _RecordingPool)
     monkeypatch.setattr(count.os, "cpu_count", lambda: 2)
     return _RecordingPool.made

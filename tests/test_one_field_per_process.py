@@ -1,18 +1,19 @@
-"""One field per (p, r) in a process tree.
+"""One field per (p, r) in a process.
 
 `ff._field(p, r)` is the one source of every field `count` counts on: a
 run of `count_many` misses over one (p, r) takes its field from there, and
-so does a torus tally.  A pickled `FieldCtx` unpickles through `_field`
-too, and a pooled scan counts its small strata first, so over F_{p^r} the
-parent builds the discrete logs and q x q tables before the s = 0 pool
-forks: every forked worker inherits them, built, and the logs and tables
-are built once across all processes.  A field is built on coefficient
-vectors alone (`_poly_powmod`, `_poly_mulmod`), making no `FieldElement`,
-which stays as the reference arithmetic here.
+so does a torus tally.  A pooled scan runs its chunks on threads of the
+one process, whatever the start method of `multiprocessing`: its small
+strata come first, so over F_{p^r} the calling thread builds the discrete
+logs and q x q tables before the s = 0 chunks start, and the chunks share
+them with the stratum's grids.  A field is built on coefficient vectors
+alone (`_poly_powmod`, `_poly_mulmod`), making no `FieldElement`, which
+stays as the reference arithmetic here.
 """
 
 import multiprocessing
-import os
+import sys
+import threading
 
 import pytest
 
@@ -26,45 +27,59 @@ DENSE_QUARTIC = Quartic(tuple(range(1, 36)))
 DENSE_SEXTIC = DoubleSextic(tuple(range(1, 29)))
 
 
-def _log_to(path, tag, fn, attr=None):
-    """fn, appending "tag pid" to path on each call (with attr, only on
-    the calls that find self.attr None, that is the ones that build)."""
-    def spy(*args, **kwargs):
-        building = attr is None or getattr(args[0], attr) is None
-        out = fn(*args, **kwargs)
-        if building:
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(f"{tag} {os.getpid()}\n")
-        return out
+def _log_builds(log, tag, fn, attr):
+    """fn, appending tag to log on the calls that find self.attr None."""
+    def spy(self):
+        if getattr(self, attr) is None:
+            log.append(tag)
+        return fn(self)
     return spy
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers inherit the parent's field only by fork")
 @pytest.mark.parametrize("surface, p, r", [
     (DENSE_QUARTIC, 5, 3), (DENSE_QUARTIC, 2, 7),
     (DENSE_SEXTIC, 7, 4), (DENSE_SEXTIC, 3, 7)],
     ids=["quartic-5^3", "quartic-2^7", "sextic-7^4", "sextic-3^7"])
-def test_a_pooled_scan_builds_its_tables_once(tmp_path, monkeypatch, surface,
-                                              p, r):
-    """When `count_many` built its fields outside `_field`, the parent and
-    each of the two workers built the logs and the tables: three builds of
-    each."""
-    log = tmp_path / "builds.log"
-    monkeypatch.setattr(count_mod.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(FieldCtx, "dlog_table", _log_to(
-        log, "logs", FieldCtx.dlog_table, "_dlog"))
-    monkeypatch.setattr(FieldCtx, "packed_tables", _log_to(
-        log, "tables", FieldCtx.packed_tables, "_tables"))
-    monkeypatch.setattr(count_mod, "_affine_scan", _log_to(
-        log, "chunk", count_mod._affine_scan))
+def test_a_pooled_scan_builds_its_tables_once(monkeypatch, surface, p, r):
+    """Under every start method in turn, four workers on fewer cores,
+    switching threads every microsecond: no child process, every s = 0
+    chunk on a worker thread, the serial count, and the logs and tables
+    built once in all.  When the workers were processes, each built its
+    own unless it was forked after the parent had built them."""
+    builds, tallies = [], []
+    monkeypatch.setattr(count_mod.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(FieldCtx, "dlog_table", _log_builds(
+        builds, "logs", FieldCtx.dlog_table, "_dlog"))
+    monkeypatch.setattr(FieldCtx, "packed_tables", _log_builds(
+        builds, "tables", FieldCtx.packed_tables, "_tables"))
+    scan = count_mod._affine_scan
+
+    def spy_scan(polys, k, ctx, tally, jobs):
+        def spy_tally(vals, shape):
+            tallies.append((k, threading.get_ident(),
+                            multiprocessing.active_children()))
+            return tally(vals, shape)
+        return scan(polys, k, ctx, spy_tally, jobs)
+    monkeypatch.setattr(count_mod, "_affine_scan", spy_scan)
     ff._field.cache_clear()
-    count_many([(surface, p, r)], jobs=2)
-    lines = [line.split() for line in log.read_text().splitlines()]
-    parent = str(os.getpid())
-    assert {pid for tag, pid in lines if tag == "chunk"} - {parent}
-    builds = [(tag, pid) for tag, pid in lines if tag != "chunk"]
-    assert sorted(builds) == [("logs", parent), ("tables", parent)]
+    method = multiprocessing.get_start_method(allow_none=True)
+    interval = sys.getswitchinterval()
+    counts = []
+    for start in multiprocessing.get_all_start_methods():
+        multiprocessing.set_start_method(start, force=True)
+        sys.setswitchinterval(1e-6)
+        try:
+            counts.append(count_many([(surface, p, r)], jobs=4))
+        finally:
+            sys.setswitchinterval(interval)
+            multiprocessing.set_start_method(method, force=True)
+    top = max(k for k, _, _ in tallies)
+    workers = {ident for k, ident, _ in tallies if k == top}
+    assert workers and threading.get_ident() not in workers
+    assert not any(children for _, _, children in tallies)
+    assert multiprocessing.active_children() == []
+    assert sorted(builds) == ["logs", "tables"]
+    assert counts == [count_many([(surface, p, r)])] * len(counts)
 
 
 def test_count_many_takes_every_field_from_field(monkeypatch):

@@ -63,7 +63,7 @@ def test_table_budget_admits_every_feasible_tower():
 
 
 def test_sextic_parallel_matches_serial():
-    # the character table travels to the workers with each chunk
+    # the workers share the character table and the field's tables
     f = DoubleSextic.from_dict({(6, 0, 0): 1, (0, 6, 0): 2, (0, 0, 6): 1,
                                 (2, 2, 2): 1, (5, 1, 0): 2})
     ctx = FieldCtx(3, 2)

@@ -16,10 +16,10 @@ def test_sextic_table_is_the_quadratic_character(monkeypatch, p, r):
     tables = []
     scan = count._affine_scan
 
-    def recording_scan(polys, k, ctx, tally, lo=0, hi=None):
+    def recording_scan(polys, k, ctx, tally, jobs=1):
         assert tally.func is count._chi_sum
         tables.append(tally.args[0])
-        return scan(polys, k, ctx, tally, lo, hi)
+        return scan(polys, k, ctx, tally, jobs)
 
     monkeypatch.setattr(count, "_affine_scan", recording_scan)
     ctx = FieldCtx(p, r)
