@@ -13,17 +13,16 @@ Equivalence here is oriented: SL(2,Z) only.  The opposite class of
 diagnostics and is strictly coarser (first seen at d = -23).
 """
 
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd, isqrt, lcm
 
 from .errors import (DomainError, InconsistencyError, UsageError, check_ints,
-                     check_price)
+                     check_price, frozen)
 
 CLASS_GROUP_STEPS = 10 ** 7  # cap on each price of this module, in steps
 
 
-@dataclass(frozen=True)
+@frozen
 class BinaryQuadraticForm:
     a: int
     b: int
@@ -208,7 +207,7 @@ def class_number(d: int) -> int:
     return len(reduced_forms(d))
 
 
-@dataclass(frozen=True)
+@frozen
 class ClassGroup:
     """Cl(d): the reduced primitive forms of discriminant d with the full
     composition table (table[i][j] is an index into forms)."""

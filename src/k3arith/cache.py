@@ -18,14 +18,13 @@ as at most one writes a given (surface, p, r) key.
 import json
 import os
 import weakref
-from dataclasses import dataclass
 
-from .errors import DataError, IntegrityError
+from .errors import DataError, IntegrityError, frozen
 
 _BIG = 2 ** 53  # JSON number safety line
 
 
-@dataclass(frozen=True)
+@frozen
 class CountRecord:
     """One exact count: #X(F_{p^r}) for the surface with the given hash."""
     surface: str

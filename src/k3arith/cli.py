@@ -12,7 +12,12 @@ Exit codes: 0 success, 1 mathematical verification failure, 2 usage error.
 Start-up loads only argparse, json, the errors and the count cache: each
 handler imports the layers its subcommand calls, so `k3 --version` loads no
 layer, and calls their functions through the module (`bqf.reduce(f)`), so
-that a function rebound there is the one that runs.
+that a function rebound there is the one that runs.  No job loads
+`dataclasses` or `inspect`: the records of every layer are built by
+`errors.frozen`, because `dataclasses` loads `inspect` (with `ast`, `dis`
+and `tokenize`), which cost a short job more than its own layers (timings
+in README).  Only numpy and sympy, in the jobs that need them, load
+`inspect`.
 
 Past the imports, a process also pays for cyclic garbage collection: the
 collections during a run and the interpreter's final ones at exit, which
@@ -37,6 +42,7 @@ from .errors import (DataError, DomainError, IntegrityError, K3ArithError,
                      UnsupportedError, UsageError)
 
 SCHEMA = "k3arith-report/1"
+LIFT_HEIGHT = 100  # the height bound of `sieve --lift` without --height
 
 # options taking comma-separated integers, any of which may be negative
 _CSV_OPTIONS = ("--coeffs", "--p2", "--known-factor", "--form", "--f", "--g")
@@ -267,13 +273,16 @@ def _cmd_modularity(args, cache):
 
 def _cmd_sieve(args, cache):
     from . import cmmod, count
+    if args.height is not None and not args.lift:
+        raise UsageError("--height needs --lift")
+    if args.lift and args.height is None:
+        args.height = LIFT_HEIGHT  # echoed in the report's config
     primes = _primes_arg(args.primes)
     if not primes:
         raise UsageError("no primes supplied")
     candidates = cmmod.cm_sieve(count.dwork_pencil, None, primes, cache=cache,
                                 lift=args.lift)
-    found = cmmod.sieve_survivors(candidates, primes,
-                                  args.height if args.lift else None)
+    found = cmmod.sieve_survivors(candidates, primes, args.height)
     results = {
         "family": "dwork",
         "target": "eta4_6",
@@ -375,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--primes", required=True, help='"5,13,17" or a range')
     sp.add_argument("--lift", action="store_true",
                     help="lift surviving residues by CRT + reconstruction")
-    sp.add_argument("--height", type=int, default=100,
-                    help="height bound for --lift (default 100)")
+    sp.add_argument("--height", type=int, default=None,
+                    help=f"height bound for --lift (default {LIFT_HEIGHT})")
     common(sp, _cmd_sieve, counts=True)
     return parser
 

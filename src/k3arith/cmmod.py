@@ -22,13 +22,12 @@ a scan.
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, product, tee
 from math import gcd, isqrt, prod
 
 from ._intpoly import isprime
 from .count import BATCH_CAP, count_each, count_many, fermat_quartic
-from .errors import DomainError, UsageError, check_ints, check_price
+from .errors import DomainError, UsageError, check_ints, check_price, frozen
 from .ff import check_bytes
 
 H_BOUND = 20  # |trace of Frob on NS| <= rank NS = 20 for a singular K3
@@ -36,7 +35,7 @@ SMALL_INT_BOUND = 20  # window |c| <= 20 of the common small integers
 LIFT_BUDGET = 4096  # residue combinations sieve_survivors may lift
 
 
-@dataclass(frozen=True)
+@frozen
 class QSeries:
     """Integer q-expansion b_1..b_N with weight and level tags."""
     coeffs: tuple
@@ -113,7 +112,7 @@ def fermat_count_prediction(p: int, series: QSeries = None) -> int:
     return 1 + series.b(p) + hecke_h(p) * p + p * p
 
 
-@dataclass(frozen=True)
+@frozen
 class ModularityEntry:
     p: int
     predicted: int
@@ -124,7 +123,7 @@ class ModularityEntry:
         return self.predicted == self.counted
 
 
-@dataclass(frozen=True)
+@frozen
 class ModularityReport:
     entries: tuple
 
@@ -152,7 +151,7 @@ def verify_modularity(p_range, cache=None) -> ModularityReport:
         for p, n in zip(primes, counts)))
 
 
-@dataclass(frozen=True)
+@frozen
 class SieveCandidate:
     """A family member whose count over F_p fits the target series with
     Frobenius trace h on NS, |h| <= 20."""
@@ -263,7 +262,7 @@ def _i_orbits(lams, p):
     return orbits
 
 
-@dataclass(frozen=True)
+@frozen
 class SieveSurvivors:
     """per_prime and orbits map each prime to its surviving residues and to
     their i-orbits; common lists the integers |c| <= SMALL_INT_BOUND that

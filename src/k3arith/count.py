@@ -41,14 +41,13 @@ import json
 import hashlib
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, product
 from math import gcd, prod
 
 from .cache import CountRecord
 from .errors import (InconsistencyError, UnsupportedError, UsageError,
-                     check_ints, check_price)
+                     check_ints, check_price, frozen)
 from .ff import (CyclotomicInt, FieldCtx, MultChar, _field, check_bytes,
                  check_scan_budget, isprime, jacobi_sum)
 
@@ -79,13 +78,18 @@ def _hash_canonical(obj) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
+@frozen
 class _DenseModel:
     """Integer coefficients in the order of the subclass's EXPONENTS; the
     subclass's MODEL names it in the surface hash."""
     coeffs: tuple
     EXPONENTS = ()
     MODEL = ""
+    _INDEX = {}  # {exponents: position in EXPONENTS}, one per model
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._INDEX = {e: i for i, e in enumerate(cls.EXPONENTS)}
 
     def __post_init__(self):
         _check_coeffs(self.coeffs, len(self.EXPONENTS), type(self).__name__)
@@ -93,7 +97,7 @@ class _DenseModel:
     @classmethod
     def from_dict(cls, d):
         coeffs = [0] * len(cls.EXPONENTS)
-        index = {e: i for i, e in enumerate(cls.EXPONENTS)}
+        index = cls._INDEX
         for exps, c in d.items():
             key = tuple(exps)
             if key not in index:

@@ -6,10 +6,9 @@ constants.  The two numbers drive everything else: the Shioda-Tate formula
 rho = 2 + rank(MW) + sum_v (m_v - 1), and the K3 criterion sum_v e_v = 24.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InconsistencyError, UsageError
+from .errors import InconsistencyError, UsageError, frozen
 
 NOT_ISOGENOUS = "not_isogenous"
 ISOGENOUS_NO_CM = "isogenous_no_cm"
@@ -34,7 +33,7 @@ def _constants(tag: str):
     raise UsageError(f"unknown Kodaira fiber tag {tag!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class KodairaFiberType:
     """One of I_n (n >= 0), I_n* (n >= 0), II, III, IV, II*, III*, IV*.
     Tags are plain strings like "I2", "I0*", "II*"."""
@@ -81,7 +80,7 @@ III_STAR = KodairaFiberType("III*")
 IV_STAR = KodairaFiberType("IV*")
 
 
-@dataclass(frozen=True)
+@frozen
 class FiberConfiguration:
     """Multiset of singular fibers as sorted (type, multiplicity) pairs."""
     entries: tuple

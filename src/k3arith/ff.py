@@ -32,13 +32,13 @@ machines:
   integer arithmetic, primality too, is `_intpoly`'s: no floats anywhere.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
 from . import _intpoly
 from ._intpoly import isprime
-from .errors import DomainError, UnsupportedError, UsageError, check_price
+from .errors import (DomainError, UnsupportedError, UsageError, check_price,
+                     frozen)
 
 TABLE_BYTES = 256 * 2 ** 20  # the cap of check_bytes
 _INT64_LIMIT = 2 ** 63  # int64 Horner keeps every partial value below it
@@ -283,7 +283,7 @@ def _field(p: int, r: int) -> FieldCtx:
     return FieldCtx(p, r)
 
 
-@dataclass(frozen=True)
+@frozen
 class FieldElement:
     """Plain value data: a coefficient vector relative to its ctx modulus."""
     ctx: FieldCtx
@@ -346,7 +346,7 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 # exact cyclotomic integers
 
-@dataclass(frozen=True)
+@frozen
 class CyclotomicInt:
     """Element of Z[zeta_m] in the power basis 1, zeta, ..., zeta^(phi(m)-1);
     coefficient tuples always have length deg Phi_m."""
@@ -451,7 +451,7 @@ class CyclotomicInt:
 # ---------------------------------------------------------------------------
 # multiplicative characters
 
-@dataclass(frozen=True)
+@frozen
 class MultChar:
     """chi with chi(g) = zeta_m^k for the ctx's fixed primitive root g;
     chi(0) = 0 by convention.  Exact order is m / gcd(m, k)."""

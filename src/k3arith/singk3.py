@@ -16,16 +16,15 @@ makes the tail estimate honest.
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._intpoly import euler_product, mul
 from .bqf import BinaryQuadraticForm, _coerce, class_number, reduce, scale
 from .errors import (DomainError, InconsistencyError, PrecisionError,
-                     UsageError)
+                     UsageError, frozen)
 
 
-@dataclass(frozen=True)
+@frozen
 class QuadIrr:
     """Exact element x + y*sqrt(d) of an imaginary quadratic field."""
     d: int
@@ -73,7 +72,7 @@ class QuadIrr:
         return f"({self.x} + {self.y}*sqrt({self.d}))"
 
 
-@dataclass(frozen=True)
+@frozen
 class PeriodPair:
     """CM periods (tau, tau') of a singular K3; both in the upper half
     plane, both generating the same imaginary quadratic field."""
@@ -204,7 +203,7 @@ def j_invariant(tau: complex) -> complex:
 
 # --- Inose pencils -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class InosePencil:
     """Elliptic pencil y^2 = x^3 - 3A t^4 x + t^5 (t^2 - 2B t + 1) with two
     II* fibers, realizing a Shioda-Inose partner of E_j1 x E_j2.  a4 and a6

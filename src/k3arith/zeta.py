@@ -17,20 +17,20 @@ Partial data is a first-class state: a FrobeniusPoly of degree below 22
 still yields a Picard bound, with the missing degrees counted as slack.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from . import _intpoly
 from .errors import (DataError, IncompletenessError, InconsistencyError,
-                     MultiplicityError, UsageError, check_ints, check_price)
+                     MultiplicityError, UsageError, check_ints, check_price,
+                     frozen)
 
 H2_DIM = 22  # dim H^2 of a K3 surface
 TRIAL_BOUND = 10 ** 4  # trial divisors square_class tries before sympy
 FACTOR_DIGITS = 40  # digits of the largest cofactor handed to sympy
 
 
-@dataclass(frozen=True)
+@frozen
 class TraceVector:
     """Power sums t_1..t_k of the Frobenius eigenvalues on H^2 over F_q."""
     q: int
@@ -46,7 +46,7 @@ class TraceVector:
                     f"Weil bound violated at r = {r}: |{t}| > 22 * {self.q}^{r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class FrobeniusPoly:
     """P2(T) or a partial factor of it: integer coefficients, low degree
     first, constant term 1, degree <= 22.  epsilon/known/completed record

@@ -37,6 +37,7 @@ def _run(capsys, *argv):
     (("modularity", "--primes", "a..b"), "bad prime range 'a..b'"),
     (("picard", "--p2", "1,-10,25", "--q", "5", "--rho", "3"),
      "--rho needs --artin-tate"),
+    (("sieve", "--primes", "5,13", "--height", "0"), "--height needs --lift"),
 ])
 def test_input_faults_exit_2(capsys, argv, message):
     code, err = _run(capsys, *argv)

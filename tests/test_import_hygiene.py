@@ -3,9 +3,11 @@ loads only the layers of k3arith its subcommand calls.
 
 Each check runs in a fresh interpreter, because the test session itself
 has long since imported both.  `import k3arith.cli` must load neither,
-nor the process-pool machinery; jobs that do no point counting must not
-load them either, nor must the modularity check or the CM sieve, and a
-count by the scan kernel loads numpy but not sympy.  `import k3arith`
+nor the process-pool machinery, nor `dataclasses` or `inspect` (the
+records are built by `errors.frozen`); jobs that do no point counting
+must not load them either, nor must the modularity check or the CM
+sieve, and a count by the scan kernel loads numpy, which loads
+`inspect`, but neither sympy nor `dataclasses`.  `import k3arith`
 loads no submodule, building the parser loads no layer,
 and a job loads the layer it runs: a class-group job never loads the
 counting layer, a count never loads the class-group layer, and `zeta` and
@@ -25,6 +27,9 @@ from k3arith.count import dwork_pencil, monomial_exponents
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(k3arith.__file__)))
 HEAVY = ("sympy", "numpy", "concurrent.futures.process")
+# what no job that skips numpy loads: `inspect` costs more than the
+# layers of a short job, and `dataclasses` loads it
+UNLOADED = HEAVY + ("dataclasses", "inspect")
 LAYERS = tuple(f"k3arith.{m}" for m in (
     "_intpoly", "bqf", "cmmod", "count", "ellsurf", "ff", "singk3", "zeta"))
 # P2 of the Fermat quartic over F_5: (1 - 5T)^8 (1 + 5T)^12 (1 + 6T + 25T^2)
@@ -35,7 +40,7 @@ FERMAT_F5_LINES = ",".join(map(str, _LINES))
 FERMAT_F5_P2 = ",".join(map(str, _intpoly.mul(_LINES, [1, 6, 25])))
 
 
-def _loaded_after(code, watch=HEAVY):
+def _loaded_after(code, watch=UNLOADED):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -95,7 +100,8 @@ def test_count_loads_numpy_but_not_sympy():
     coeffs[monomial_exponents(4, 4).index((3, 1, 0, 0))] += 1
     argv = ("count", "--model", "quartic", "--coeffs",
             ",".join(map(str, coeffs)), "--p", "7")
-    assert _loaded_after(_run_k3(*argv)) == ["numpy"]
+    assert _loaded_after(_run_k3(*argv), HEAVY + ("dataclasses",)) == [
+        "numpy"]
 
 
 def test_modularity_loads_no_heavy_module():
