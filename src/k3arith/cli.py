@@ -104,7 +104,8 @@ def _form_arg(text: str):
 
 
 def _primes_arg(text: str):
-    """A comma list "3,5,7", or the primes of an inclusive range "3..37"."""
+    """A comma list "3,5,7", or the primes of an inclusive range "3..37",
+    priced with the eta series that `modularity` and `sieve` build."""
     if ".." not in text:
         return _csv_ints(text)
     try:
@@ -112,7 +113,7 @@ def _primes_arg(text: str):
     except ValueError:
         raise UsageError(f"bad prime range {text!r}")
     from . import cmmod
-    return cmmod.primes_between(lo, hi)
+    return cmmod.primes_between(lo, hi, eta=True)
 
 
 def _open_cache(path=None):

@@ -73,12 +73,19 @@ def _eta_price(n_max: int) -> int:
     return 200 * n_max
 
 
-def primes_between(lo: int, hi: int):
-    """The primes in lo..hi, priced from its bounds: 1000 units an integer;
-    a sieve strikes the multiples of d <= 2^11, so isprime tests n > 2^22."""
+def primes_between(lo: int, hi: int, eta: bool = False):
+    """The primes in lo..hi, priced from its bounds before they are listed:
+    1000 units an integer, then with eta, as `verify_modularity` and
+    `cm_sieve` build the eta series through the top prime, with that series
+    through hi too; a sieve strikes the multiples of d <= 2^11, so isprime
+    tests n > 2^22."""
     lo = max(2, lo)
-    check_price(f"the primes in {lo}..{hi}", 1000 * (hi - lo), BATCH_CAP,
-                "price units")
+    price = 1000 * (hi - lo)
+    check_price(f"the primes in {lo}..{hi}", price, BATCH_CAP, "price units")
+    if eta:
+        check_price(f"the primes in {lo}..{hi} and eta(4 tau)^6 through "
+                    f"q^{hi}", price + _eta_price(hi), BATCH_CAP,
+                    "price units")
     seg = bytearray([1]) * max(0, hi - lo + 1)
     for d in range(2, min(2 ** 11, isqrt(max(hi, 0))) + 1):
         start = max(d * d, -(-lo // d) * d) - lo

@@ -30,7 +30,8 @@ of its values.  Every block's tally is a function of (values, shape):
 `_zeros` counts common zeros (quartics, the smoothness scan), `_chi_sum`
 sums the quadratic character (double sextics).  Only a scan takes
 workers: its dominant stratum can be chunked over its leading coordinate
-across worker threads (`pool_map`) that share its grids and the field;
+across worker threads (`pool_map`) that share its grids and the field, as
+many as TABLE_BYTES holds their own Horner blocks for beside the grids;
 chunk subtotals are exact, added in chunk order, so the worker count never
 changes the result.  `count_many` is the one walk behind towers, the
 modularity check and the CM sieve: it routes each (surface, p, r) key
@@ -259,19 +260,22 @@ def _projective_scan(polys, n, ctx, tally=_zeros, jobs=1):
     x_s = 1 of P^n, s = n down to 0; only the dominant s = 0 takes jobs.
     The homogeneous polys restrict to distinct monomials, nonzero mod p.
     Refused by `check_bytes` before numpy loads, at the s = 0 stratum's
-    bytes b, 8 an entry: a q^(n-1) grid for each degree of x_1 in each
-    poly, Horner's two blocks, and 64 KiB of Python objects.  At most
-    TABLE_BYTES // b workers run, as if each held its own grids, but at
-    least one, so a scan admitted at one job is admitted at any.  Over
-    F_{p^r} the smaller strata build the logs and q x q tables first, in
-    the calling thread, and the workers share them."""
+    bytes, 8 an entry: a q^(n-1) grid for each degree of x_1 in each poly
+    and 64 KiB of Python objects, which the workers share, and two blocks
+    of Horner's rule.  A worker holds three blocks (a step `v * x + c`
+    holds v, v * x and the sum), so as many run as TABLE_BYTES holds three
+    blocks each for beside the grids, but at least one, so a scan admitted
+    at one job is admitted at any.  Over F_{p^r} the smaller strata build
+    the logs and q x q tables first, in the calling thread, and the
+    workers share them."""
     q, total = ctx.q, 0
     grid = q ** (n - 1)
     parts = sum(len({e[1] for e, _ in f}) for f in polys)
-    held = 2 ** 16 + 8 * grid * (parts + 2 * max(1, _SCAN_BLOCK // grid))
-    check_bytes(f"the scan grids over F_{q}", held)
+    shared = 2 ** 16 + 8 * grid * parts
+    block = 8 * grid * max(1, _SCAN_BLOCK // grid)
+    check_bytes(f"the scan grids over F_{q}", shared + 2 * block)
     from .ff import TABLE_BYTES  # read where ff owns it, not copied here
-    jobs = min(jobs, max(1, TABLE_BYTES // held))
+    jobs = min(jobs, max(1, (TABLE_BYTES - shared) // (3 * block)))
     for s in range(n, -1, -1):
         rest = [[(e[s + 1:], c) for e, c in f if not any(e[:s])]
                 for f in polys]

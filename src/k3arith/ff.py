@@ -7,8 +7,10 @@ machines:
   monic irreducible of degree r, ordering candidates by the integer value
   sum c_i p^i of their non-leading coefficient vector (c_0, ..., c_{r-1}).
   For F_8 this picks x^3 + x + 1, for F_9 it picks x^2 + 1.
-- Elements are coefficient vectors of length r, low degree first.  The
-  packed integer sum c_i p^i doubles as a stable element index in [0, q).
+- An element is its packed index n = sum c_i p^i in [0, q), the one
+  element form: its base-p digits (`_digits`), low first, are the
+  coefficients of its residue class mod f.  The characters refuse
+  anything else, a bool or an int outside [0, q) too, as a UsageError.
 - The fixed primitive root of F_q^* is the least element in packed order
   with full multiplicative order.  It and the discrete-log table are found
   on coefficient vectors by `_poly_powmod` and `_poly_mulmod`, in O(q).
@@ -18,11 +20,11 @@ machines:
   arithmetic, reduced mod p only when the next step could reach 2^63, and
   needs neither tables nor discrete logs; its overflow guard bounds one
   evaluation.  For r > 1 it gathers from the q x q packed addition and
-  multiplication tables, int32 arrays derived from the element arithmetic:
+  multiplication tables, int32 arrays built on first request:
   multiplication from the discrete logs, addition digit by digit in base
-  p.  They are built on first request.  `check_scan_budget` is the one
-  q x q budget, for these tables and the double sextic's scan; a quartic
-  scan is priced by the bytes of its grids in `count`.
+  p.  `check_scan_budget` is the one q x q budget, for these tables and
+  the double sextic's scan; a quartic scan is priced by the bytes of its
+  grids in `count`.
 - `check_bytes` prices bytes against TABLE_BYTES through the one guard,
   `errors.check_price`: the q x q budget, the discrete-log list, the
   quartic scans and fibre counts of `count` and the eta series of `cmmod`
@@ -33,7 +35,7 @@ machines:
 """
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from . import _intpoly
 from ._intpoly import isprime
@@ -125,7 +127,7 @@ def _least_irreducible(p, r):
 
 
 # ---------------------------------------------------------------------------
-# field context and elements
+# field context
 
 class FieldCtx:
     """Immutable carrier for F_q = F_{p^r}; shareable across threads."""
@@ -151,41 +153,6 @@ class FieldCtx:
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, r={self.r})"
-
-    # -- element construction
-
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.ctx != self:
-                raise UsageError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            value = (value,)
-        vec = [int(c) % self.p for c in value]
-        if len(vec) > self.r:
-            raise UsageError("coefficient vector longer than the degree")
-        return FieldElement(self, tuple(vec + [0] * (self.r - len(vec))))
-
-    @property
-    def zero(self):
-        return self.element(0)
-
-    @property
-    def one(self):
-        return self.element(1)
-
-    def gen(self) -> "FieldElement":
-        """The residue class of x (only meaningful for r > 1)."""
-        if self.r == 1:
-            raise UsageError("prime field has no extension generator")
-        return self.element((0, 1))
-
-    def from_packed(self, n: int) -> "FieldElement":
-        return FieldElement(self, _digits(n, self.p, self.r))
-
-    def elements(self):
-        for n in range(self.q):
-            yield self.from_packed(n)
 
     def _pack(self, vec) -> int:
         n = 0
@@ -283,66 +250,6 @@ def _field(p: int, r: int) -> FieldCtx:
     return FieldCtx(p, r)
 
 
-@frozen
-class FieldElement:
-    """Plain value data: a coefficient vector relative to its ctx modulus."""
-    ctx: FieldCtx
-    vec: tuple
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.ctx != self.ctx:
-            raise UsageError("operands come from different field contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((a + b) % p for a, b in zip(self.vec, other.vec)))
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((a - b) % p for a, b in zip(self.vec, other.vec)))
-
-    def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple(-a % p for a in self.vec))
-
-    def __mul__(self, other):
-        self._check(other)
-        ctx = self.ctx
-        return ctx.element(_poly_mulmod(self.vec, other.vec, ctx.modulus,
-                                        ctx.p))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        ctx = self.ctx
-        return ctx.element(_poly_powmod(self.vec, n, ctx.modulus, ctx.p))
-
-    def inv(self):
-        if self.is_zero():
-            raise DomainError("inversion of zero")
-        return self ** (self.ctx.q - 2)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inv()
-
-    def frobenius(self):
-        """a -> a^p, the arithmetic Frobenius."""
-        return self ** self.ctx.p
-
-    def is_zero(self):
-        return all(c == 0 for c in self.vec)
-
-    @property
-    def packed(self) -> int:
-        return self.ctx._pack(self.vec)
-
-    def __repr__(self):
-        return f"FieldElement({self.vec} over F_{self.ctx.q})"
-
-
 # ---------------------------------------------------------------------------
 # exact cyclotomic integers
 
@@ -429,9 +336,6 @@ class CyclotomicInt:
             raw[(-i) % self.m] += c
         return CyclotomicInt(self.m, self._reduce(self.m, raw))
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self):
         return all(c == 0 for c in self.coeffs[1:])
 
@@ -454,7 +358,7 @@ class CyclotomicInt:
 @frozen
 class MultChar:
     """chi with chi(g) = zeta_m^k for the ctx's fixed primitive root g;
-    chi(0) = 0 by convention.  Exact order is m / gcd(m, k)."""
+    chi(0) = 0 by convention."""
     ctx: FieldCtx
     m: int
     k: int = 1
@@ -463,11 +367,6 @@ class MultChar:
         if self.m < 1 or (self.ctx.q - 1) % self.m:
             raise DomainError(f"order {self.m} does not divide q - 1 = {self.ctx.q - 1}")
 
-    @property
-    def exact_order(self) -> int:
-        kk = self.k % self.m
-        return self.m // gcd(self.m, kk) if kk else 1
-
     def is_trivial(self) -> bool:
         return self.k % self.m == 0
 
@@ -475,10 +374,9 @@ class MultChar:
         return MultChar(self.ctx, self.m, (self.k * j) % self.m)
 
     def log(self, a):
-        """Exponent e with chi(a) = zeta_m^e, or None when a = 0."""
-        if isinstance(a, FieldElement):
-            a = a.packed
-        d = self.ctx.dlog_table()[a]
+        """Exponent e with chi(a) = zeta_m^e at the packed index a, or None
+        when a = 0."""
+        d = self.ctx.dlog_table()[_check_packed(self.ctx, a)]
         if d is None:
             return None
         return (d * self.k) % self.m
@@ -497,17 +395,24 @@ class MultChar:
                         (self.k * (big // self.m) + other.k * (big // other.m)) % big)
 
 
-def quadratic_character(a: FieldElement) -> int:
-    """Legendre-symbol analogue on F_q: 0 at zero, otherwise +-1 computed as
-    a^((q-1)/2) identified with its sign."""
-    ctx = a.ctx
+def _check_packed(ctx: FieldCtx, a) -> int:
+    """a, refused with UsageError unless an int, not a bool, in [0, q)."""
+    if type(a) is not int or not 0 <= a < ctx.q:
+        raise UsageError(f"not a packed element of F_{ctx.q}: {a!r}")
+    return a
+
+
+def quadratic_character(ctx: FieldCtx, a: int) -> int:
+    """Legendre-symbol analogue on F_q at the packed index a: 0 at zero,
+    otherwise +-1 computed as a^((q-1)/2) identified with its sign."""
     if ctx.q % 2 == 0:
         raise UnsupportedError("quadratic character needs odd q")
-    if a.is_zero():
+    if _check_packed(ctx, a) == 0:
         return 0
-    s = a ** ((ctx.q - 1) // 2)
+    s = _poly_powmod(_digits(a, ctx.p, ctx.r), (ctx.q - 1) // 2,
+                     ctx.modulus, ctx.p)
     # Lagrange: s is a square root of 1, so it is 1 or -1
-    return 1 if s == ctx.one else -1
+    return 1 if s == [1] else -1
 
 
 def jacobi_sum(chi1: MultChar, chi2: MultChar) -> CyclotomicInt:

@@ -139,14 +139,20 @@ def _check(argv):
 
 
 # inputs that failed before, run ahead of the drawn ones: a traceback, and
-# refusals after 3 to 7 s (the ranges) or after about 1.2 s (the lift)
+# refusals after 3 to 9 s (the ranges, each listed and then refused by the
+# walk; now refused with the eta series through hi before listing) or
+# after about 1.2 s (the lift)
 KNOWN = {
     "inose": [["inose", "--form", f"1,0,{5 * 10 ** 307}"],
               ["inose", "--form", f"1,{2 * 10 ** 400},{10 ** 800 + 1}"]],
     "modularity": [["modularity", "--primes", "3..1999000"],
-                   ["modularity", "--primes", "3..1000003"]],
+                   ["modularity", "--primes", "3..1000003"],
+                   ["modularity", "--primes", "4200000..6000000"],
+                   ["modularity", "--primes",
+                    f"{10 ** 30}..{10 ** 30 + 2 * 10 ** 6}"]],
     "sieve": [["sieve", "--primes", "5..1999000"],
-              ["sieve", "--primes", "7..275", "--lift"]],
+              ["sieve", "--primes", "7..275", "--lift"],
+              ["sieve", "--primes", "4200000..6000000"]],
 }
 
 

@@ -1,7 +1,7 @@
 """Property tests: the scan kernel against naive enumeration.
 
 The naive routes below share no code with `count`'s kernel.  Their
-operation tables come from `FieldElement` sums and products; they list
+operation tables come from sympy's galoistools (`gf_reference`); they list
 projective points as normalized coordinate vectors and evaluate each
 monomial as a product of powers, with no strata restriction and no
 Horner's rule.  A double plane is counted through the number of square
@@ -17,6 +17,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import gf_reference as gf
 from k3arith.count import (QUARTIC_EXPONENTS, SEXTIC_EXPONENTS,
                            DoubleSextic, Quartic, count_double_sextic,
                            count_quartic, is_smooth_quartic)
@@ -33,9 +34,7 @@ ALL_FIELDS = [(2, 1), (2, 2), (2, 3)] + ODD_FIELDS
 @lru_cache(maxsize=None)
 def _naive_field(p, r):
     ctx = FieldCtx(p, r)
-    els = list(ctx.elements())
-    add = np.array([[(a + b).packed for b in els] for a in els])
-    mul = np.array([[(a * b).packed for b in els] for a in els])
+    add, mul = map(np.array, gf.tables(ctx))
     return ctx, add, mul
 
 
@@ -54,7 +53,7 @@ def _evaluate(poly, pts, ctx, add, mul):
     """Values of sum c x^e (a dict exponent -> integer) at each row."""
     total = np.zeros(len(pts), dtype=np.int64)
     for exps, c in poly.items():
-        term = np.full(len(pts), ctx.element(c).packed)
+        term = np.full(len(pts), c % ctx.p)  # c in F_p, packed
         for i, e in enumerate(exps):
             for _ in range(e):
                 term = mul[term, pts[:, i]]

@@ -147,8 +147,8 @@ def test_hecke_h_matches_quadratic_character():
         if not isprime(p):
             continue
         ctx = FieldCtx(p)
-        chi_m1 = quadratic_character(ctx.element(-1))
-        chi_2 = quadratic_character(ctx.element(2))
+        chi_m1 = quadratic_character(ctx, p - 1)
+        chi_2 = quadratic_character(ctx, 2)
         assert hecke_h(p) == 5 + 3 * chi_m1 + 6 * (chi_2 + chi_m1 * chi_2), p
 
 

@@ -1,13 +1,16 @@
 """`count.pool_map` is the one place that chooses between running in this
 thread and starting worker threads: the dominant stratum is cut for the
 workers the pool will start, not for the `jobs` asked for; a scan starts
-no more workers than the byte cap would hold copies of its grids; a chunk
+no more workers than the byte cap holds three Horner blocks each for
+beside its one copy of the grids, and its peak stays within that price; a
+chunk
 that raises cancels the chunks not yet started; and counts agree at one,
 two and a thousand jobs through real worker threads."""
 
 import concurrent.futures
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -52,15 +55,17 @@ def test_chunks_follow_the_workers_not_jobs(monkeypatch):
 
 
 @pytest.mark.parametrize("p, r, workers", [
-    (401, 1, 8), (1009, 1, 4), (2179, 1, 0),
-    # the shared q x q tables are not charged to each worker any more
-    (31, 2, 5)])
+    (401, 1, 8), (1009, 1, 8), (2179, 1, 0),
+    # the shared q x q tables are not charged to each worker either
+    (31, 2, 8)])
 def test_a_pooled_scan_starts_the_workers_its_bytes_hold(monkeypatch, p, r,
                                                          workers):
-    """The cap counts the s = 0 stratum's grids once a worker, though the
-    workers share them: 56 q^2 bytes and 64 KiB for a dense quartic, so
-    F_1009 (54.4 MiB) starts 4 of 8 workers asked for, and F_2179,
-    admitted serially, starts none."""
+    """The cap counts the s = 0 stratum's grids once, as the workers share
+    them, and Horner's three blocks once a worker: for a dense quartic
+    40 q^2 bytes and 64 KiB, then 24 q^2 a worker, so F_1009 (38.9 MiB,
+    then 23.3 a worker) and F_{31^2} start all 8 workers asked for, and
+    F_2179 (181.2 MiB of grids), admitted serially at two blocks, starts
+    none, as a worker's 108.7 MiB of blocks does not fit beside them."""
     _RecordingPool.handed, _RecordingPool.workers = [], []
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
                         _RecordingPool)
@@ -72,6 +77,30 @@ def test_a_pooled_scan_starts_the_workers_its_bytes_hold(monkeypatch, p, r,
     assert count_quartic(DENSE, FieldCtx(p, r), jobs=8) == 0
     assert _RecordingPool.workers == ([workers] if workers else [])
     assert _RecordingPool.handed == ([4 * workers] if workers else [])
+
+
+def test_a_pooled_scan_peaks_within_its_price(monkeypatch):
+    """A dense quartic over F_401 on 4 real worker threads: the peak that
+    tracemalloc reads (numpy reports its arrays to it) stays within the
+    price of the s = 0 stratum at 4 workers, 40 q^2 + 2^16 bytes of grids
+    and 24 q^2 of blocks a worker.  It read 0.94 of that price; at two
+    blocks a worker, 16 q^2, it read 1.23."""
+    monkeypatch.setattr(count.os, "cpu_count", lambda: 4)
+    count_quartic(DENSE, FieldCtx(P), jobs=4)  # numpy and the pool loaded
+    ctx, q = FieldCtx(401), 401
+    started = []
+    pool_map = count.pool_map
+    monkeypatch.setattr(count, "pool_map", lambda fn, payloads, jobs: (
+        started.append(jobs) or pool_map(fn, payloads, jobs)))
+    tracemalloc.start()
+    try:
+        n = count_quartic(DENSE, ctx, jobs=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 161235  # as counted serially
+    assert started == [1, 1, 4]  # the s = 0 stratum ran on 4 workers
+    assert peak <= 2 ** 16 + 40 * q * q + 4 * 24 * q * q
 
 
 def test_a_raising_chunk_cancels_the_chunks_not_started(monkeypatch):

@@ -6,8 +6,8 @@ does not fit in memory, and the `count.count_many` walk refuses a batch
 whose `_route` prices, with the price of the eta series it needs, sum past
 BATCH_CAP, before any series or count.  The Dwork members over one F_p
 share one `_torus_tally` and pay for it once, and a `--primes` range is
-priced from its bounds before it is listed, then listed by a sieve of its
-segment.  Each prime is vetted as the walk draws it, so a batch priced
+priced from its bounds before it is listed, alone and then with the eta
+series through its top, then listed by a sieve of its segment.  Each prime is vetted as the walk draws it, so a batch priced
 past the cap is refused after as many vets as prices.  The eta series is
 the square of Jacobi's series for prod (1 - x^k)^3, O(n).
 """
@@ -119,6 +119,21 @@ def test_modularity_range_is_refused_before_it_is_listed(capsys,
         "price units (cap 2.0e+9)\n")
 
 
+@pytest.mark.parametrize("sub, lo, hi, price", [
+    ("modularity", 4200000, 6000000, "3.0e+9"),
+    ("sieve", 4200000, 6000000, "3.0e+9"),
+    ("modularity", 10 ** 30, 10 ** 30 + 2 * 10 ** 6, "2.0e+32")])
+def test_a_range_is_refused_with_its_eta_series_before_it_is_listed(
+        capsys, monkeypatch, sub, lo, hi, price):
+    # each was listed (3 to 9 s) and then refused by the walk
+    monkeypatch.setattr(cmmod, "isprime", _refuse("isprime"))
+    monkeypatch.setattr(ff, "isprime", _refuse("isprime"))
+    assert main([sub, "--primes", f"{lo}..{hi}"]) == 2
+    assert capsys.readouterr().err == (
+        f"k3: usage error: the primes in {lo}..{hi} and eta(4 tau)^6 "
+        f"through q^{hi} need about {price} price units (cap 2.0e+9)\n")
+
+
 def _ranges():
     rng = random.Random(11)
     for _ in range(60):  # random ones below 10^7
@@ -146,8 +161,9 @@ def test_a_range_under_the_cap_is_listed_without_isprime(monkeypatch):
 @pytest.mark.parametrize("sub", ["modularity", "sieve"])
 def test_the_walk_vets_no_more_primes_than_it_prices(capsys, monkeypatch,
                                                      sub):
-    # 148865 primes listed; the walk prices the keys of 1643 of them
-    # (modularity) or 73 (sieve) before the cap, and vets no others
+    # 121125 primes listed, as 5..1600000 and the eta series through it fit
+    # under the cap; the walk prices the keys of 1680 of them (modularity)
+    # or 74 (sieve) before the cap, and vets no others
     vetted, routed = [], []
     check, route = cmmod._check_odd_prime, count_mod._route
 
@@ -160,7 +176,7 @@ def test_the_walk_vets_no_more_primes_than_it_prices(capsys, monkeypatch,
         return route(surface, p, r)
     monkeypatch.setattr(cmmod, "_check_odd_prime", spy_check)
     monkeypatch.setattr(count_mod, "_route", spy_route)
-    assert main([sub, "--primes", "5..1999000"]) == 2
+    assert main([sub, "--primes", "5..1600000"]) == 2
     assert "the counts need" in capsys.readouterr().err
     assert 0 < len(set(vetted)) <= len(set(routed)) < 5000
 

@@ -1,7 +1,7 @@
 """The double sextic's character table, read off the squares
 `FieldCtx.horner` computes and handed to the scan as the tally
-`partial(_chi_sum, chi)`, against `ff.quadratic_character` element by
-element."""
+`partial(_chi_sum, chi)`, against `ff.quadratic_character` at each packed
+index."""
 
 import pytest
 
@@ -25,7 +25,7 @@ def test_sextic_table_is_the_quadratic_character(monkeypatch, p, r):
     ctx = FieldCtx(p, r)
     surface = DoubleSextic(tuple(range(1, 29)))
     count_double_sextic(surface, ctx)
-    want = [quadratic_character(a) for a in ctx.elements()]
+    want = [quadratic_character(ctx, a) for a in range(ctx.q)]
     assert len(tables) == 3
     for chi in tables:
         assert chi.tolist() == want
