@@ -104,8 +104,7 @@ def _form_arg(text: str):
 
 
 def _primes_arg(text: str):
-    """A comma list "3,5,7", or the primes of an inclusive range "3..37",
-    priced with the eta series that `modularity` and `sieve` build."""
+    """A comma list "3,5,7", or the primes of an inclusive range "3..37"."""
     if ".." not in text:
         return _csv_ints(text)
     try:
@@ -113,7 +112,8 @@ def _primes_arg(text: str):
     except ValueError:
         raise UsageError(f"bad prime range {text!r}")
     from . import cmmod
-    return cmmod.primes_between(lo, hi, eta=True)
+    cmmod.check_walk_floor(lo, hi)
+    return cmmod.primes_between(lo, hi)
 
 
 def _open_cache(path=None):

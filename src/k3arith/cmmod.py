@@ -26,7 +26,7 @@ from itertools import compress, product, tee
 from math import gcd, isqrt, prod
 
 from ._intpoly import isprime
-from .count import BATCH_CAP, count_each, count_many, fermat_quartic
+from .count import BATCH_CAP, _route, count_each, count_many, fermat_quartic
 from .errors import DomainError, UsageError, check_ints, check_price, frozen
 from .ff import check_bytes
 
@@ -73,25 +73,37 @@ def _eta_price(n_max: int) -> int:
     return 200 * n_max
 
 
-def primes_between(lo: int, hi: int, eta: bool = False):
-    """The primes in lo..hi, priced from its bounds before they are listed:
-    1000 units an integer, then with eta, as `verify_modularity` and
-    `cm_sieve` build the eta series through the top prime, with that series
-    through hi too; a sieve strikes the multiples of d <= 2^11, so isprime
-    tests n > 2^22."""
+def primes_between(lo: int, hi: int):
+    """The primes in lo..hi, priced from its bounds: 1000 units an integer;
+    a sieve strikes the multiples of d <= 2^11, so isprime tests n > 2^22."""
     lo = max(2, lo)
-    price = 1000 * (hi - lo)
-    check_price(f"the primes in {lo}..{hi}", price, BATCH_CAP, "price units")
-    if eta:
-        check_price(f"the primes in {lo}..{hi} and eta(4 tau)^6 through "
-                    f"q^{hi}", price + _eta_price(hi), BATCH_CAP,
-                    "price units")
+    check_price(f"the primes in {lo}..{hi}", 1000 * (hi - lo), BATCH_CAP,
+                "price units")
     seg = bytearray([1]) * max(0, hi - lo + 1)
     for d in range(2, min(2 ** 11, isqrt(max(hi, 0))) + 1):
         start = max(d * d, -(-lo // d) * d) - lo
         seg[start::d] = bytes(len(seg[start::d]))
     return [n for n in compress(range(lo, hi + 1), seg)
             if n <= 2 ** 22 or isprime(n)]
+
+
+def check_walk_floor(lo: int, hi: int):
+    """Refuse lo..hi before its primes are listed on a price both walks pay:
+    eta(4 tau)^6 through the top prime (lo or above; a range of no prime is
+    refused anyway), and the Fermat quartic's `_route` price (the sieve's
+    lam = 0 member) from that prime down to the first = 1 mod 4, found by
+    isprime.  A range whose listing primes_between refuses is left to it."""
+    lo = max(2, lo)
+    if 1000 * (hi - lo) > BATCH_CAP:
+        return
+    price, primes = _eta_price(lo), filter(isprime, range(hi, lo - 1, -1))
+    while price <= BATCH_CAP and (p := next(primes, 0)):
+        # the series through lo becomes the series through the top prime
+        price = max(price, _eta_price(p)) + _route(fermat_quartic(), p, 1)[1]
+        if p % 4 == 1:
+            break
+    check_price(f"the counts of the primes in {lo}..{hi} and eta(4 tau)^6 "
+                "through their top", price, BATCH_CAP, "price units")
 
 
 def _check_odd_prime(p: int) -> int:

@@ -304,13 +304,6 @@ class CyclotomicInt:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        return CyclotomicInt(a.m, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
-    def __neg__(self):
-        return CyclotomicInt(self.m, tuple(-x for x in self.coeffs))
-
     def __mul__(self, other):
         a, b = self._pair(other)
         raw = _intpoly.mul(list(a.coeffs), list(b.coeffs))

@@ -140,7 +140,7 @@ def _check(argv):
 
 # inputs that failed before, run ahead of the drawn ones: a traceback, and
 # refusals after 3 to 9 s (the ranges, each listed and then refused by the
-# walk; now refused with the eta series through hi before listing) or
+# walk; now refused on the walk's floor before listing) or
 # after about 1.2 s (the lift)
 KNOWN = {
     "inose": [["inose", "--form", f"1,0,{5 * 10 ** 307}"],

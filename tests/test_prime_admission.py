@@ -6,10 +6,11 @@ does not fit in memory, and the `count.count_many` walk refuses a batch
 whose `_route` prices, with the price of the eta series it needs, sum past
 BATCH_CAP, before any series or count.  The Dwork members over one F_p
 share one `_torus_tally` and pay for it once, and a `--primes` range is
-priced from its bounds before it is listed, alone and then with the eta
-series through its top, then listed by a sieve of its segment.  Each prime is vetted as the walk draws it, so a batch priced
-past the cap is refused after as many vets as prices.  The eta series is
-the square of Jacobi's series for prod (1 - x^k)^3, O(n).
+priced from its bounds before it is listed, then on the least price its
+walk pays, then listed by a sieve of its segment.  Each prime is vetted as
+the walk draws it, so a batch priced past the cap is refused after as many
+vets as prices.  The eta series is the square of Jacobi's series for
+prod (1 - x^k)^3, O(n).
 """
 
 import itertools
@@ -119,19 +120,62 @@ def test_modularity_range_is_refused_before_it_is_listed(capsys,
         "price units (cap 2.0e+9)\n")
 
 
-@pytest.mark.parametrize("sub, lo, hi, price", [
-    ("modularity", 4200000, 6000000, "3.0e+9"),
-    ("sieve", 4200000, 6000000, "3.0e+9"),
-    ("modularity", 10 ** 30, 10 ** 30 + 2 * 10 ** 6, "2.0e+32")])
-def test_a_range_is_refused_with_its_eta_series_before_it_is_listed(
-        capsys, monkeypatch, sub, lo, hi, price):
-    # each was listed (3 to 9 s) and then refused by the walk
-    monkeypatch.setattr(cmmod, "isprime", _refuse("isprime"))
-    monkeypatch.setattr(ff, "isprime", _refuse("isprime"))
+@pytest.mark.parametrize("sub, lo, hi, top, price", [
+    ("modularity", 4200000, 6000000, 5999993, "3.0e+9"),
+    ("sieve", 4200000, 6000000, 5999993, "3.0e+9"),
+    ("modularity", 10 ** 30, 10 ** 30 + 2 * 10 ** 6, None, "2.0e+32")])
+def test_a_range_is_refused_on_its_walk_floor_before_it_is_listed(
+        capsys, monkeypatch, sub, lo, hi, top, price):
+    # each was listed (3 to 9 s) and then refused by the walk; now only
+    # the integers from hi down to the top prime are tested, and none when
+    # the series through lo passes the cap
+    tested = []
+    isprime = cmmod.isprime
+
+    def counting_isprime(n):
+        tested.append(n)
+        return isprime(n)
+    monkeypatch.setattr(cmmod, "isprime", counting_isprime)
+    monkeypatch.setattr(cmmod, "primes_between", _refuse("primes_between"))
     assert main([sub, "--primes", f"{lo}..{hi}"]) == 2
     assert capsys.readouterr().err == (
-        f"k3: usage error: the primes in {lo}..{hi} and eta(4 tau)^6 "
-        f"through q^{hi} need about {price} price units (cap 2.0e+9)\n")
+        f"k3: usage error: the counts of the primes in {lo}..{hi} and "
+        f"eta(4 tau)^6 through their top need about {price} price units "
+        f"(cap 2.0e+9)\n")
+    assert tested == ([] if top is None else list(range(hi, top - 1, -1)))
+
+
+def _walk_price(lo, hi):
+    """The modularity walk's price over lo..hi, summed from `_route` with
+    no counting; the sieve's walk pays it too (lam = 0 is the Fermat
+    quartic) and more."""
+    primes = cmmod.primes_between(lo, hi)
+    return cmmod._eta_price(max(primes)) + sum(
+        _route(cmmod.fermat_quartic(), p, 1)[1] for p in primes)
+
+
+def _edge_ranges():
+    rng = random.Random(5)
+    for top in (4000000, 4600000, 5714000, 9999787, 10000018, 10050000):
+        for width in (0, 2, 10, 100, 1000, 20000):
+            lo = top - width - rng.randrange(50)
+            yield lo, lo + width
+
+
+def test_a_range_its_walk_admits_passes_the_floor():
+    # it ran (exit 0, about 4 s) before the floor, and still does
+    assert _walk_price(9999991, 9999993) <= BATCH_CAP
+    cmmod.check_walk_floor(9999991, 9999993)
+
+
+@pytest.mark.parametrize("lo, hi", list(_edge_ranges()))
+def test_a_range_the_floor_refuses_is_refused_by_its_walk(lo, hi):
+    # or, as it holds no prime, by the CLI ("no primes supplied")
+    try:
+        cmmod.check_walk_floor(lo, hi)
+    except UsageError:
+        assert (not cmmod.primes_between(lo, hi)
+                or _walk_price(lo, hi) > BATCH_CAP)
 
 
 def _ranges():
@@ -161,9 +205,8 @@ def test_a_range_under_the_cap_is_listed_without_isprime(monkeypatch):
 @pytest.mark.parametrize("sub", ["modularity", "sieve"])
 def test_the_walk_vets_no_more_primes_than_it_prices(capsys, monkeypatch,
                                                      sub):
-    # 121125 primes listed, as 5..1600000 and the eta series through it fit
-    # under the cap; the walk prices the keys of 1680 of them (modularity)
-    # or 74 (sieve) before the cap, and vets no others
+    # 148865 primes listed; the walk prices the keys of 1643 of them
+    # (modularity) or 73 (sieve) before the cap, and vets no others
     vetted, routed = [], []
     check, route = cmmod._check_odd_prime, count_mod._route
 
@@ -176,7 +219,7 @@ def test_the_walk_vets_no_more_primes_than_it_prices(capsys, monkeypatch,
         return route(surface, p, r)
     monkeypatch.setattr(cmmod, "_check_odd_prime", spy_check)
     monkeypatch.setattr(count_mod, "_route", spy_route)
-    assert main([sub, "--primes", "5..1600000"]) == 2
+    assert main([sub, "--primes", "5..1999000"]) == 2
     assert "the counts need" in capsys.readouterr().err
     assert 0 < len(set(vetted)) <= len(set(routed)) < 5000
 
